@@ -1,35 +1,22 @@
-"""Deterministic parallel evaluation.
+"""Deterministic evaluation and correctly rounded reductions.
 
-Work items are split into fixed-size chunks; chunks may run on a thread pool,
-but results are reassembled in item order and reduced sequentially, so the
-output is bit-identical for every worker count.
+Work items are mapped in order and reduced with correctly rounded sums, so
+every result is independent of evaluation order.  Window statistics evaluate
+their integrand once per distinct lattice point of the whole schedule.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-CHUNK = 64
 
-
-def ordered_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> list[R]:
-    """Map ``fn`` over ``items`` preserving order; ``threads`` only affects
-    scheduling, never the result."""
-    items = list(items)
-    if threads <= 1 or len(items) <= CHUNK:
-        return [fn(x) for x in items]
-    chunks = [items[i:i + CHUNK] for i in range(0, len(items), CHUNK)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda chunk: [fn(x) for x in chunk], chunks))
-    out: list[R] = []
-    for part in parts:
-        out.extend(part)
-    return out
+def ordered_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+    """Map ``fn`` over ``items`` preserving order."""
+    return [fn(x) for x in items]
 
 
 def fsum_complex(values: Iterable[complex]) -> complex:
@@ -45,3 +32,19 @@ def fmean(values: Iterable[float], size: int) -> float:
 def fmean_complex(values: Iterable[complex], size: int) -> complex:
     total = fsum_complex(values)
     return complex(total.real / size, total.imag / size)
+
+
+def window_means(
+    fn: Callable[[Hashable], R], windows: Sequence, complex_valued: bool = False
+) -> list[R]:
+    """Mean of ``fn`` over each window, dividing by ``w.size``.
+
+    ``fn`` runs once per distinct element of the union of the windows, in
+    first-seen order, instead of once per element of every window.  Each
+    window's sum is correctly rounded, so the means equal those of a fresh
+    per-window evaluation bit for bit.
+    """
+    points = list(dict.fromkeys(g for w in windows for g in w.iter_elements()))
+    values = dict(zip(points, ordered_map(fn, points)))
+    mean = fmean_complex if complex_valued else fmean
+    return [mean([values[g] for g in w.iter_elements()], w.size) for w in windows]

@@ -4,7 +4,9 @@ One self-describing JSON config per run; subcommands expose each part of the
 library and write plot-ready CSV plus a schema-tagged JSON report into the
 output directory.  Exit codes: 0 all asserted checks passed, 1 an asserted
 check failed (a machine-readable failure report is still written), 2 config
-or usage errors.  Outputs are byte-identical for any --threads value.
+or usage errors, including well-formed configs that describe an invalid
+system.  ``--threads`` is a scheduling hint: evaluation runs on one thread,
+so outputs are byte-identical for any value.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def _window_rows(pairs):
 # subcommand handlers: each returns (report_dict, failures)
 # --------------------------------------------------------------------------
 
-def run_folner(cfg: dict, out: Path, threads: int, seed) -> tuple[dict, list[str]]:
+def run_folner(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     _require_keys(cfg, {"group", "windows", "shifts", "set", "candidates", "seed"},
                   {"group", "windows"}, "config")
     q = parse_group(cfg["group"])
@@ -115,7 +117,7 @@ _STATS = {
 }
 
 
-def run_mix(cfg: dict, out: Path, threads: int, seed) -> tuple[dict, list[str]]:
+def run_mix(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     _require_keys(cfg, {"system", "windows", "observables", "hom", "statistics",
                         "threshold", "seed"},
                   {"system", "windows", "observables", "hom"}, "config")
@@ -134,7 +136,7 @@ def run_mix(cfg: dict, out: Path, threads: int, seed) -> tuple[dict, list[str]]:
     verdicts = {}
     for name in names:
         if name == "ergodic-average":
-            ea = mixing.ergodic_average(sys_h, a, b, hom, windows, threads=threads)
+            ea = mixing.ergodic_average(sys_h, a, b, hom, windows)
             write_csv(out / "mix_ergodic_average.csv",
                       ["n", "window_size", "re", "im"],
                       [(n, 2 * n + 1, v.real, v.imag) for n, v in ea.per_window])
@@ -145,8 +147,7 @@ def run_mix(cfg: dict, out: Path, threads: int, seed) -> tuple[dict, list[str]]:
             continue
         if name not in _STATS:
             raise ConfigError(f"statistics: unknown statistic {name!r}")
-        stat = _STATS[name](sys_h, a, b, hom, windows, threads=threads,
-                            threshold=threshold)
+        stat = _STATS[name](sys_h, a, b, hom, windows, threshold=threshold)
         write_csv(out / f"mix_{name.replace('-', '_')}.csv",
                   ["n", "window_size", "value"], _window_rows(stat.per_window))
         verdicts[name] = stat.verdict
@@ -162,7 +163,7 @@ def run_mix(cfg: dict, out: Path, threads: int, seed) -> tuple[dict, list[str]]:
     return report, failures
 
 
-def run_higher(cfg: dict, out: Path, threads: int, seed) -> tuple[dict, list[str]]:
+def run_higher(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     _require_keys(cfg, {"system", "windows", "observables", "homs", "threshold",
                         "gamma", "seed"},
                   {"system", "windows", "observables", "homs"}, "config")
@@ -174,8 +175,7 @@ def run_higher(cfg: dict, out: Path, threads: int, seed) -> tuple[dict, list[str
     spec = mixing.HigherOrderSpec(observables=tuple(obs), homs=homs)
     threshold = _num(cfg["threshold"], "threshold") if "threshold" in cfg else None
 
-    stat = mixing.higher_order_defect(sys_h, spec, windows, threads=threads,
-                                      threshold=threshold)
+    stat = mixing.higher_order_defect(sys_h, spec, windows, threshold=threshold)
     write_csv(out / "higher.csv", ["n", "window_size", "value"],
               _window_rows(stat.per_window))
     report: dict = {
@@ -191,7 +191,7 @@ def run_higher(cfg: dict, out: Path, threads: int, seed) -> tuple[dict, list[str
         h_max = _int(cfg["gamma"].get("h_max", 2 * windows[-1].index), "gamma.h_max", 0)
         lags = [h for h in folner.inverse_product(windows[-1]).iter_elements()
                 if max(abs(x) for x in h) <= h_max]
-        gam = mixing.gamma_sequence(sys_h, spec, windows, h_range=lags, threads=threads)
+        gam = mixing.gamma_sequence(sys_h, spec, windows, h_range=lags)
         write_csv(out / "higher_gamma.csv",
                   ["h", "empirical_re", "empirical_im", "closed_re", "closed_im",
                    "difference"],
@@ -221,7 +221,7 @@ def _build_sequence(obj: dict) -> vdc.VectorSequence:
     raise ConfigError(f"sequence.kind: unknown kind {kind!r}")
 
 
-def run_vdc(cfg: dict, out: Path, threads: int, seed) -> tuple[dict, list[str]]:
+def run_vdc(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     _require_keys(cfg, {"sequence", "windows", "h_max", "threshold", "seed"},
                   {"sequence", "windows"}, "config")
     f = _build_sequence(cfg["sequence"])
@@ -229,8 +229,7 @@ def run_vdc(cfg: dict, out: Path, threads: int, seed) -> tuple[dict, list[str]]:
     h_max = _int(cfg["h_max"], "h_max", 0) if "h_max" in cfg else None
     threshold = _num(cfg.get("threshold", 0.05), "threshold")
 
-    rep = vdc.vdc_verdict(f, windows, h_max=h_max, threshold=threshold,
-                          threads=threads)
+    rep = vdc.vdc_verdict(f, windows, h_max=h_max, threshold=threshold)
     write_csv(out / "vdc.csv", ["n", "window_size", "statistic", "average_norm"],
               [(n, 2 * n + 1, s, a) for (n, s), (_, a) in
                zip(rep.statistic, rep.averages)])
@@ -253,7 +252,7 @@ def run_vdc(cfg: dict, out: Path, threads: int, seed) -> tuple[dict, list[str]]:
     return report, []
 
 
-def run_compact(cfg: dict, out: Path, threads: int, seed) -> tuple[dict, list[str]]:
+def run_compact(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     _require_keys(cfg, {"system", "observable", "epsilon", "exponents", "scan",
                         "windows", "candidates", "positive_observable", "seed"},
                   {"system", "observable", "epsilon", "exponents", "scan"}, "config")
@@ -291,8 +290,7 @@ def run_compact(cfg: dict, out: Path, threads: int, seed) -> tuple[dict, list[st
         if 0 < eps < power_mean:
             eps_rs = eps / (norm ** k_plus_1 * k_plus_1)
             scaled = compactness._rescale(sys_h, pos, 1.0 / norm)
-            rset = compactness.return_set(sys_h, scaled, eps_rs, (0,) + tuple(exponents),
-                                          scan, threads=threads)
+            rset = compactness.return_set(sys_h, scaled, eps_rs, (0,) + tuple(exponents), scan)
             bounds = []
             for g in rset.members:
                 cb = compactness.correlation_lower_bound(sys_h, pos, exponents, eps, g)
@@ -319,7 +317,7 @@ def run_compact(cfg: dict, out: Path, threads: int, seed) -> tuple[dict, list[st
         cands = parse_candidates(cfg["candidates"], q)
         increasing = [m for m in exponents if m > 0]
         rep = compactness.szemeredi_average_compact(
-            sys_h, pos, increasing, windows, cands, threads=threads)
+            sys_h, pos, increasing, windows, cands)
         write_csv(out / "compact_szemeredi.csv", ["n", "window_size", "value"],
                   _window_rows(rep.averages))
         report["szemeredi"] = {
@@ -336,7 +334,7 @@ def run_compact(cfg: dict, out: Path, threads: int, seed) -> tuple[dict, list[st
     return report, failures
 
 
-def run_split(cfg: dict, out: Path, threads: int, seed) -> tuple[dict, list[str]]:
+def run_split(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     _require_keys(cfg, {"system", "seed"}, {"system"}, "config")
     sys_h = parse_system(cfg["system"])
     verdict = spectral.dichotomy_classify(sys_h)
@@ -348,7 +346,7 @@ def run_split(cfg: dict, out: Path, threads: int, seed) -> tuple[dict, list[str]
     return report, []
 
 
-def run_szemeredi(cfg: dict, out: Path, threads: int, seed) -> tuple[dict, list[str]]:
+def run_szemeredi(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     _require_keys(cfg, {"system", "observable", "exponents", "windows",
                         "candidates", "seed"},
                   {"system", "observable", "exponents", "windows"}, "config")
@@ -359,8 +357,7 @@ def run_szemeredi(cfg: dict, out: Path, threads: int, seed) -> tuple[dict, list[
     windows = parse_windows(cfg["windows"], q)
     cands = parse_candidates(cfg["candidates"], q) if "candidates" in cfg else None
 
-    rep = spectral.szemeredi_driver(sys_h, a, exponents, windows,
-                                    candidates=cands, threads=threads)
+    rep = spectral.szemeredi_driver(sys_h, a, exponents, windows, candidates=cands)
     write_csv(out / "szemeredi.csv", ["n", "window_size", "value"],
               _window_rows(rep.averages))
     report = rep.to_json()
@@ -368,15 +365,15 @@ def run_szemeredi(cfg: dict, out: Path, threads: int, seed) -> tuple[dict, list[
     if rep.tail_min <= 0:
         failures.append("Szemeredi tail minimum was not positive")
     if rep.branch == "weakly-mixing":
-        for n, v in rep.averages:
-            allowed = rep.deviation_constant / (2 * n + 1) + 1e-12
+        for w, (n, v) in zip(windows, rep.averages):
+            allowed = rep.deviation_constant / w.size + 1e-12
             if abs(v - rep.target) > allowed:
                 failures.append(f"average at n={n} deviates beyond c/|window|")
     write_json(out / "szemeredi.json", report)
     return report, failures
 
 
-def run_invariants(cfg: dict, out: Path, threads: int, seed) -> tuple[dict, list[str]]:
+def run_invariants(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     _require_keys(cfg, {"seed", "scale"}, set(), "config")
     if seed is None:
         seed = cfg.get("seed")
@@ -417,19 +414,29 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="scheduling hint (>= 1); evaluation is single-threaded "
+                            "and output bytes never depend on it")
         p.add_argument("--seed", type=int, default=None,
                        help="seed for randomized suites (overrides config)")
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
+        return 2
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
         cfg = _load_config(args.config)
-        _, failures = HANDLERS[args.command](cfg, out, args.threads, args.seed)
+        _, failures = HANDLERS[args.command](cfg, out, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # the config is well formed but describes an invalid system
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    (out / "failures.json").unlink(missing_ok=True)
     if failures:
         write_json(out / "failures.json", {"failures": failures})
         for f in failures:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from ._parallel import fmean, ordered_map
+from ._parallel import ordered_map, window_means
 from .folner import (
     FolnerWindow,
     GroupElement,
@@ -111,7 +111,6 @@ def return_set(
     epsilon: float,
     exponents: Sequence[int],
     scan_window: FolnerWindow,
-    threads: int = 1,
 ) -> ReturnSet:
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -123,7 +122,7 @@ def return_set(
         dists = [0.0 if m == 0 else _return_distance(sys, a, g, m) for m in exps]
         return g, dists
 
-    results = ordered_map(probe, list(scan_window.iter_elements()), threads=threads)
+    results = ordered_map(probe, list(scan_window.iter_elements()))
     members = []
     certs = []
     for g, dists in results:
@@ -224,7 +223,6 @@ def szemeredi_average_compact(
     exponents: Sequence[int],
     windows: Sequence[FolnerWindow],
     candidates: Sequence[Union[int, Sequence[int]]],
-    threads: int = 1,
 ) -> SzemerediCompactReport:
     """Shifted-window multi-correlation average for a compact tracial system.
 
@@ -269,7 +267,7 @@ def szemeredi_average_compact(
     scan = box_window(q, max_coord + max_cand)
 
     full_exps = (0,) + exps
-    rset = return_set(sys, a_hat, eps_return, full_exps, scan, threads=threads)
+    rset = return_set(sys, a_hat, eps_return, full_exps, scan)
     if not rset.members:
         raise ValueError(
             "return set empty on the scan window; enlarge the window schedule")
@@ -280,13 +278,12 @@ def szemeredi_average_compact(
         return abs(sys.expect_product([(a, scale(m, g)) for m in full_exps]))
 
     shifts = []
-    averages = []
+    shifted = []
     for w in windows:
         shift, ratio = best_shift_for_density(w, lambda g: g in member_set, cands)
-        shifted = shift_window(w, shift)
-        vals = ordered_map(integrand, list(shifted.iter_elements()), threads=threads)
-        averages.append((w.index, fmean(vals, w.size)))
+        shifted.append(shift_window(w, shift))
         shifts.append((w.index, shift, ratio))
+    averages = list(zip((w.index for w in windows), window_means(integrand, shifted)))
 
     tail_len = max(1, math.ceil(len(averages) / 4))
     tail_min = min(v for _, v in averages[-tail_len:])

@@ -1,8 +1,10 @@
 """Folner-averaged mixing statistics.
 
 Every statistic is a per-window curve: value_n = mean over g in the window of
-some nonnegative integrand.  Averages use exact 1/|window| weights with
-correctly rounded summation, so results are identical for any worker count.
+some nonnegative integrand.  The integrand is evaluated once per lattice
+point of the whole schedule, and averages use exact 1/|window| weights with
+correctly rounded summation, so every window's value is independent of how
+the windows share points.
 A finite-horizon verdict (decaying / non-decaying / inconclusive) is attached
 by a documented rule on the last quarter of the schedule, since the limits
 themselves are not finitely decidable.
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ._parallel import fmean, fmean_complex, ordered_map
+from ._parallel import fmean, fmean_complex, ordered_map, window_means
 from .folner import (
     FolnerWindow,
     GroupElement,
@@ -24,7 +26,13 @@ from .folner import (
     lower_density,
     zero,
 )
-from .systems import SystemHandle, commutator_norm, evaluate
+from .systems import (
+    QuasiLocalSystem,
+    SystemHandle,
+    commutator_norm,
+    evaluate,
+    supports_disjoint,
+)
 
 VERDICT_DECAYING = "decaying"
 VERDICT_NON_DECAYING = "non-decaying"
@@ -88,14 +96,6 @@ class MixingStatistic:
         return tuple(v for _, v in self.per_window)
 
 
-def _window_mean(window, integrand, threads: int, complex_valued: bool = False):
-    gs = list(window.iter_elements())
-    vals = ordered_map(integrand, gs, threads=threads)
-    if complex_valued:
-        return fmean_complex(vals, window.size)
-    return fmean(vals, window.size)
-
-
 @dataclass(frozen=True)
 class ErgodicAverage:
     """Per-window averages of omega(a tau_{phi(g)}(b)) next to the comparison
@@ -111,29 +111,22 @@ def ergodic_average(
     b,
     hom: Homomorphism,
     windows: Sequence[FolnerWindow],
-    threads: int = 1,
 ) -> ErgodicAverage:
     target = evaluate(sys, [(a, None, zero(hom.q))]) * evaluate(sys, [(b, None, zero(hom.q))])
-    per = []
-    for w in windows:
-        mean = _window_mean(
-            w,
-            lambda g: evaluate(sys, [(a, None, g), (b, hom, g)]),
-            threads,
-            complex_valued=True,
-        )
-        per.append((w.index, mean))
-    return ErgodicAverage(per_window=tuple(per), product_value=target)
+    means = window_means(
+        lambda g: evaluate(sys, [(a, None, g), (b, hom, g)]), windows, complex_valued=True)
+    per = tuple((w.index, mean) for w, mean in zip(windows, means))
+    return ErgodicAverage(per_window=per, product_value=target)
 
 
-def _correlation_defect_values(sys, a, b, hom, windows, threads, square):
+def _correlation_defect_values(sys, a, b, hom, windows, square):
     target = evaluate(sys, [(a, None, zero(hom.q))]) * evaluate(sys, [(b, None, zero(hom.q))])
 
     def integrand(g):
         diff = abs(evaluate(sys, [(a, None, g), (b, hom, g)]) - target)
         return diff * diff if square else diff
 
-    return [_window_mean(w, integrand, threads) for w in windows]
+    return window_means(integrand, windows)
 
 
 def weak_mixing_defect(
@@ -142,11 +135,10 @@ def weak_mixing_defect(
     b,
     hom: Homomorphism,
     windows: Sequence[FolnerWindow],
-    threads: int = 1,
     threshold: Optional[float] = None,
 ) -> MixingStatistic:
     """Mean over the window of |omega(a tau_{phi(g)}(b)) - omega(a) omega(b)|."""
-    vals = _correlation_defect_values(sys, a, b, hom, windows, threads, square=False)
+    vals = _correlation_defect_values(sys, a, b, hom, windows, square=False)
     return MixingStatistic.from_values(windows, vals, threshold)
 
 
@@ -156,11 +148,10 @@ def square_defect(
     b,
     hom: Homomorphism,
     windows: Sequence[FolnerWindow],
-    threads: int = 1,
     threshold: Optional[float] = None,
 ) -> MixingStatistic:
     """Same integrand squared; its verdict must agree with the unsquared one."""
-    vals = _correlation_defect_values(sys, a, b, hom, windows, threads, square=True)
+    vals = _correlation_defect_values(sys, a, b, hom, windows, square=True)
     return MixingStatistic.from_values(windows, vals, threshold)
 
 
@@ -170,14 +161,10 @@ def asymptotic_abelianness(
     b,
     hom: Homomorphism,
     windows: Sequence[FolnerWindow],
-    threads: int = 1,
     threshold: Optional[float] = None,
 ) -> MixingStatistic:
     """Mean over the window of the operator norm of [a, tau_{phi(g)}(b)]."""
-    vals = [
-        _window_mean(w, lambda g: commutator_norm(sys, a, b, hom, g), threads)
-        for w in windows
-    ]
+    vals = window_means(lambda g: commutator_norm(sys, a, b, hom, g), windows)
     return MixingStatistic.from_values(windows, vals, threshold)
 
 
@@ -225,16 +212,12 @@ def higher_order_defect(
     sys: SystemHandle,
     spec: HigherOrderSpec,
     windows: Sequence[FolnerWindow],
-    threads: int = 1,
     threshold: Optional[float] = None,
 ) -> MixingStatistic:
     """Mean over the window of
     |omega(prod_j tau_{phi_j(g)}(a_j)) - prod_j omega(a_j)|."""
     target = spec.target(sys)
-    vals = [
-        _window_mean(w, lambda g: abs(evaluate(sys, spec.factors(g)) - target), threads)
-        for w in windows
-    ]
+    vals = window_means(lambda g: abs(evaluate(sys, spec.factors(g)) - target), windows)
     return MixingStatistic.from_values(windows, vals, threshold)
 
 
@@ -245,26 +228,19 @@ def collision_bound(
     where the integrand can deviate.
 
     On the quasi-local backend only g with overlapping shifted supports can
-    deviate, so the returned constant c makes value_n <= c/|window| hold for
-    every window inside the scan; with single-site factors the disjoint terms
-    cancel bitwise and the bound is exact, while multi-site factors can leave
-    last-bit rounding dust.  On the finite backend every g contributes.
+    deviate: the product state factorizes the disjoint terms exactly, so they
+    cancel bitwise and the returned constant c makes value_n <= c/|window|
+    hold for every window inside the scan.  On the finite backend every g
+    contributes.
     """
     target = spec.target(sys)
+    local = isinstance(sys, QuasiLocalSystem)
     total = []
     for g in scan.iter_elements():
-        if hasattr(sys, "translate") and hasattr(spec.observables[0], "support"):
-            supports = []
-            supports.append(set(spec.observables[0].support))
-            for a, h in zip(spec.observables[1:], spec.homs):
-                shift = h.apply(g)
-                supports.append({add(s, shift) for s in a.support})
-            disjoint = True
-            for i in range(len(supports)):
-                for j in range(i + 1, len(supports)):
-                    if supports[i] & supports[j]:
-                        disjoint = False
-            if disjoint:
+        if local:
+            shifts = [zero(spec.q)] + [h.apply(g) for h in spec.homs]
+            if supports_disjoint([sys.translate(a, s).support
+                                  for a, s in zip(spec.observables, shifts)]):
                 continue
         total.append(abs(evaluate(sys, spec.factors(g)) - target))
     return math.fsum(total)
@@ -293,7 +269,6 @@ def gamma_sequence(
     spec: HigherOrderSpec,
     windows: Sequence[FolnerWindow],
     h_range: Optional[Sequence[GroupElement]] = None,
-    threads: int = 1,
 ) -> GammaReport:
     """Autocorrelations of the centered product vector u_g.
 
@@ -320,28 +295,22 @@ def gamma_sequence(
     def x_adj_factors(base: GroupElement) -> list:
         return [(aa, h, base) for aa, h in zip(reversed(adjoints), reversed(spec.homs))]
 
-    def mean_x(base_points):
-        vals = ordered_map(
-            lambda g: evaluate(sys, x_factors(g)), base_points, threads=threads)
-        return vals
-
     gs = list(largest.iter_elements())
-    x_vals = mean_x(gs)
+    # x(g) on the window and on every lag translate of it, each point once
+    points = list(dict.fromkeys(gs + [add(g, h) for h in h_range for g in gs]))
+    x_vals = dict(zip(points, ordered_map(lambda g: evaluate(sys, x_factors(g)), points)))
 
     entries = []
     for h in h_range:
-        def inner(g_idx):
-            g = gs[g_idx]
+        def inner(g):
             gh = add(g, h)
             cross = evaluate(sys, x_adj_factors(g) + x_factors(gh))
-            x_g = x_vals[g_idx]
-            x_gh = evaluate(sys, x_factors(gh))
             return (cross
-                    - kappa * x_g.conjugate()
-                    - kappa.conjugate() * x_gh
+                    - kappa * x_vals[g].conjugate()
+                    - kappa.conjugate() * x_vals[gh]
                     + abs(kappa) ** 2)
 
-        vals = ordered_map(inner, range(len(gs)), threads=threads)
+        vals = ordered_map(inner, gs)
         empirical = fmean_complex(vals, largest.size)
 
         closed = 1.0 + 0j

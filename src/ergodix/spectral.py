@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._parallel import fmean, ordered_map
+from ._parallel import window_means
 from .compactness import SzemerediCompactReport, szemeredi_average_compact
 from .folner import (
     FolnerWindow,
@@ -365,7 +365,6 @@ def szemeredi_driver(
     exponents: Sequence[int],
     windows: Sequence[FolnerWindow],
     candidates: Optional[Sequence[GroupElement]] = None,
-    threads: int = 1,
 ) -> SzemerediDriverReport:
     """Route a system to the branch that certifies its multi-correlation
     positivity.
@@ -383,11 +382,11 @@ def szemeredi_driver(
         raise ValueError("need at least one window")
 
     if isinstance(sys, QuasiLocalSystem):
-        return _driver_weakly_mixing(sys, a, exps, windows, threads)
-    return _driver_compact(sys, a, exps, windows, candidates, threads)
+        return _driver_weakly_mixing(sys, a, exps, windows)
+    return _driver_compact(sys, a, exps, windows, candidates)
 
 
-def _driver_weakly_mixing(sys, a, exps, windows, threads) -> SzemerediDriverReport:
+def _driver_weakly_mixing(sys, a, exps, windows) -> SzemerediDriverReport:
     q = sys.q
     mean_a = sys.expect(a).real
     if mean_a <= 0:
@@ -398,10 +397,7 @@ def _driver_weakly_mixing(sys, a, exps, windows, threads) -> SzemerediDriverRepo
     def integrand(g: GroupElement) -> float:
         return abs(sys.expect_product([(a, scale(m, g)) for m in full]))
 
-    averages = []
-    for w in windows:
-        vals = ordered_map(integrand, list(w.iter_elements()), threads=threads)
-        averages.append((w.index, fmean(vals, w.size)))
+    averages = list(zip((w.index for w in windows), window_means(integrand, windows)))
 
     spec = HigherOrderSpec(
         observables=(a,) * (len(exps) + 1),
@@ -422,13 +418,15 @@ def _driver_weakly_mixing(sys, a, exps, windows, threads) -> SzemerediDriverRepo
     )
 
 
-def _driver_compact(sys, a, exps, windows, candidates, threads) -> SzemerediDriverReport:
+def _driver_compact(sys, a, exps, windows, candidates) -> SzemerediDriverReport:
     verdict = dichotomy_classify(sys)
     if not verdict.ergodic:
         raise ValueError("finite-backend driver requires an ergodic system")
     if candidates is None:
         # probe the return set to size the candidate grid
         norm_a = sys.obs_operator_norm(a)
+        if norm_a <= 0:
+            raise ValueError("observable must be nonzero")
         a_hat = a / norm_a
         k = len(exps)
         power_hat = sys.expect(sys.obs_power(a_hat, k + 1)).real
@@ -436,7 +434,7 @@ def _driver_compact(sys, a, exps, windows, candidates, threads) -> SzemerediDriv
         probe_scan = box_window(sys.q, max(w.index for w in windows) + 4)
         from .compactness import return_set
 
-        rset = return_set(sys, a_hat, eps_return, (0,) + exps, probe_scan, threads=threads)
+        rset = return_set(sys, a_hat, eps_return, (0,) + exps, probe_scan)
         members = set(rset.members)
         cands = _auto_candidates(members, probe_scan, sys.q, cap=probe_scan.index)
         if cands is None:
@@ -444,7 +442,7 @@ def _driver_compact(sys, a, exps, windows, candidates, threads) -> SzemerediDriv
                              "pass candidates explicitly")
     else:
         cands = list(candidates)
-    report = szemeredi_average_compact(sys, a, exps, windows, cands, threads=threads)
+    report = szemeredi_average_compact(sys, a, exps, windows, cands)
     return SzemerediDriverReport(
         branch="compact",
         exponents=exps,

@@ -8,8 +8,9 @@ Two backends share one evaluation interface:
   conjugation, so the action is an honest group action by *-automorphisms.
 * ``QuasiLocalSystem`` -- the spin chain over Z^q with site dimension d,
   product normalized-trace state, and the lattice shift.  Observables have
-  finite support and are evaluated by exact contraction; the result does not
-  depend on the embedding window.
+  finite support; a product is evaluated by exact contraction over each
+  cluster of overlapping supports, and the product state multiplies the
+  cluster values.
 
 Observables are numpy matrices (finite backend) or ``LocalObservable``
 (quasi-local backend).
@@ -275,6 +276,15 @@ class LocalObservable:
         return LocalObservable(
             self.support, np.linalg.matrix_power(self.tensor, k), self.site_dim)
 
+    def _translated(self, g: GroupElement) -> "LocalObservable":
+        """The observable moved by g.  A shift keeps the support sorted and
+        minimal, so the construction-time sort and strip are skipped."""
+        out = object.__new__(LocalObservable)
+        object.__setattr__(out, "support", tuple(add(s, g) for s in self.support))
+        object.__setattr__(out, "tensor", self.tensor)
+        object.__setattr__(out, "site_dim", self.site_dim)
+        return out
+
 
 def _strip_identity_legs(
     support: tuple[GroupElement, ...], tensor: np.ndarray, d: int
@@ -331,12 +341,44 @@ def pauli_observable(sites: Sequence[Union[int, Sequence[int]]], labels: str,
     return LocalObservable(tuple(supp), tensor, 2)
 
 
+def overlap_clusters(supports: Sequence[Sequence[GroupElement]]) -> list[list[int]]:
+    """Connected components of the support-overlap graph.
+
+    Each component lists factor indices in increasing order; components come
+    in the order of their smallest index, and empty supports (scalars) belong
+    to none.  Factors in different components have disjoint supports, so
+    they commute and the product state factorizes over the components.
+    """
+    parent = list(range(len(supports)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner: dict[GroupElement, int] = {}
+    for i, support in enumerate(supports):
+        for site in support:
+            parent[root(i)] = root(owner.setdefault(site, i))
+    clusters: dict[int, list[int]] = {}
+    for i, support in enumerate(supports):
+        if support:
+            clusters.setdefault(root(i), []).append(i)
+    return list(clusters.values())
+
+
+def supports_disjoint(supports: Sequence[Sequence[GroupElement]]) -> bool:
+    """True when no two of the supports share a site."""
+    return all(len(c) == 1 for c in overlap_clusters(supports))
+
+
 @dataclass(frozen=True, eq=False)
 class QuasiLocalSystem:
     """Spin chain over Z^q: product normalized-trace state, lattice-shift
-    action.  Evaluation contracts observables on the union of their supports;
-    padding with identity sites cannot change the value because the per-site
-    state of the identity is exactly 1."""
+    action.  Evaluation contracts each cluster of overlapping supports on its
+    own sites; sites outside a cluster cannot change its value because the
+    per-site state of the identity is exactly 1."""
 
     q: int
     d: int
@@ -360,10 +402,7 @@ class QuasiLocalSystem:
         return obs
 
     def translate(self, obs: LocalObservable, g: Union[int, Sequence[int]]) -> LocalObservable:
-        self._check(obs)
-        g = as_element(g, self.q)
-        return LocalObservable(
-            tuple(add(s, g) for s in obs.support), obs.tensor, obs.site_dim)
+        return self._check(obs)._translated(as_element(g, self.q))
 
     def embed(self, obs: LocalObservable, window: Sequence[GroupElement]) -> np.ndarray:
         """The matrix of obs on the ordered tensor product over ``window``."""
@@ -387,32 +426,17 @@ class QuasiLocalSystem:
         if not factors:
             raise ValueError("empty factor list")
         shifted = [self.translate(obs, shift) for obs, shift in factors]
-        if all(o.n_sites <= 1 for o in shifted):
-            return self._expect_product_sitewise(shifted)
-        window = sorted({s for o in shifted for s in o.support})
-        if not window:
-            out = 1.0 + 0j
-            for o in shifted:
-                out *= o.tensor[0, 0]
-            return complex(out)
-        prod = identity(self.d ** len(window))
-        for o in shifted:
-            prod = prod @ self.embed(o, window)
-        return complex(np.trace(prod)) / (self.d ** len(window))
-
-    def _expect_product_sitewise(self, shifted: Sequence[LocalObservable]) -> complex:
-        scalar = 1.0 + 0j
-        per_site: dict[GroupElement, np.ndarray] = {}
+        out = 1.0 + 0j
         for o in shifted:
             if o.n_sites == 0:
-                scalar *= o.tensor[0, 0]
-                continue
-            site = o.support[0]
-            cur = per_site.get(site)
-            per_site[site] = o.tensor if cur is None else cur @ o.tensor
-        out = scalar
-        for mat in per_site.values():
-            out *= np.trace(mat) / self.d
+                out *= o.tensor[0, 0]
+        for cluster in overlap_clusters([o.support for o in shifted]):
+            members = [shifted[i] for i in cluster]
+            window = sorted({s for o in members for s in o.support})
+            prod = self.embed(members[0], window)
+            for o in members[1:]:
+                prod = prod @ self.embed(o, window)
+            out *= np.trace(prod) / self.d ** len(window)
         return complex(out)
 
     def expect(self, obs: LocalObservable) -> complex:
@@ -509,7 +533,7 @@ def commutator_norm(
         return operator_norm(am @ bm - bm @ am)
     bs = sys.translate(b, shift)
     a = sys._check(a)
-    if set(a.support).isdisjoint(bs.support):
+    if supports_disjoint([a.support, bs.support]):
         return 0.0
     window = sorted(set(a.support) | set(bs.support))
     am = sys.embed(a, window)

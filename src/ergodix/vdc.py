@@ -167,7 +167,6 @@ def _gamma_empirical(
     f: VectorSequence,
     window: FolnerWindow,
     lags: Sequence[GroupElement],
-    threads: int,
 ) -> dict[GroupElement, complex]:
     """gamma_h = (1/|W|) sum_{g in W} <f(g), f(g+h)> for each requested lag,
     estimated at a single window."""
@@ -179,12 +178,12 @@ def _gamma_empirical(
         terms = [complex(np.vdot(values[g], values[add(g, h)])) for g in gs]
         return fsum_complex(terms) / window.size
 
-    out = ordered_map(one, list(lags), threads=threads)
+    out = ordered_map(one, list(lags))
     return dict(zip(lags, out))
 
 
 def _gamma_empirical_box1(
-    f: VectorSequence, window: FolnerWindow, h_max: int, threads: int
+    f: VectorSequence, window: FolnerWindow, h_max: int
 ) -> dict[GroupElement, complex]:
     """Vectorized lag loop for one-dimensional boxes."""
     n = window.index
@@ -198,7 +197,7 @@ def _gamma_empirical_box1(
         return complex(np.vdot(a, b)) / window.size
 
     lags = list(range(-h_max, h_max + 1))
-    out = ordered_map(one, lags, threads=threads)
+    out = ordered_map(one, lags)
     return {(h,): v for h, v in zip(lags, out)}
 
 
@@ -207,7 +206,6 @@ def vdc_verdict(
     windows: Sequence[FolnerWindow],
     h_max: Optional[int] = None,
     threshold: float = 0.05,
-    threads: int = 1,
 ) -> VdcReport:
     """Assemble the verdict report.
 
@@ -225,12 +223,12 @@ def vdc_verdict(
     diff_largest = inverse_product(largest)
     if largest.shape == "box" and largest.q == 1:
         radius = h_max if h_max is not None else 2 * largest.index
-        gamma_map = _gamma_empirical_box1(f, largest, radius, threads)
+        gamma_map = _gamma_empirical_box1(f, largest, radius)
     else:
         lags = list(diff_largest.iter_elements())
         if h_max is not None:
             lags = [h for h in lags if max(abs(x) for x in h) <= h_max]
-        gamma_map = _gamma_empirical(f, largest, lags, threads)
+        gamma_map = _gamma_empirical(f, largest, lags)
 
     statistic = []
     double_avg = []

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from ergodix import spectral
 from ergodix.cli import main
 from ergodix.operators import matrix_to_json
 from ergodix.systems import cyclic_shift_matrix
@@ -67,6 +69,55 @@ class TestExitCodes:
     def test_success_exit_zero(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", FOLNER_CFG)
         assert main(["folner", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_must_be_positive(self, tmp_path, capsys, threads):
+        cfg = write_cfg(tmp_path, "c.json", FOLNER_CFG)
+        assert main(["folner", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--threads", threads]) == 2
+        assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,cfg,message", [
+        ("split", {"system": {"kind": "finite",
+                              "generators": [matrix_to_json(np.diag([2.0, 1.0]))]}},
+         "generator 0 is not unitary"),
+        ("szemeredi", {"system": {"kind": "shift", "q": 1, "d": 2},
+                       "observable": {"kind": "pauli", "sites": [0], "label": "Z"},
+                       "exponents": [1, 2],
+                       "windows": {"shape": "box", "n_min": 1, "n_max": 4}},
+         "omega(a) must be positive"),
+        ("szemeredi", {"system": {"kind": "clock-shift", "Q": 5},
+                       "observable": {"kind": "matrix",
+                                      "entries": matrix_to_json(np.zeros((5, 5)))},
+                       "exponents": [1, 2],
+                       "windows": {"shape": "box", "n_min": 1, "n_max": 4}},
+         "observable must be nonzero"),
+    ])
+    def test_invalid_system_is_input_error(self, tmp_path, capsys, command, cfg, message):
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
+    def test_stale_failures_removed(self, tmp_path):
+        # the projection onto one of four cyclically permuted points: the
+        # absolute defect stays near 0.1 while its square falls under 0.05
+        proj = matrix_to_json(np.diag([1.0, 0.0, 0.0, 0.0]))
+        failing = write_cfg(tmp_path, "fail.json", {
+            "system": {"kind": "cyclic", "dim": 4},
+            "windows": {"shape": "box", "n_min": 1, "n_max": 12},
+            "observables": {"a": {"kind": "matrix", "entries": proj},
+                            "b": {"kind": "matrix", "entries": proj}},
+            "hom": {"kind": "scalar", "m": 1},
+            "threshold": 0.05,
+            "statistics": ["weak-mixing", "square"],
+        })
+        out = tmp_path / "o"
+        assert main(["mix", "--config", failing, "--out", str(out)]) == 1
+        assert (out / "failures.json").exists()
+        passing = write_cfg(tmp_path, "pass.json", MIX_CFG)
+        assert main(["mix", "--config", passing, "--out", str(out)]) == 0
+        assert not (out / "failures.json").exists()
 
 
 class TestFolnerCommand:
@@ -178,6 +229,40 @@ class TestSzemerediCommand:
         assert rep["branch"] == "weakly-mixing"
         assert rep["target"] == pytest.approx(1 / 8)
         assert rep["szemeredi_tail_min"] > 0
+
+    def q2_config(self, tmp_path):
+        return write_cfg(tmp_path, "c.json", {
+            "system": {"kind": "shift", "q": 2, "d": 2},
+            "observable": {"kind": "matrix", "sites": [[0, 0]],
+                           "entries": matrix_to_json(np.diag([1.0, 0.0]))},
+            "exponents": [1, 2],
+            "windows": {"shape": "box", "n_min": 1, "n_max": 8},
+        })
+
+    def test_quasilocal_q2_meets_window_bound(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["szemeredi", "--config", self.q2_config(tmp_path),
+                     "--out", str(out)]) == 0
+        rep = read_json(out / "szemeredi.json")
+        c = rep["deviation_constant"]
+        assert c > 0
+        for n, v in rep["averages"]:
+            assert abs(v - rep["target"]) <= c / (2 * n + 1) ** 2 + 1e-12
+
+    def test_q2_bound_uses_window_size(self, tmp_path, monkeypatch):
+        # deviations of c/(2n+1) are within c/(side length) but not within
+        # c/|window| = c/(2n+1)^2, so the check must fail on Z^2
+        real = spectral.szemeredi_driver
+
+        def inflated(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            c = rep.deviation_constant
+            averages = tuple((n, rep.target + c / (2 * n + 1)) for n, _ in rep.averages)
+            return dataclasses.replace(rep, averages=averages)
+
+        monkeypatch.setattr(spectral, "szemeredi_driver", inflated)
+        assert main(["szemeredi", "--config", self.q2_config(tmp_path),
+                     "--out", str(tmp_path / "o")]) == 1
 
 
 class TestCompactCommand:

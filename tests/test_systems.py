@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ergodix.folner import Homomorphism
+from ergodix.folner import Homomorphism, add, custom_window
+from ergodix.mixing import HigherOrderSpec, higher_order_defect
 from ergodix.operators import operator_norm, trace_state
 from ergodix.sampling import ginibre, random_finite_system, random_local_observable
 from ergodix.systems import (
@@ -15,6 +16,7 @@ from ergodix.systems import (
     cyclic_shift_matrix,
     evaluate,
     lift_observable,
+    overlap_clusters,
     pauli_observable,
     product_system,
     rotation_algebra_system,
@@ -130,6 +132,86 @@ class TestEvaluate:
         lhs = sl.expect_product([(two_site, (0,))])
         rhs = sl.expect_product([(a, (0,)), (b, (0,))])
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def dense_expect_product(sl, factors):
+    """Contraction of every factor on the union of all shifted supports."""
+    shifted = [sl.translate(o, g) for o, g in factors]
+    window = sorted({s for o in shifted for s in o.support})
+    prod = np.eye(sl.d ** len(window), dtype=complex)
+    for o in shifted:
+        prod = prod @ sl.embed(o, window)
+    return complex(np.trace(prod)) / sl.d ** len(window)
+
+
+def sitewise_expect_product(sl, factors):
+    """Scalars first, then per-site normalized traces in first-seen order."""
+    out = 1.0 + 0j
+    per_site = {}
+    for o, g in factors:
+        o = sl.translate(o, g)
+        if o.n_sites == 0:
+            out *= o.tensor[0, 0]
+            continue
+        site = o.support[0]
+        per_site[site] = o.tensor if site not in per_site else per_site[site] @ o.tensor
+    for mat in per_site.values():
+        out *= np.trace(mat) / sl.d
+    return complex(out)
+
+
+class TestClusterContraction:
+    def test_clusters(self):
+        supports = [((0,), (1,)), (), ((5,),), ((1,), (2,)), ((4,), (5,)), ((9,),)]
+        assert overlap_clusters(supports) == [[0, 3], [2, 4], [5]]
+        assert overlap_clusters([((0,),), ((2,),), ((1,), (2,)), ((0,), (1,))]) == [[0, 1, 2, 3]]
+
+    @pytest.mark.parametrize("q,d,max_sites,max_window", [(1, 2, 3, 8), (1, 3, 2, 5), (2, 2, 2, 7)])
+    def test_matches_dense_union_contraction(self, q, d, max_sites, max_window):
+        sl = shift_system(q, d)
+        rng = np.random.default_rng(31 + d + q)
+        checked = 0
+        while checked < 40:
+            k = int(rng.integers(1, 5))
+            factors = [(random_local_observable(rng, q, d, max_sites=max_sites, span=1),
+                        tuple(int(x) for x in rng.integers(-3, 4, size=q)))
+                       for _ in range(k)]
+            union = {add(s, g) for o, g in factors for s in o.support}
+            if len(union) > max_window:
+                continue
+            checked += 1
+            assert abs(sl.expect_product(factors) - dense_expect_product(sl, factors)) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_single_site_products_exact(self, d):
+        sl = shift_system(1, d)
+        rng = np.random.default_rng(5 + d)
+        unit = LocalObservable((), np.array([[0.5 - 0.25j]]), d)
+        for _ in range(40):
+            factors = [(random_local_observable(rng, 1, d, max_sites=1, span=2),
+                        (int(rng.integers(-2, 3)),)) for _ in range(int(rng.integers(1, 6)))]
+            factors.insert(int(rng.integers(0, len(factors) + 1)), (unit, (0,)))
+            assert sl.expect_product(factors) == sitewise_expect_product(sl, factors)
+
+    def test_higher_order_builds_cluster_sized_matrices(self, monkeypatch):
+        # ZXZ at exponents (1, 2, 3) and g = 5: four disjoint 3-site clusters,
+        # where one dense union contraction would need a 4096-dim matrix
+        sl = shift_system(1, 2)
+        dims = []
+        embed = type(sl).embed
+
+        def recording(self, obs, window):
+            out = embed(self, obs, window)
+            dims.append(out.shape[0])
+            return out
+
+        monkeypatch.setattr(type(sl), "embed", recording)
+        zxz = pauli_observable([0, 1, 2], "ZXZ")
+        spec = HigherOrderSpec(observables=(zxz,) * 4,
+                               homs=tuple(Homomorphism.scalar(1, m) for m in (1, 2, 3)))
+        stat = higher_order_defect(sl, spec, [custom_window(1, [5])])
+        assert stat.values == (0.0,)
+        assert dims and max(dims) <= 2 ** 3
 
 
 class TestCommutatorNorm:
