@@ -1,8 +1,10 @@
 """Deterministic evaluation and correctly rounded reductions.
 
 Work items are mapped in order and reduced with correctly rounded sums, so
-every result is independent of evaluation order.  Window statistics evaluate
-their integrand once per distinct lattice point of the whole schedule.
+every result is independent of evaluation order.  Every window statistic
+(mixing defects, densities, best shifts, van der Corput averages and lag
+tables) evaluates its function through :func:`tabulate`, once per distinct
+lattice point of the whole schedule, and reduces each window over that table.
 """
 
 from __future__ import annotations
@@ -34,6 +36,12 @@ def fmean_complex(values: Iterable[complex], size: int) -> complex:
     return complex(total.real / size, total.imag / size)
 
 
+def tabulate(fn: Callable[[Hashable], R], points: Iterable[Hashable]) -> dict[Hashable, R]:
+    """``fn`` at each distinct point, mapped once in first-seen order."""
+    unique = list(dict.fromkeys(points))
+    return dict(zip(unique, ordered_map(fn, unique)))
+
+
 def window_means(
     fn: Callable[[Hashable], R], windows: Sequence, complex_valued: bool = False
 ) -> list[R]:
@@ -44,7 +52,6 @@ def window_means(
     window's sum is correctly rounded, so the means equal those of a fresh
     per-window evaluation bit for bit.
     """
-    points = list(dict.fromkeys(g for w in windows for g in w.iter_elements()))
-    values = dict(zip(points, ordered_map(fn, points)))
+    values = tabulate(fn, (g for w in windows for g in w.iter_elements()))
     mean = fmean_complex if complex_valued else fmean
     return [mean([values[g] for g in w.iter_elements()], w.size) for w in windows]

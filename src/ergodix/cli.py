@@ -289,7 +289,7 @@ def run_compact(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
         power_mean = sys_h.expect(sys_h.obs_power(pos, k_plus_1)).real
         if 0 < eps < power_mean:
             eps_rs = eps / (norm ** k_plus_1 * k_plus_1)
-            scaled = compactness._rescale(sys_h, pos, 1.0 / norm)
+            scaled = sys_h.obs_scale(pos, 1.0 / norm)
             rset = compactness.return_set(sys_h, scaled, eps_rs, (0,) + tuple(exponents), scan)
             bounds = []
             for g in rset.members:

@@ -9,7 +9,6 @@ here is "as observed on the scan".
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -24,6 +23,7 @@ from .folner import (
     scale,
     shift_window,
 )
+from .mixing import _tail
 from .systems import SystemHandle
 
 POSITIVITY_TOL = 1e-10
@@ -217,6 +217,15 @@ class SzemerediCompactReport:
     note: str = SCAN_SCOPE_NOTE
 
 
+def increasing_exponents(exponents: Sequence[int]) -> tuple[int, ...]:
+    """The exponents of a Szemeredi average as a tuple of ints; ValueError
+    unless they are strictly increasing positive integers."""
+    exps = tuple(int(m) for m in exponents)
+    if not exps or any(m < 1 for m in exps) or list(exps) != sorted(set(exps)):
+        raise ValueError("exponents must be strictly increasing positive integers")
+    return exps
+
+
 def szemeredi_average_compact(
     sys: SystemHandle,
     a,
@@ -236,9 +245,7 @@ def szemeredi_average_compact(
         raise ValueError("compact Szemeredi average requires a tracial state")
     if sys.obs_min_eigenvalue(a) < -POSITIVITY_TOL:
         raise ValueError("observable must be positive semidefinite")
-    exps = tuple(int(m) for m in exponents)
-    if not exps or any(m < 1 for m in exps) or list(exps) != sorted(set(exps)):
-        raise ValueError("exponents must be strictly increasing positive integers")
+    exps = increasing_exponents(exponents)
     if not windows:
         raise ValueError("need at least one window")
     if not candidates:
@@ -250,7 +257,7 @@ def szemeredi_average_compact(
     norm_a = sys.obs_operator_norm(a)
     if norm_a <= 0:
         raise ValueError("observable must be nonzero")
-    a_hat = _rescale(sys, a, 1.0 / norm_a)
+    a_hat = sys.obs_scale(a, 1.0 / norm_a)
     power_hat = sys.expect(sys.obs_power(a_hat, k + 1)).real
     if power_hat <= 0:
         raise ValueError("omega(normalized a to the k+1) must be positive")
@@ -285,8 +292,7 @@ def szemeredi_average_compact(
         shifts.append((w.index, shift, ratio))
     averages = list(zip((w.index for w in windows), window_means(integrand, shifted)))
 
-    tail_len = max(1, math.ceil(len(averages) / 4))
-    tail_min = min(v for _, v in averages[-tail_len:])
+    tail_min = min(_tail([v for _, v in averages]))
     return SzemerediCompactReport(
         epsilon_total=eps_total,
         epsilon_return=eps_return,
@@ -305,11 +311,3 @@ def _core_scan(scan: FolnerWindow, cands: Sequence[GroupElement]) -> FolnerWindo
     max_cand = max(max(abs(x) for x in c) for c in cands)
     n = max(1, scan.index - max_cand)
     return box_window(scan.q, n)
-
-
-def _rescale(sys: SystemHandle, a, factor: float):
-    if hasattr(a, "tensor"):
-        from .systems import LocalObservable
-
-        return LocalObservable(a.support, a.tensor * factor, a.site_dim)
-    return a * factor

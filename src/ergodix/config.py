@@ -206,10 +206,6 @@ def parse_hom(obj: dict, q: int) -> Homomorphism:
     raise ConfigError("hom.kind must be 'scalar' or 'matrix'")
 
 
-def system_rank(sys) -> int:
-    return sys.q
-
-
 def parse_candidates(obj, q: int) -> list:
     if not isinstance(obj, list) or not obj:
         raise ConfigError("candidates: expected a nonempty list")

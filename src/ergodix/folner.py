@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+
+from ._parallel import window_means
 
 GroupElement = tuple[int, ...]
 
@@ -155,12 +156,6 @@ class FolnerWindow:
         if self.shape == "box":
             return (2 * self.index + 1) ** self.q
         return len(self.points)
-
-    @cached_property
-    def element_set(self) -> frozenset[GroupElement]:
-        if self.shape == "box":
-            return frozenset(self.iter_elements())
-        return self.points
 
     def iter_elements(self) -> Iterator[GroupElement]:
         if self.shape == "box":
@@ -342,6 +337,11 @@ def _as_contains(pred: Predicate) -> Callable[[GroupElement], bool]:
     return pred
 
 
+def _indicator(pred: Predicate) -> Callable[[GroupElement], float]:
+    contains = _as_contains(pred)
+    return lambda g: 1.0 if contains(g) else 0.0
+
+
 # --- density machinery -------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -357,13 +357,9 @@ class DensityReport:
 def lower_density(pred: Predicate, windows: Sequence[FolnerWindow]) -> DensityReport:
     if not windows:
         raise ValueError("need at least one window")
-    contains = _as_contains(pred)
-    ratios = []
-    for w in windows:
-        count = sum(1 for g in w.iter_elements() if contains(g))
-        ratios.append((w.index, count / w.size))
-    low = min(r for _, r in ratios)
-    return DensityReport(per_n_ratios=tuple(ratios), lower_density=low)
+    ratios = window_means(_indicator(pred), windows)
+    return DensityReport(per_n_ratios=tuple(zip((w.index for w in windows), ratios)),
+                         lower_density=min(ratios))
 
 
 @dataclass(frozen=True)
@@ -405,10 +401,6 @@ def best_shift_for_density(
     if not candidates:
         raise ValueError("need at least one candidate")
     cands = [as_element(c, window.q) for c in candidates]
-    contains = _as_contains(pred)
-    best_shift, best_count = cands[0], -1
-    for c in cands:
-        count = sum(1 for g in window.iter_elements() if contains(add(g, c)))
-        if count > best_count:
-            best_shift, best_count = c, count
-    return best_shift, best_count / window.size
+    ratios = window_means(_indicator(pred), [shift_window(window, c) for c in cands])
+    best = max(range(len(cands)), key=ratios.__getitem__)  # first maximum
+    return cands[best], ratios[best]

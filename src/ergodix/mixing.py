@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ._parallel import fmean, fmean_complex, ordered_map, window_means
+from ._parallel import fmean_complex, ordered_map, tabulate, window_means
 from .folner import (
     FolnerWindow,
     GroupElement,
@@ -43,8 +43,9 @@ THRESHOLD_FLOOR = 1e-12
 
 
 def _tail(values: Sequence[float]) -> Sequence[float]:
-    k = max(1, math.ceil(len(values) / 4))
-    return values[-k:]
+    """The last quarter of a per-window curve (at least one value), the part
+    of the schedule every finite-horizon verdict reads."""
+    return values[-max(1, math.ceil(len(values) / 4)):]
 
 
 def classify_decay(values: Sequence[float], threshold: Optional[float] = None) -> tuple[str, float]:
@@ -59,10 +60,10 @@ def classify_decay(values: Sequence[float], threshold: Optional[float] = None) -
     """
     if not values:
         raise ValueError("empty statistic")
-    head = max(values[: max(1, math.ceil(len(values) / 4))])
+    tail = _tail(values)
+    head = max(values[: len(tail)])
     if threshold is None:
         threshold = max(DEFAULT_THRESHOLD_FRACTION * head, THRESHOLD_FLOOR)
-    tail = _tail(values)
     if max(tail) < threshold:
         return VERDICT_DECAYING, threshold
     if min(tail) >= 0.5 * head and head > THRESHOLD_FLOOR:
@@ -296,9 +297,9 @@ def gamma_sequence(
         return [(aa, h, base) for aa, h in zip(reversed(adjoints), reversed(spec.homs))]
 
     gs = list(largest.iter_elements())
-    # x(g) on the window and on every lag translate of it, each point once
-    points = list(dict.fromkeys(gs + [add(g, h) for h in h_range for g in gs]))
-    x_vals = dict(zip(points, ordered_map(lambda g: evaluate(sys, x_factors(g)), points)))
+    # x(g) on the window and on every lag translate of it
+    x_vals = tabulate(lambda g: evaluate(sys, x_factors(g)),
+                      gs + [add(g, h) for h in h_range for g in gs])
 
     entries = []
     for h in h_range:
@@ -345,24 +346,21 @@ def density_limit_check(
         raise ValueError("need at least one window")
     if not eps_grid or any(e <= 0 for e in eps_grid):
         raise ValueError("eps grid must be positive")
-    averages = []
-    for w in windows:
-        vals = [f(g) for g in w.iter_elements()]
-        if any(v < 0 for v in vals):
-            raise ValueError("f must be nonnegative")
-        averages.append((w.index, fmean(vals, w.size)))
+    values = tabulate(f, (g for w in windows for g in w.iter_elements()))
+    if any(v < 0 for v in values.values()):
+        raise ValueError("f must be nonnegative")
+    means = window_means(values.__getitem__, windows)
+    averages = list(zip((w.index for w in windows), means))
 
     level_curves = []
     density_zero = True
     for eps in eps_grid:
-        rep = lower_density(lambda g: f(g) >= eps, windows)
+        rep = lower_density(lambda g: values[g] >= eps, windows)
         level_curves.append((eps, rep.per_n_ratios))
-        tail = _tail([r for _, r in rep.per_n_ratios])
-        if max(tail) >= threshold:
+        if max(_tail([r for _, r in rep.per_n_ratios])) >= threshold:
             density_zero = False
 
-    avg_tail = _tail([v for _, v in averages])
-    avg_zero = max(avg_tail) < threshold
+    avg_zero = max(_tail(means)) < threshold
     avg_verdict = "zero" if avg_zero else "nonzero"
     den_verdict = "zero" if density_zero else "nonzero"
     return DensityLimitReport(

@@ -31,11 +31,6 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    a = ginibre(rng, n)
-    return (a + a.conj().T) / 2
-
-
 def random_positive(rng: np.random.Generator, n: int) -> np.ndarray:
     a = ginibre(rng, n)
     return a.conj().T @ a

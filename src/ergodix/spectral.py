@@ -13,14 +13,17 @@ attempted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ._parallel import window_means
-from .compactness import SzemerediCompactReport, szemeredi_average_compact
+from .compactness import (
+    SzemerediCompactReport,
+    increasing_exponents,
+    szemeredi_average_compact,
+)
 from .folner import (
     FolnerWindow,
     Homomorphism,
@@ -29,7 +32,7 @@ from .folner import (
     relative_density_witness,
     scale,
 )
-from .mixing import HigherOrderSpec, collision_bound
+from .mixing import HigherOrderSpec, _tail, collision_bound
 from .systems import FiniteSystem, QuasiLocalSystem, SystemHandle
 
 FAITHFUL_TOL = 1e-10
@@ -146,27 +149,6 @@ class KoopmanSplitting:
     @property
     def dim_h1(self) -> int:
         return sum(1 for ch in self.characters if all(abs(c - 1.0) <= CLUSTER_TOL for c in ch))
-
-    def fixed_space(self) -> np.ndarray:
-        cols = [i for i, ch in enumerate(self.characters)
-                if all(abs(c - 1.0) <= CLUSTER_TOL for c in ch)]
-        return self.eigenvectors[:, cols]
-
-    def character_map(self, i: int) -> "Character":
-        return Character(values=self.characters[i])
-
-
-@dataclass(frozen=True)
-class Character:
-    """A unimodular character of Z^q determined by its generator values."""
-
-    values: tuple[complex, ...]
-
-    def __call__(self, g: GroupElement) -> complex:
-        out = 1.0 + 0j
-        for v, gi in zip(self.values, g, strict=True):
-            out *= v ** gi
-        return out
 
 
 def koopman_split(sys: FiniteSystem, gns: Optional[GnsSpace] = None) -> KoopmanSplitting:
@@ -375,9 +357,7 @@ def szemeredi_driver(
     state factorizes correlations exactly, so the averages converge to
     omega(a)^{k+1} with an explicitly computed deviation constant.
     """
-    exps = tuple(int(m) for m in exponents)
-    if not exps or any(m < 1 for m in exps) or list(exps) != sorted(set(exps)):
-        raise ValueError("exponents must be strictly increasing positive integers")
+    exps = increasing_exponents(exponents)
     if not windows:
         raise ValueError("need at least one window")
 
@@ -406,8 +386,7 @@ def _driver_weakly_mixing(sys, a, exps, windows) -> SzemerediDriverReport:
     largest = max(windows, key=lambda w: w.size)
     const = collision_bound(sys, spec, largest)
 
-    tail_len = max(1, math.ceil(len(averages) / 4))
-    tail_min = min(v for _, v in averages[-tail_len:])
+    tail_min = min(_tail([v for _, v in averages]))
     return SzemerediDriverReport(
         branch="weakly-mixing",
         exponents=exps,

@@ -146,6 +146,9 @@ class FiniteSystem:
     def obs_power(self, a: np.ndarray, k: int) -> np.ndarray:
         return np.linalg.matrix_power(as_matrix(a), k)
 
+    def obs_scale(self, a: np.ndarray, factor: float) -> np.ndarray:
+        return a * factor
+
     def obs_operator_norm(self, a: np.ndarray) -> float:
         return operator_norm(a)
 
@@ -154,9 +157,6 @@ class FiniteSystem:
         if np.linalg.norm(a - a.conj().T) > UNITARY_TOL:
             raise ValueError("observable is not hermitian")
         return float(np.linalg.eigvalsh(a).min())
-
-    def unit_observable(self):
-        return identity(self.dim)
 
 
 def product_system(sys: FiniteSystem) -> FiniteSystem:
@@ -467,6 +467,9 @@ class QuasiLocalSystem:
     def obs_power(self, obs: LocalObservable, k: int) -> LocalObservable:
         return self._check(obs).matrix_power(k)
 
+    def obs_scale(self, obs: LocalObservable, factor: float) -> LocalObservable:
+        return LocalObservable(obs.support, obs.tensor * factor, obs.site_dim)
+
     def obs_operator_norm(self, obs: LocalObservable) -> float:
         return operator_norm(self._check(obs).tensor)
 
@@ -475,9 +478,6 @@ class QuasiLocalSystem:
         if np.linalg.norm(t - t.conj().T) > UNITARY_TOL:
             raise ValueError("observable is not hermitian")
         return float(np.linalg.eigvalsh(t).min())
-
-    def unit_observable(self) -> LocalObservable:
-        return LocalObservable((), np.array([[1.0 + 0j]]), self.d)
 
 
 def shift_system(q: int, d: int) -> QuasiLocalSystem:

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from ._parallel import fsum_complex, ordered_map
+from ._parallel import fsum_complex, ordered_map, tabulate
 from .folner import FolnerWindow, GroupElement, add, as_element, inverse_product
 
 BOUND_SLACK = 1e-12
@@ -71,12 +71,14 @@ def weyl_quadratic_sequence(alpha: float, v) -> VectorSequence:
 
 def average_vector(f: VectorSequence, window: FolnerWindow) -> np.ndarray:
     """(1/|W|) sum of f over the window."""
-    total = np.zeros(f.dim, dtype=np.complex128)
-    cols = [f(g) for g in window.iter_elements()]
-    stacked = np.stack(cols)
-    for j in range(f.dim):
-        total[j] = fsum_complex(stacked[:, j].tolist())
-    return total / window.size
+    return _mean_vector([f(g) for g in window.iter_elements()], window.size)
+
+
+def _mean_vector(vals: Sequence[np.ndarray], size: int) -> np.ndarray:
+    """Componentwise correctly rounded sum of the vectors, divided by size."""
+    stacked = np.stack(vals)
+    total = np.array([fsum_complex(col.tolist()) for col in stacked.T], dtype=np.complex128)
+    return total / size
 
 
 @dataclass(frozen=True)
@@ -106,22 +108,17 @@ def check_double_average_bound(
     """
     inner_pts = list(inner.iter_elements())
     outer_pts = list(outer.iter_elements())
-    cache: dict[GroupElement, np.ndarray] = {}
-
-    def val(g: GroupElement) -> np.ndarray:
-        if g not in cache:
-            cache[g] = f(g)
-        return cache[g]
+    values = tabulate(f, (add(g, h) for g in outer_pts for h in inner_pts))
 
     lhs_vec = np.zeros(f.dim, dtype=np.complex128)
     for g in outer_pts:
         for h in inner_pts:
-            lhs_vec = lhs_vec + val(add(g, h))
+            lhs_vec = lhs_vec + values[add(g, h)]
     lhs = float(np.linalg.norm(lhs_vec) ** 2)
 
     # columns stack f(g+h) over g; the Gram sum is the triple sum
     cols = np.stack(
-        [np.concatenate([val(add(g, h)) for g in outer_pts]) for h in inner_pts],
+        [np.concatenate([values[add(g, h)] for g in outer_pts]) for h in inner_pts],
         axis=1,
     )
     gram = cols.conj().T @ cols
@@ -164,15 +161,13 @@ class VdcReport:
 
 
 def _gamma_empirical(
-    f: VectorSequence,
+    values: dict[GroupElement, np.ndarray],
     window: FolnerWindow,
     lags: Sequence[GroupElement],
 ) -> dict[GroupElement, complex]:
     """gamma_h = (1/|W|) sum_{g in W} <f(g), f(g+h)> for each requested lag,
-    estimated at a single window."""
+    estimated at a single window from the table of f."""
     gs = list(window.iter_elements())
-    needed = sorted({add(g, h) for g in gs for h in lags} | set(gs))
-    values = {g: f(g) for g in needed}
 
     def one(h: GroupElement) -> complex:
         terms = [complex(np.vdot(values[g], values[add(g, h)])) for g in gs]
@@ -183,13 +178,13 @@ def _gamma_empirical(
 
 
 def _gamma_empirical_box1(
-    f: VectorSequence, window: FolnerWindow, h_max: int
+    values: dict[GroupElement, np.ndarray], window: FolnerWindow, h_max: int
 ) -> dict[GroupElement, complex]:
-    """Vectorized lag loop for one-dimensional boxes."""
+    """Vectorized lag loop for one-dimensional boxes, from the table of f."""
     n = window.index
     c = window.center[0]
     lo, hi = c - n - h_max, c + n + h_max
-    vals = np.stack([f((g,)) for g in range(lo, hi + 1)])
+    vals = np.stack([values[(g,)] for g in range(lo, hi + 1)])
 
     def one(h: int) -> complex:
         a = vals[(c - n) - lo:(c + n) - lo + 1]
@@ -220,15 +215,25 @@ def vdc_verdict(
         raise ValueError("need at least one window")
     windows = sorted(windows, key=lambda w: w.size)
     largest = windows[-1]
-    diff_largest = inverse_product(largest)
-    if largest.shape == "box" and largest.q == 1:
+    box1 = largest.shape == "box" and largest.q == 1
+    # f is tabulated once on the lag support of the largest window and on
+    # every window; the lag estimates and the averages read the same table
+    if box1:
         radius = h_max if h_max is not None else 2 * largest.index
-        gamma_map = _gamma_empirical_box1(f, largest, radius)
+        reach = largest.index + radius
+        c = largest.center[0]
+        support = [(g,) for g in range(c - reach, c + reach + 1)]
     else:
-        lags = list(diff_largest.iter_elements())
+        lags = list(inverse_product(largest).iter_elements())
         if h_max is not None:
             lags = [h for h in lags if max(abs(x) for x in h) <= h_max]
-        gamma_map = _gamma_empirical(f, largest, lags)
+        gs = list(largest.iter_elements())
+        support = sorted({add(g, h) for g in gs for h in lags} | set(gs))
+    values = tabulate(f, support + [g for w in windows for g in w.iter_elements()])
+    if box1:
+        gamma_map = _gamma_empirical_box1(values, largest, radius)
+    else:
+        gamma_map = _gamma_empirical(values, largest, lags)
 
     statistic = []
     double_avg = []
@@ -245,7 +250,8 @@ def vdc_verdict(
         statistic.append((w.index, math.fsum(terms) / w.size))
         double_avg.append((w.index, fsum_complex(weighted) / (w.size ** 2)))
 
-    averages = [(w.index, float(np.linalg.norm(average_vector(f, w)))) for w in windows]
+    averages = [(w.index, float(np.linalg.norm(
+        _mean_vector([values[g] for g in w.iter_elements()], w.size)))) for w in windows]
 
     hyp = statistic[-1][1] < threshold
     concl = averages[-1][1] < threshold

@@ -22,6 +22,7 @@ from ergodix.folner import (
     shift_window,
     tempelman_ratio,
 )
+from test_parallel import schedules
 
 
 def brute_inverse_product(points):
@@ -207,6 +208,25 @@ class TestLowerDensity:
         for (_, a), (_, b) in zip(r1.per_n_ratios, r2.per_n_ratios):
             assert a + b == 1.0
 
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_each_point_tested_once(self, q):
+        seen = []
+        big_n = 12
+        rep = lower_density(lambda g: seen.append(g) or g[0] % 3 == 0,
+                            box_schedule(q, 1, big_n))
+        assert len(seen) == len(set(seen)) == (2 * big_n + 1) ** q
+        assert rep.per_n_ratios[-1][1] == 9 / 25  # multiples of 3 in -12..12
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_ratios_on_mixed_schedules(self, q):
+        pred = ResidueClassSet(3, (0, 2), coeffs=(1,) * q)
+        for windows in schedules(q):
+            rep = lower_density(pred, windows)
+            for w, (n, ratio) in zip(windows, rep.per_n_ratios, strict=True):
+                count = sum(1 for g in w.iter_elements() if pred.contains(g))
+                assert n == w.index
+                assert ratio == count / w.size
+
 
 class TestRelativeDensityWitness:
     def test_residues_cover(self):
@@ -247,6 +267,15 @@ class TestBestShift:
         w = box_window(1, 1)
         shift, _ = best_shift_for_density(w, FullSet(), [5, 6, 7])
         assert shift == (5,)
+
+    def test_tie_break_plane(self):
+        # x + y even: 13 of the 25 points of the radius-2 box, 12 after an
+        # odd shift; (1, 1) and (2, 0) tie at 13
+        even = ResidueClassSet(2, (0,), coeffs=(1, 1))
+        shift, ratio = best_shift_for_density(
+            box_window(2, 2), even, [(1, 0), (0, 1), (1, 1), (2, 0)])
+        assert shift == (1, 1)
+        assert ratio == 13 / 25
 
 
 class TestHomomorphisms:

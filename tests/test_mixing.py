@@ -316,6 +316,20 @@ class TestDensityLimit:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             density_limit_check(lambda g: -1.0, box_schedule(1, 1, 3), [0.5])
+        with pytest.raises(ValueError, match="nonnegative"):
+            density_limit_check(lambda g: -1e-3 if g == (20,) else 0.0,
+                                box_schedule(1, 1, 20), [0.5])
+
+    def test_each_point_evaluated_once(self):
+        seen = []
+
+        def f(g):
+            seen.append(g)
+            return 1.0 / (1 + abs(g[0]))
+
+        rep = density_limit_check(f, box_schedule(1, 1, 20), [0.1, 0.2, 0.5])
+        assert len(seen) == len(set(seen)) == 41
+        assert len(rep.level_densities) == 3
 
 
 class TestFolnerIndependence:

@@ -307,6 +307,14 @@ class TestShiftSystem:
         assert moved.support == ((3, -1), (4, 1))
         assert np.array_equal(moved.tensor, obs.tensor)
 
+    def test_obs_scale_keeps_support(self):
+        sl = shift_system(2, 2)
+        obs = pauli_observable([(0, 0), (1, 2)], "XZ", q=2)
+        half = sl.obs_scale(obs, 0.5)
+        assert half.support == obs.support
+        assert np.array_equal(half.tensor, obs.tensor * 0.5)
+        assert sl.obs_operator_norm(half) == pytest.approx(0.5)
+
 
 class TestLocalObservable:
     def test_support_sorted_with_leg_permutation(self):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ergodix.folner import add, box_window
+from ergodix.folner import add, box_window, custom_window
 from ergodix.vdc import (
     VectorSequence,
     average_vector,
@@ -229,7 +229,6 @@ class TestVdcVerdict:
         w = box_window(1, 12)
         rep_box = vdc_verdict(f, [w])
         # same window presented as a custom point set
-        from ergodix.folner import custom_window
         wc = custom_window(1, [x for (x,) in w.iter_elements()])
         rep_custom = vdc_verdict(f, [wc])
         g1, g2 = dict(rep_box.gamma), dict(rep_custom.gamma)
@@ -237,6 +236,20 @@ class TestVdcVerdict:
             assert g1[h] == pytest.approx(g2[h], abs=1e-12)
         assert rep_box.statistic[0][1] == pytest.approx(rep_custom.statistic[0][1],
                                                         abs=1e-12)
+
+    @pytest.mark.parametrize("windows, points", [
+        # lag support {-150..150} of the n = 50 box holds every window
+        ([box_window(1, n) for n in range(10, 51, 10)], 301),
+        # generic path: lags {-60..60} around a 61-point custom window
+        ([custom_window(1, range(-30, 31))], 181),
+    ])
+    def test_each_point_evaluated_once(self, windows, points):
+        seen = []
+        v = np.array([1.0 + 0j])
+        f = VectorSequence(lambda g: seen.append(g) or v, bound=1.0, dim=1)
+        rep = vdc_verdict(f, windows)
+        assert len(seen) == len(set(seen)) == points
+        assert rep.averages[-1][1] == 1.0
 
 
 class TestSmoothingConsistency:
