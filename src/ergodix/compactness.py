@@ -9,6 +9,7 @@ here is "as observed on the scan".
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -164,6 +165,11 @@ def _gap_witness(
     return tuple((j,) for j in range(gmax + 1))
 
 
+def multi_correlation(sys: SystemHandle, a, exponents: Sequence[int], g: GroupElement) -> float:
+    """|omega(prod_j tau_{m_j g}(a))|, the factors in exponent order."""
+    return abs(sys.expect_product([(a, scale(m, g)) for m in exponents]))
+
+
 @dataclass(frozen=True)
 class CorrelationBound:
     value: float
@@ -197,9 +203,7 @@ def correlation_lower_bound(
     power_mean = sys.expect(sys.obs_power(a, k_plus_1)).real
     if not (0 < epsilon < power_mean):
         raise ValueError("epsilon must lie strictly between 0 and omega(a^(k+1))")
-    g = as_element(g, sys.q)
-    prod = sys.expect_product([(a, scale(m, g)) for m in exps])
-    value = abs(prod)
+    value = multi_correlation(sys, a, exps, as_element(g, sys.q))
     bound = power_mean - epsilon
     return CorrelationBound(value=value, bound=bound, holds=value > bound)
 
@@ -224,6 +228,46 @@ def increasing_exponents(exponents: Sequence[int]) -> tuple[int, ...]:
     if not exps or any(m < 1 for m in exps) or list(exps) != sorted(set(exps)):
         raise ValueError("exponents must be strictly increasing positive integers")
     return exps
+
+
+def _return_budget(sys: SystemHandle, a, k: int):
+    """The budget of a (k+1)-fold multi-correlation of a: a rescaled to unit
+    operator norm, the total epsilon 0.5 * omega(a_hat^(k+1)) * ||a||^(k+1),
+    and the return-set epsilon for a_hat, the total's share per factor."""
+    norm_a = sys.obs_operator_norm(a)
+    if norm_a <= 0:
+        raise ValueError("observable must be nonzero")
+    a_hat = sys.obs_scale(a, 1.0 / norm_a)
+    power_hat = sys.expect(sys.obs_power(a_hat, k + 1)).real
+    if power_hat <= 0:
+        raise ValueError("omega(normalized a to the k+1) must be positive")
+    eps_total = 0.5 * power_hat * norm_a ** (k + 1)
+    eps_return = eps_total / (norm_a ** (k + 1) * (k + 1))
+    return a_hat, eps_total, eps_return
+
+
+def covering_candidates(
+    sys: SystemHandle,
+    a,
+    exponents: Sequence[int],
+    windows: Sequence[FolnerWindow],
+) -> list[GroupElement]:
+    """Smallest residue grid {0..r-1}^q whose translates always meet the
+    return set of a, at the budget of szemeredi_average_compact, on the core
+    of a box scan reaching four past the largest window index."""
+    exps = increasing_exponents(exponents)
+    if not windows:
+        raise ValueError("need at least one window")
+    a_hat, _, eps_return = _return_budget(sys, a, len(exps))
+    scan = box_window(sys.q, max(w.index for w in windows) + 4)
+    members = set(return_set(sys, a_hat, eps_return, (0,) + exps, scan).members)
+    for r in range(1, scan.index):
+        cands = [tuple(c) for c in itertools.product(range(r), repeat=sys.q)]
+        core = box_window(sys.q, scan.index - r)
+        if relative_density_witness(lambda g: g in members, core, cands).accepted:
+            return cands
+    raise ValueError("could not find a covering candidate grid; "
+                     "pass candidates explicitly")
 
 
 def szemeredi_average_compact(
@@ -253,16 +297,7 @@ def szemeredi_average_compact(
     q = sys.q
     cands = [as_element(c, q) for c in candidates]
 
-    k = len(exps)
-    norm_a = sys.obs_operator_norm(a)
-    if norm_a <= 0:
-        raise ValueError("observable must be nonzero")
-    a_hat = sys.obs_scale(a, 1.0 / norm_a)
-    power_hat = sys.expect(sys.obs_power(a_hat, k + 1)).real
-    if power_hat <= 0:
-        raise ValueError("omega(normalized a to the k+1) must be positive")
-    eps_total = 0.5 * power_hat * norm_a ** (k + 1)
-    eps_return = eps_total / (norm_a ** (k + 1) * (k + 1))
+    a_hat, eps_total, eps_return = _return_budget(sys, a, len(exps))
 
     def window_reach(w: FolnerWindow) -> int:
         if w.shape == "box":
@@ -281,16 +316,14 @@ def szemeredi_average_compact(
     member_set = set(rset.members)
     witness = relative_density_witness(lambda g: g in member_set, _core_scan(scan, cands), cands)
 
-    def integrand(g: GroupElement) -> float:
-        return abs(sys.expect_product([(a, scale(m, g)) for m in full_exps]))
-
     shifts = []
     shifted = []
     for w in windows:
         shift, ratio = best_shift_for_density(w, lambda g: g in member_set, cands)
         shifted.append(shift_window(w, shift))
         shifts.append((w.index, shift, ratio))
-    averages = list(zip((w.index for w in windows), window_means(integrand, shifted)))
+    means = window_means(lambda g: multi_correlation(sys, a, full_exps, g), shifted)
+    averages = list(zip((w.index for w in windows), means))
 
     tail_min = min(_tail([v for _, v in averages]))
     return SzemerediCompactReport(

@@ -259,15 +259,17 @@ class ResidueClassSet(SetPredicate):
     modulus: int
     residues: tuple[int, ...]
     coeffs: Optional[tuple[int, ...]] = None
+    _reduced: frozenset[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.modulus < 1:
             raise ValueError("modulus must be >= 1")
+        object.__setattr__(self, "_reduced", frozenset(r % self.modulus for r in self.residues))
 
     def contains(self, g: GroupElement) -> bool:
         coeffs = self.coeffs if self.coeffs is not None else (1,) + (0,) * (len(g) - 1)
         val = sum(c * x for c, x in zip(coeffs, g, strict=True))
-        return (val % self.modulus) in {r % self.modulus for r in self.residues}
+        return (val % self.modulus) in self._reduced
 
     def to_json(self) -> dict:
         out = {"kind": "residue", "modulus": self.modulus, "residues": list(self.residues)}

@@ -26,13 +26,7 @@ from .folner import (
     lower_density,
     zero,
 )
-from .systems import (
-    QuasiLocalSystem,
-    SystemHandle,
-    commutator_norm,
-    evaluate,
-    supports_disjoint,
-)
+from .systems import SystemHandle, commutator_norm, evaluate
 
 VERDICT_DECAYING = "decaying"
 VERDICT_NON_DECAYING = "non-decaying"
@@ -228,21 +222,18 @@ def collision_bound(
     """Sum over the scanned window of |integrand(g) - target| restricted to g
     where the integrand can deviate.
 
-    On the quasi-local backend only g with overlapping shifted supports can
-    deviate: the product state factorizes the disjoint terms exactly, so they
-    cancel bitwise and the returned constant c makes value_n <= c/|window|
-    hold for every window inside the scan.  On the finite backend every g
-    contributes.
+    g is skipped when the backend's ``factorizes`` says the state splits the
+    product exactly: on the quasi-local backend that is every g whose shifted
+    supports are disjoint, so those terms cancel bitwise and the returned
+    constant c makes value_n <= c/|window| hold for every window inside the
+    scan.  On the finite backend every g contributes.
     """
     target = spec.target(sys)
-    local = isinstance(sys, QuasiLocalSystem)
     total = []
     for g in scan.iter_elements():
-        if local:
-            shifts = [zero(spec.q)] + [h.apply(g) for h in spec.homs]
-            if supports_disjoint([sys.translate(a, s).support
-                                  for a, s in zip(spec.observables, shifts)]):
-                continue
+        shifts = [zero(spec.q)] + [h.apply(g) for h in spec.homs]
+        if sys.factorizes(list(zip(spec.observables, shifts))):
+            continue
         total.append(abs(evaluate(sys, spec.factors(g)) - target))
     return math.fsum(total)
 

@@ -21,17 +21,12 @@ import numpy as np
 from ._parallel import window_means
 from .compactness import (
     SzemerediCompactReport,
+    covering_candidates,
     increasing_exponents,
+    multi_correlation,
     szemeredi_average_compact,
 )
-from .folner import (
-    FolnerWindow,
-    Homomorphism,
-    GroupElement,
-    box_window,
-    relative_density_witness,
-    scale,
-)
+from .folner import FolnerWindow, GroupElement, Homomorphism
 from .mixing import HigherOrderSpec, _tail, collision_bound
 from .systems import FiniteSystem, QuasiLocalSystem, SystemHandle
 
@@ -183,7 +178,8 @@ def koopman_split(sys: FiniteSystem, gns: Optional[GnsSpace] = None) -> KoopmanS
 
 @dataclass(frozen=True, eq=False)
 class CompactFactor:
-    """The unital *-subalgebra generated by the eigenoperators.
+    """The unital *-subalgebra generated by the eigenoperators, which is
+    their span.
 
     basis rows span the algebra (orthonormal in the Hilbert-Schmidt inner
     product); in finite dimensions the generated algebra equals its double
@@ -209,9 +205,10 @@ def _row_span(rows: np.ndarray, tol: float = SPAN_TOL) -> np.ndarray:
 
 
 def eigenoperator_factor(sys: FiniteSystem, split: KoopmanSplitting) -> CompactFactor:
-    """Pull joint eigenvectors back to eigenoperators and close their span
-    under products (adjoints come free: the adjoint of an eigenoperator is an
-    eigenoperator)."""
+    """Pull joint eigenvectors back to eigenoperators and span them with the
+    identity and their adjoints.  The span is already the whole algebra, so
+    it is closed under products: the joint eigenvectors are a basis of
+    C^{N^2} and iota is invertible."""
     gns = split.gns
     n = sys.dim
     eigenops = []
@@ -223,18 +220,14 @@ def eigenoperator_factor(sys: FiniteSystem, split: KoopmanSplitting) -> CompactF
     for op in eigenops:
         rows.append(_vec(op.conj().T))
     basis = _row_span(np.stack(rows))
-    for _ in range(n * n + 1):
-        mats = [_unvec(r, n) for r in basis]
-        prods = [_vec(x @ y) for x in mats for y in mats]
-        new_basis = _row_span(np.concatenate([basis, np.stack(prods)], axis=0))
-        if new_basis.shape[0] == basis.shape[0]:
-            return CompactFactor(
-                generators=tuple(eigenops),
-                characters=split.characters,
-                basis=basis,
-            )
-        basis = new_basis
-    raise AssertionError("product closure failed to stabilize; this is a bug")
+    if basis.shape[0] != n * n:
+        raise AssertionError(
+            f"eigenoperators span {basis.shape[0]} of {n * n} dimensions; this is a bug")
+    return CompactFactor(
+        generators=tuple(eigenops),
+        characters=split.characters,
+        basis=basis,
+    )
 
 
 def commutant_dimension(basis: np.ndarray, n: int) -> int:
@@ -287,9 +280,6 @@ def dichotomy_classify(sys: FiniteSystem) -> DichotomyVerdict:
         return DichotomyVerdict(
             kind="not-ergodic", ergodic=False,
             dim_h1=split.dim_h1, dim_h0=split.dim_h0)
-    if split.dim_h0 == 1:
-        return DichotomyVerdict(
-            kind="weakly-mixing", ergodic=True, dim_h1=1, dim_h0=1)
     factor = eigenoperator_factor(sys, split)
     return DichotomyVerdict(
         kind="has-nontrivial-compact-factor", ergodic=True,
@@ -320,25 +310,6 @@ class SzemerediDriverReport:
             out["target"] = self.target
             out["deviation_constant"] = self.deviation_constant
         return out
-
-
-def _auto_candidates(
-    members: set[GroupElement], scan: FolnerWindow, q: int, cap: int
-) -> Optional[list[GroupElement]]:
-    """Smallest residue grid {0..r-1}^q whose translates always meet the
-    member set on the scan core."""
-    import itertools
-
-    for r in range(1, cap + 1):
-        cands = [tuple(c) for c in itertools.product(range(r), repeat=q)]
-        core_n = scan.index - r
-        if core_n < 1:
-            return None
-        core = box_window(q, core_n)
-        res = relative_density_witness(lambda g: g in members, core, cands)
-        if res.accepted:
-            return cands
-    return None
 
 
 def szemeredi_driver(
@@ -373,11 +344,8 @@ def _driver_weakly_mixing(sys, a, exps, windows) -> SzemerediDriverReport:
         raise ValueError("omega(a) must be positive")
     target = mean_a ** (len(exps) + 1)
     full = (0,) + exps
-
-    def integrand(g: GroupElement) -> float:
-        return abs(sys.expect_product([(a, scale(m, g)) for m in full]))
-
-    averages = list(zip((w.index for w in windows), window_means(integrand, windows)))
+    means = window_means(lambda g: multi_correlation(sys, a, full, g), windows)
+    averages = list(zip((w.index for w in windows), means))
 
     spec = HigherOrderSpec(
         observables=(a,) * (len(exps) + 1),
@@ -402,26 +370,8 @@ def _driver_compact(sys, a, exps, windows, candidates) -> SzemerediDriverReport:
     if not verdict.ergodic:
         raise ValueError("finite-backend driver requires an ergodic system")
     if candidates is None:
-        # probe the return set to size the candidate grid
-        norm_a = sys.obs_operator_norm(a)
-        if norm_a <= 0:
-            raise ValueError("observable must be nonzero")
-        a_hat = a / norm_a
-        k = len(exps)
-        power_hat = sys.expect(sys.obs_power(a_hat, k + 1)).real
-        eps_return = 0.5 * power_hat / (k + 1)
-        probe_scan = box_window(sys.q, max(w.index for w in windows) + 4)
-        from .compactness import return_set
-
-        rset = return_set(sys, a_hat, eps_return, (0,) + exps, probe_scan)
-        members = set(rset.members)
-        cands = _auto_candidates(members, probe_scan, sys.q, cap=probe_scan.index)
-        if cands is None:
-            raise ValueError("could not find a covering candidate grid; "
-                             "pass candidates explicitly")
-    else:
-        cands = list(candidates)
-    report = szemeredi_average_compact(sys, a, exps, windows, cands)
+        candidates = covering_candidates(sys, a, exps, windows)
+    report = szemeredi_average_compact(sys, a, exps, windows, list(candidates))
     return SzemerediDriverReport(
         branch="compact",
         exponents=exps,

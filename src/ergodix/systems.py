@@ -134,6 +134,11 @@ class FiniteSystem:
             prod = prod @ self.translate(a, shift)
         return self.expect(prod)
 
+    def factorizes(self, factors: Sequence[tuple[np.ndarray, GroupElement]]) -> bool:
+        """Whether omega of the product is exactly the product of the factors'
+        omegas by construction; a matrix state promises that for no product."""
+        return False
+
     def omega_norm(self, a: np.ndarray) -> float:
         return omega_norm(self.state, a)
 
@@ -441,6 +446,12 @@ class QuasiLocalSystem:
 
     def expect(self, obs: LocalObservable) -> complex:
         return self.expect_product([(obs, zero(self.q))])
+
+    def factorizes(self, factors: Sequence[tuple[LocalObservable, GroupElement]]) -> bool:
+        """Whether omega of the product is exactly the product of the factors'
+        omegas by construction: true when the shifted supports are pairwise
+        disjoint, since the product state factorizes over disjoint sites."""
+        return supports_disjoint([self.translate(obs, g).support for obs, g in factors])
 
     def combine(self, coeff_obs: Sequence[tuple[complex, LocalObservable]]) -> LocalObservable:
         """Linear combination of observables, embedded on their union support."""

@@ -3,16 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from ergodix import compactness
 from ergodix.compactness import (
     correlation_lower_bound,
+    covering_candidates,
+    multi_correlation,
     orbit_epsilon_structure,
     return_set,
     szemeredi_average_compact,
 )
 from ergodix.folner import box_schedule, box_window, scale
 from ergodix.operators import operator_norm, telescope_decompose, trace_state
-from ergodix.sampling import ginibre, random_finite_system
+from ergodix.sampling import ginibre, random_finite_system, random_positive
+from ergodix.spectral import szemeredi_driver
 from ergodix.systems import (
+    clock_shift_system,
     cyclic_permutation_system,
     cyclic_shift_matrix,
     pauli_observable,
@@ -264,3 +269,45 @@ class TestSzemerediCompact:
             g = tuple(int(x) for x in rng.integers(-3, 4, size=fs.q))
             assert fs.omega_distance(fs.translate(a, g), fs.translate(b, g)) == \
                 pytest.approx(fs.omega_distance(a, b), abs=1e-10)
+
+
+class TestSharedBudget:
+    def test_probe_and_average_use_one_budget(self, monkeypatch):
+        # seed 3 is a case where 0.5*omega(a_hat^3)/3 and the average's
+        # eps_total/(||a||^3 * 3) differ in the last bit
+        sys_h = clock_shift_system(3)
+        a = random_positive(np.random.default_rng(3), 3)
+        calls = []
+        original = compactness.return_set
+
+        def recording(sys, a_hat, epsilon, exponents, scan):
+            calls.append((a_hat, epsilon, exponents))
+            return original(sys, a_hat, epsilon, exponents, scan)
+
+        monkeypatch.setattr(compactness, "return_set", recording)
+        rep = szemeredi_driver(sys_h, a, (1, 2), box_schedule(2, 1, 4))
+        assert rep.tail_min > 0
+        (probe_a, probe_eps, probe_exps), (avg_a, avg_eps, avg_exps) = calls
+        assert np.array_equal(probe_a, avg_a)
+        assert probe_eps == avg_eps == rep.compact_report.epsilon_return
+        assert probe_exps == avg_exps == (0, 1, 2)
+
+    def test_covering_candidates_grid(self):
+        # every point of Z^2 returns for the unit observable: one candidate
+        sys_h = clock_shift_system(3)
+        assert covering_candidates(sys_h, np.eye(3), (1, 2), box_schedule(2, 1, 3)) == [(0, 0)]
+        cands = covering_candidates(sys_h, positive_cosine(3), (1, 2), box_schedule(2, 1, 5))
+        r = round(len(cands) ** 0.5)
+        assert cands == [(i, j) for i in range(r) for j in range(r)]
+
+
+class TestMultiCorrelation:
+    def test_projection_on_the_chain(self):
+        # the shifted copies of p collide only at g = 0: omega(p^3) = 1/2,
+        # elsewhere the product state gives omega(p)^3 = 1/8
+        sl = shift_system(1, 2)
+        p = pauli_observable([0], "I")
+        proj = sl.obs_scale(sl.combine([(1.0, p), (1.0, pauli_observable([0], "Z"))]), 0.5)
+        assert multi_correlation(sl, proj, (0, 1, 2), (0,)) == pytest.approx(0.5, abs=1e-15)
+        for g in (1, -1, 3):
+            assert multi_correlation(sl, proj, (0, 1, 2), (g,)) == pytest.approx(0.125, abs=1e-15)

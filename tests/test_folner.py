@@ -330,3 +330,29 @@ class TestHomomorphisms:
         assert p.contains((5, 6))
         assert not p.contains((5, 5))
         assert p.contains((-1, -3))
+
+
+class TestResidueClassSet:
+    @pytest.mark.parametrize("modulus,residues,coeffs,reduced", [
+        (3, (-1, 5), None, (2,)),
+        (4, (7, -8, 4), None, (3, 0)),
+        (3, (-1, 5), (1, 1), (2,)),
+        (5, (-3, 12, 9), (2, -1), (2, 4)),
+    ])
+    def test_residues_reduced_like_canonical(self, modulus, residues, coeffs, reduced):
+        raw = ResidueClassSet(modulus, residues, coeffs)
+        canonical = ResidueClassSet(modulus, reduced, coeffs)
+        q = 1 if coeffs is None else len(coeffs)
+        for g in box_window(q, 7).iter_elements():
+            assert raw.contains(g) == canonical.contains(g)
+
+    def test_equality_hash_repr_json_ignore_the_reduction(self):
+        a = ResidueClassSet(3, (-1, 5), (1, 1))
+        b = ResidueClassSet(3, (-1, 5), (1, 1))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert repr(a) == "ResidueClassSet(modulus=3, residues=(-1, 5), coeffs=(1, 1))"
+        assert a.to_json() == {"kind": "residue", "modulus": 3,
+                               "residues": [-1, 5], "coeffs": [1, 1]}
+        # same reduced residues, different inputs: still distinct values
+        assert a != ResidueClassSet(3, (2,), (1, 1))

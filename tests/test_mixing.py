@@ -23,6 +23,7 @@ from ergodix.systems import (
     LocalObservable,
     clock_matrix,
     cyclic_shift_matrix,
+    evaluate,
     pauli_observable,
     rotation_algebra_system,
     shift_system,
@@ -239,6 +240,28 @@ class TestHigherOrder:
         for _, val in hd.per_window:
             assert val == pytest.approx(1.0, abs=1e-10)
         assert hd.verdict == "non-decaying"
+
+    def test_finite_collision_bound_sums_whole_scan(self):
+        # a matrix state factorizes no product, so every scan point counts
+        rng = np.random.default_rng(31)
+        sys_h = random_finite_system(rng, dim=3, q=1, tracial=False)
+        a, b, c = (ginibre(rng, 3) for _ in range(3))
+        spec = HigherOrderSpec(observables=(a, b, c), homs=(M1, M2))
+        scan = box_window(1, 9)
+        target = spec.target(sys_h)
+        expected = math.fsum(abs(evaluate(sys_h, spec.factors(g)) - target)
+                             for g in scan.iter_elements())
+        assert expected > 0
+        assert collision_bound(sys_h, spec, scan) == expected
+
+    def test_backends_say_when_the_state_factorizes(self):
+        sl = shift2()
+        assert sl.factorizes([(SZ, (0,)), (SZ, (1,)), (SZ, (2,))])
+        assert not sl.factorizes([(SZ, (0,)), (SZ, (1,)), (SZ, (0,))])
+        sys_h = rotation_algebra_system(1, 5)
+        v = cyclic_shift_matrix(5)
+        assert not sys_h.factorizes([(v, (0,))])
+        assert not sys_h.factorizes([(v, (0,)), (v, (1,))])
 
 
 class TestGammaSequence:

@@ -3,8 +3,9 @@ import pytest
 
 from ergodix.folner import box_schedule
 from ergodix.operators import State, trace_state
-from ergodix.sampling import ginibre, random_finite_system
+from ergodix.sampling import ginibre, haar_unitary, random_finite_system
 from ergodix.spectral import (
+    KoopmanSplitting,
     commutant_dimension,
     dichotomy_classify,
     eigenoperator_factor,
@@ -120,6 +121,21 @@ class TestKoopmanSplit:
             assert np.vdot(k @ x, k @ y) == pytest.approx(np.vdot(x, y), abs=1e-10)
 
 
+def factor_systems() -> list[FiniteSystem]:
+    """Systems whose eigenoperators must span M_N: clock-shift, four
+    non-tracial invariant states, a Haar unitary and a permutation."""
+    rng = np.random.default_rng(5)
+    perm = np.zeros((4, 4), dtype=np.complex128)
+    perm[rng.permutation(4), np.arange(4)] = 1.0
+    return [
+        clock_shift_system(3),
+        *(random_finite_system(np.random.default_rng(seed), q=1, tracial=False)
+          for seed in (1, 2, 3, 4)),
+        FiniteSystem(generators=(haar_unitary(rng, 3),), state=trace_state(3)),
+        FiniteSystem(generators=(perm,), state=trace_state(4)),
+    ]
+
+
 class TestEigenoperatorFactor:
     def test_clock_shift_full_algebra(self):
         for big_q in (2, 3, 5):
@@ -171,15 +187,34 @@ class TestEigenoperatorFactor:
             assert cc_dim == n * n  # commutant of the scalars is everything
             assert cc_dim == fac.dimension
 
+    def test_full_algebra_with_orthonormal_basis(self):
+        for sys_h in factor_systems():
+            n = sys_h.dim
+            fac = eigenoperator_factor(sys_h, koopman_split(sys_h))
+            assert fac.dimension == n * n
+            assert np.allclose(fac.basis.conj() @ fac.basis.T, np.eye(n * n), atol=1e-10)
+
     def test_factor_invariant_under_action(self):
+        for sys_h in factor_systems():
+            n = sys_h.dim
+            basis = eigenoperator_factor(sys_h, koopman_split(sys_h)).basis
+            shifts = [tuple(int(i == j) for i in range(sys_h.q)) for j in range(sys_h.q)]
+            shifts.append((2, -1) if sys_h.q == 2 else (-3,))
+            for g in shifts:
+                for row in basis:
+                    moved = sys_h.translate(row.reshape(n, n), g).reshape(-1)
+                    coeffs = basis.conj() @ moved
+                    assert np.linalg.norm(moved - basis.T @ coeffs) < 1e-10
+
+
+    def test_span_short_of_full_algebra_is_a_bug(self):
         sys_h = clock_shift_system(3)
-        fac = eigenoperator_factor(sys_h, koopman_split(sys_h))
-        basis = fac.basis
-        for g in ((1, 0), (0, 1), (2, -1)):
-            for row in basis:
-                moved = sys_h.translate(row.reshape(3, 3), g).reshape(-1)
-                coeffs = basis.conj() @ moved
-                assert np.linalg.norm(moved - basis.T @ coeffs) < 1e-10
+        split = koopman_split(sys_h)
+        partial = KoopmanSplitting(gns=split.gns, koopman=split.koopman,
+                                   eigenvectors=split.eigenvectors[:, :2],
+                                   characters=split.characters[:2])
+        with pytest.raises(AssertionError, match="span"):
+            eigenoperator_factor(sys_h, partial)
 
 
 class TestDichotomy:
