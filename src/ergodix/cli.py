@@ -340,8 +340,7 @@ def run_split(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     verdict = spectral.dichotomy_classify(sys_h)
     report = verdict.to_json()
     if verdict.ergodic and verdict.kind == "has-nontrivial-compact-factor":
-        split = spectral.koopman_split(sys_h)
-        report["characters"] = [[c for c in ch] for ch in split.characters]
+        report["characters"] = [[c for c in ch] for ch in verdict.characters]
     write_json(out / "split.json", report)
     return report, []
 

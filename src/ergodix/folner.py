@@ -5,14 +5,19 @@ Group elements are plain tuples of ints (addition componentwise, identity
 the zero tuple).  Windows are finite averaging sets; boxes {-n..n}^q carry
 closed-form size/overlap formulas so that large-n Tempelman and defect
 statistics never enumerate quadratically.  All quantities are exact: counting
-measure only, a single float division at the end of each ratio.
+measure only, a single float division at the end of each ratio.  Lag
+arithmetic over many pairs (difference sets, their multiplicities, lag
+supports) runs on integer arrays whose rows are ordered by scalar keys.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+
+import numpy as np
 
 from ._parallel import window_means
 
@@ -32,10 +37,6 @@ def as_element(g: Union[int, Sequence[int]], q: Optional[int] = None) -> GroupEl
 
 def add(g: GroupElement, h: GroupElement) -> GroupElement:
     return tuple(a + b for a, b in zip(g, h, strict=True))
-
-
-def neg(g: GroupElement) -> GroupElement:
-    return tuple(-a for a in g)
 
 
 def scale(m: int, g: GroupElement) -> GroupElement:
@@ -210,11 +211,60 @@ def inverse_product(window: FolnerWindow) -> FolnerWindow:
     the radius-2n box."""
     if window.shape == "box":
         return box_window(window.q, 2 * window.index)
-    pts = frozenset(
-        add(neg(a), b) for a in window.points for b in window.points
-    )
+    lags, _ = difference_counts(window)
     return FolnerWindow(q=window.q, shape="custom", index=window.index,
-                        center=zero(window.q), points=pts)
+                        center=zero(window.q), points=frozenset(map(tuple, lags.tolist())))
+
+
+# Coordinates below this bound keep every sum or difference of three of them
+# inside int64; larger ones make the arrays hold exact Python ints instead.
+_INT64_SAFE = 2 ** 61
+_INT64_MAX = 2 ** 63 - 1
+
+
+def element_array(window: FolnerWindow) -> np.ndarray:
+    """The window's elements, in order, as the rows of a (size, q) integer
+    array: int64 when the coordinates are small enough for sums and
+    differences, else exact Python ints (dtype object)."""
+    pts = list(window.iter_elements())
+    small = all(-_INT64_SAFE < x < _INT64_SAFE for g in pts for x in g)
+    return np.array(pts, dtype=np.int64 if small else object).reshape(len(pts), window.q)
+
+
+def lex_keys(*blocks: np.ndarray) -> list[np.ndarray]:
+    """One scalar key per row of each (k, q) integer block, ordered as the
+    rows' tuples: the mixed-radix number of the row in the blocks' joint
+    bounding box, first coordinate most significant.  Keys are int64 when
+    the box has at most 2^63 - 1 points, else exact Python ints."""
+    rows = np.concatenate(blocks)
+    lo, hi = rows.min(axis=0), rows.max(axis=0)
+    spans = [int(b) - int(a) + 1 for a, b in zip(lo, hi)]
+    dtype = np.int64 if math.prod(spans) <= _INT64_MAX else object
+    strides = np.array([math.prod(spans[i + 1:]) for i in range(len(spans))], dtype=dtype)
+    lo = lo.astype(dtype)
+    return [((b.astype(dtype) - lo) * strides).sum(axis=1) for b in blocks]
+
+
+def difference_counts(window: FolnerWindow) -> tuple[np.ndarray, np.ndarray]:
+    """The difference set W^-1 W as a (k, q) integer array of lags in sorted
+    tuple order, and |W intersect (W+h)| for each lag h.
+
+    The overlap at h is the number of pairs (a, b) in W^2 with b - a = h, so
+    it is the multiplicity of h among the pairwise differences.  A box of
+    radius n has the radius-2n box as lags and the closed form
+    prod_i (2n+1-|h_i|) as counts.
+    """
+    q = window.q
+    if window.shape == "box":
+        n = window.index
+        axis = np.arange(-2 * n, 2 * n + 1, dtype=np.int64)
+        lags = np.stack(np.meshgrid(*[axis] * q, indexing="ij"), axis=-1).reshape(-1, q)
+        return lags, np.prod(2 * n + 1 - np.abs(lags), axis=1)
+    pts = element_array(window)
+    diffs = (pts[None, :, :] - pts[:, None, :]).reshape(-1, q)
+    (keys,) = lex_keys(diffs)
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    return diffs[first], counts
 
 
 def tempelman_ratio(window: FolnerWindow) -> float:

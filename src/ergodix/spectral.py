@@ -13,7 +13,7 @@ attempted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -255,6 +255,10 @@ class DichotomyVerdict:
     dim_h0: int
     factor_dim: Optional[int] = None
     trivial_system: bool = False
+    # the Koopman characters behind a compact-factor verdict, kept so callers
+    # need not split again; not part of the verdict's identity or JSON
+    characters: Optional[tuple[tuple[complex, ...], ...]] = field(
+        default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -283,7 +287,8 @@ def dichotomy_classify(sys: FiniteSystem) -> DichotomyVerdict:
     factor = eigenoperator_factor(sys, split)
     return DichotomyVerdict(
         kind="has-nontrivial-compact-factor", ergodic=True,
-        dim_h1=1, dim_h0=split.dim_h0, factor_dim=factor.dimension)
+        dim_h1=1, dim_h0=split.dim_h0, factor_dim=factor.dimension,
+        characters=split.characters)
 
 
 @dataclass(frozen=True)

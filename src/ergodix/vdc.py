@@ -17,7 +17,16 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from ._parallel import fsum_complex, ordered_map, tabulate
-from .folner import FolnerWindow, GroupElement, add, as_element, inverse_product
+from .folner import (
+    FolnerWindow,
+    GroupElement,
+    add,
+    as_element,
+    difference_counts,
+    element_array,
+    inverse_product,
+    lex_keys,
+)
 
 BOUND_SLACK = 1e-12
 IMAG_TOL = 1e-9
@@ -161,20 +170,18 @@ class VdcReport:
 
 
 def _gamma_empirical(
-    values: dict[GroupElement, np.ndarray],
-    window: FolnerWindow,
-    lags: Sequence[GroupElement],
-) -> dict[GroupElement, complex]:
-    """gamma_h = (1/|W|) sum_{g in W} <f(g), f(g+h)> for each requested lag,
-    estimated at a single window from the table of f."""
-    gs = list(window.iter_elements())
+    vals: Sequence[np.ndarray], rows: np.ndarray, size: int
+) -> list[complex]:
+    """gamma_h = (1/|W|) sum_{g in W} <f(g), f(g+h)> for each lag column of
+    ``rows``, whose entry [i, j] is the index in ``vals`` of g_i + h_j.  The
+    lags are a symmetric set in sorted order, so the middle column is h = 0."""
+    own = rows[:, rows.shape[1] // 2].tolist()
 
-    def one(h: GroupElement) -> complex:
-        terms = [complex(np.vdot(values[g], values[add(g, h)])) for g in gs]
-        return fsum_complex(terms) / window.size
+    def one(j: int) -> complex:
+        terms = [complex(np.vdot(vals[a], vals[b])) for a, b in zip(own, rows[:, j].tolist())]
+        return fsum_complex(terms) / size
 
-    out = ordered_map(one, list(lags))
-    return dict(zip(lags, out))
+    return ordered_map(one, range(rows.shape[1]))
 
 
 def _gamma_empirical_box1(
@@ -215,6 +222,7 @@ def vdc_verdict(
         raise ValueError("need at least one window")
     windows = sorted(windows, key=lambda w: w.size)
     largest = windows[-1]
+    table = difference_counts(largest)
     box1 = largest.shape == "box" and largest.q == 1
     # f is tabulated once on the lag support of the largest window and on
     # every window; the lag estimates and the averages read the same table
@@ -223,31 +231,38 @@ def vdc_verdict(
         reach = largest.index + radius
         c = largest.center[0]
         support = [(g,) for g in range(c - reach, c + reach + 1)]
+        lags = np.arange(-radius, radius + 1, dtype=np.int64)[:, None]
     else:
-        lags = list(inverse_product(largest).iter_elements())
+        lags = table[0]
         if h_max is not None:
-            lags = [h for h in lags if max(abs(x) for x in h) <= h_max]
-        gs = list(largest.iter_elements())
-        support = sorted({add(g, h) for g in gs for h in lags} | set(gs))
+            lags = lags[np.abs(lags).max(axis=1) <= h_max]
+        gs = element_array(largest)
+        # every g + h; the support is their sorted distinct set (W itself
+        # is in it, at h = 0), and rows[i, j] is the support row of g_i + h_j
+        sums = (gs[:, None, :] + lags[None, :, :]).reshape(-1, largest.q)
+        (keys,) = lex_keys(sums)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        support = list(map(tuple, sums[first].tolist()))
+        rows = inverse.reshape(len(gs), len(lags))
     values = tabulate(f, support + [g for w in windows for g in w.iter_elements()])
     if box1:
-        gamma_map = _gamma_empirical_box1(values, largest, radius)
+        gamma = list(_gamma_empirical_box1(values, largest, radius).values())
     else:
-        gamma_map = _gamma_empirical(values, largest, lags)
+        gamma = _gamma_empirical([values[g] for g in support], rows, largest.size)
 
+    # each window's lags, looked up among the estimated ones by key; the
+    # overlap |W intersect (W+h)| is the lag's multiplicity in the table
+    abs_gamma = [abs(gh) for gh in gamma]
     statistic = []
     double_avg = []
     for w in windows:
-        diff = inverse_product(w)
-        terms = []
-        weighted = []
-        for h in diff.iter_elements():
-            if h not in gamma_map:
-                continue
-            gh = gamma_map[h]
-            terms.append(abs(gh))
-            weighted.append(w.overlap_with_translate(h) * gh)
-        statistic.append((w.index, math.fsum(terms) / w.size))
+        window_lags, counts = table if w is largest else difference_counts(w)
+        gamma_keys, keys = lex_keys(lags, window_lags)
+        at = np.minimum(np.searchsorted(gamma_keys, keys), len(gamma_keys) - 1)
+        hit = gamma_keys[at] == keys
+        idx = at[hit].tolist()
+        weighted = [c * gamma[i] for i, c in zip(idx, counts[hit].tolist())]
+        statistic.append((w.index, math.fsum(abs_gamma[i] for i in idx) / w.size))
         double_avg.append((w.index, fsum_complex(weighted) / (w.size ** 2)))
 
     averages = [(w.index, float(np.linalg.norm(
@@ -260,7 +275,7 @@ def vdc_verdict(
     else:
         label = "hypothesis not satisfied; conclusion not implied"
     return VdcReport(
-        gamma=tuple(sorted(gamma_map.items())),
+        gamma=tuple(zip(map(tuple, lags.tolist()), gamma)),
         gamma_window_index=largest.index,
         statistic=tuple(statistic),
         double_average=tuple(double_avg),

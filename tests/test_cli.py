@@ -213,6 +213,27 @@ class TestSplitCommand:
         assert rep["kind"] == "not-ergodic"
         assert rep["dim_H1"] == 4
 
+    @pytest.mark.parametrize("system, characters", [
+        ({"kind": "clock-shift", "Q": 3}, 9),
+        ({"kind": "rotation", "p": 1, "Q": 4}, None),
+    ])
+    def test_one_koopman_split_per_invocation(self, tmp_path, monkeypatch,
+                                              system, characters):
+        calls = []
+        original = spectral.koopman_split
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "koopman_split", counted)
+        cfg = write_cfg(tmp_path, "c.json", {"system": system})
+        out = tmp_path / "o"
+        assert main(["split", "--config", cfg, "--out", str(out)]) == 0
+        assert len(calls) == 1
+        rep = read_json(out / "split.json")
+        assert len(rep.get("characters", ())) == (characters or 0)
+
 
 class TestSzemerediCommand:
     def test_quasilocal(self, tmp_path):

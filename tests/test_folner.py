@@ -15,6 +15,7 @@ from ergodix.folner import (
     box_schedule,
     box_window,
     custom_window,
+    difference_counts,
     folner_defect,
     inverse_product,
     lower_density,
@@ -71,6 +72,57 @@ class TestInverseProduct:
             w = box_window(2, n)
             assert set(inverse_product(w).iter_elements()) == \
                 brute_inverse_product(list(w.iter_elements()))
+
+
+def lag_tuples(lags):
+    return [tuple(h) for h in lags.tolist()]
+
+
+def custom_points(q):
+    """Point sets of 1 to 12 points in [-6, 6]^q."""
+    return st.sets(st.tuples(*[st.integers(-6, 6)] * q), min_size=1, max_size=12)
+
+
+class TestDifferenceCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), q=st.integers(1, 3))
+    def test_custom_matches_brute_force(self, data, q):
+        pts = data.draw(custom_points(q))
+        w = custom_window(q, pts)
+        lags, counts = difference_counts(w)
+        hs = lag_tuples(lags)
+        assert hs == sorted(brute_inverse_product(pts))
+        assert counts.tolist() == [w.overlap_with_translate(h) for h in hs]
+        assert sum(counts.tolist()) == w.size ** 2
+
+    def test_single_point(self):
+        lags, counts = difference_counts(custom_window(2, [(-3, 7)]))
+        assert lag_tuples(lags) == [(0, 0)]
+        assert counts.tolist() == [1]
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_box_closed_form_matches_enumeration(self, q, n):
+        box = box_window(q, n, center=[2 - i for i in range(q)])
+        enumerated = custom_window(q, box.iter_elements())
+        lags, counts = difference_counts(box)
+        assert lag_tuples(lags) == lag_tuples(difference_counts(enumerated)[0])
+        assert counts.tolist() == difference_counts(enumerated)[1].tolist()
+        assert lag_tuples(lags) == sorted(brute_inverse_product(list(box.iter_elements())))
+
+    @pytest.mark.parametrize("q, pts", [
+        # coordinates whose differences leave int64
+        (2, [(0, 2 ** 70), (3, -2 ** 70), (1, 1), (1, 2 ** 70)]),
+        # small coordinates whose joint lag box has more than 2^63 points
+        (4, [(0, 0, 0, 0), (10 ** 5, -10 ** 5, 10 ** 5, 10 ** 5), (1, 2, 3, 4)]),
+    ])
+    def test_exact_for_any_coordinates(self, q, pts):
+        w = custom_window(q, pts)
+        lags, counts = difference_counts(w)
+        hs = lag_tuples(lags)
+        assert hs == sorted(brute_inverse_product(pts))
+        assert counts.tolist() == [w.overlap_with_translate(h) for h in hs]
+        assert set(inverse_product(w).iter_elements()) == set(hs)
 
 
 class TestTempelmanRatio:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,15 @@ class TestDichotomy:
         blob = dichotomy_classify(clock_shift_system(2)).to_json()
         assert set(blob) == {"kind", "ergodic", "dim_H1", "dim_H0",
                              "factor_dim", "trivial_system"}
+
+    def test_compact_verdict_carries_characters_outside_identity(self):
+        sys_h = clock_shift_system(3)
+        verdict = dichotomy_classify(sys_h)
+        assert verdict.characters == koopman_split(sys_h).characters
+        bare = dataclasses.replace(verdict, characters=None)
+        assert verdict == bare
+        assert hash(verdict) == hash(bare)
+        assert repr(verdict) == repr(bare)
 
 
 class TestSzemerediDriver:

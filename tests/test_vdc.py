@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ergodix.folner import add, box_window, custom_window
+from ergodix._parallel import fsum_complex
+from ergodix.folner import add, box_window, custom_window, inverse_product
 from ergodix.vdc import (
     VectorSequence,
     average_vector,
@@ -250,6 +251,77 @@ class TestVdcVerdict:
         rep = vdc_verdict(f, windows)
         assert len(seen) == len(set(seen)) == points
         assert rep.averages[-1][1] == 1.0
+
+
+def reference_vdc(f, windows, h_max=None):
+    """gamma, statistic, double average and averages of the generic lag path
+    by tuple arithmetic: lags from all pairwise differences, overlaps by
+    counting, f evaluated afresh at every use."""
+    windows = sorted(windows, key=lambda w: w.size)
+    largest = windows[-1]
+    gs = list(largest.iter_elements())
+
+    def diffs(pts):
+        return sorted({add(tuple(-x for x in a), b) for a in pts for b in pts})
+
+    lags = diffs(gs)
+    if h_max is not None:
+        lags = [h for h in lags if max(abs(x) for x in h) <= h_max]
+    gamma = {h: fsum_complex([complex(np.vdot(f(g), f(add(g, h)))) for g in gs])
+             / largest.size for h in lags}
+    statistic, double_avg, averages = [], [], []
+    for w in windows:
+        pts = list(w.iter_elements())
+        members = set(pts)
+        terms, weighted = [], []
+        for h in diffs(pts):
+            if h in gamma:
+                overlap = sum(1 for g in pts if add(g, h) in members)
+                terms.append(abs(gamma[h]))
+                weighted.append(overlap * gamma[h])
+        statistic.append((w.index, math.fsum(terms) / w.size))
+        double_avg.append((w.index, fsum_complex(weighted) / (w.size ** 2)))
+        cols = np.stack([f(g) for g in pts]).T
+        total = np.array([fsum_complex(c.tolist()) for c in cols], dtype=np.complex128)
+        averages.append((w.index, float(np.linalg.norm(total / w.size))))
+    return tuple(gamma.items()), tuple(statistic), tuple(double_avg), tuple(averages)
+
+
+# a scattered q = 1 window, and a smaller one with lags (+-56, +-65, +-69,
+# +-78) that the larger one lacks
+SCATTERED = [custom_window(1, [-8, 5, 61, 70]),
+             custom_window(1, [-41, -30, -29, -17, -3, 0, 2, 9, 10, 23, 38, 57])]
+
+
+class TestGenericLagPath:
+    @pytest.mark.parametrize("windows, h_max", [
+        (SCATTERED, None),
+        (SCATTERED, 12),
+        ([custom_window(2, [(0, 0), (1, -2), (-3, 4), (5, 5), (2, -7), (-6, -1), (4, 0)])],
+         None),
+        ([box_window(2, n) for n in (1, 2, 3)], None),
+        ([box_window(2, n) for n in (1, 3)], 2),
+        # coordinates whose sums and differences leave int64
+        ([custom_window(1, [0, 7, 2 ** 62, 5 - 2 ** 62])], None),
+    ])
+    def test_bit_identical_to_tuple_arithmetic(self, windows, h_max):
+        f = random_sequence(77, dim=3)
+        rep = vdc_verdict(f, windows, h_max=h_max)
+        gamma, statistic, double_avg, averages = reference_vdc(f, windows, h_max)
+        assert rep.gamma == gamma
+        assert rep.statistic == statistic
+        assert rep.double_average == double_avg
+        assert rep.averages == averages
+
+    @pytest.mark.parametrize("window", [
+        custom_window(1, [-9, -4, 0, 1, 3, 11, 12, 30]),
+        custom_window(2, [(0, 0), (1, 3), (-2, 5), (4, -1), (7, 7)]),
+    ])
+    def test_linear_phase_statistic_is_difference_ratio(self, window):
+        # every |gamma_h| = 1, so the statistic is |W^-1 W| / |W|
+        rep = vdc_verdict(linear_phase_sequence(ALPHA, np.array([1.0])), [window])
+        ratio = inverse_product(window).size / window.size
+        assert rep.statistic[0][1] == pytest.approx(ratio, abs=1e-9)
 
 
 class TestSmoothingConsistency:
