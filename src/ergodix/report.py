@@ -11,6 +11,8 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 SCHEMA = "ergodix/1"
 
 
@@ -29,23 +31,16 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> No
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def jsonable(obj):
-    """Recursively convert complex numbers and tuples for JSON output."""
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
-        try:
-            return jsonable(obj.item())
-        except Exception:
-            return str(obj)
-    return obj
+def _plain(value):
+    """json ``default``: complex numbers as ``[re, im]``, numpy scalars as Python ones."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def write_json(path: Path, obj: dict) -> None:
-    payload = {"schema": SCHEMA}
-    payload.update(jsonable(obj))
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    payload = {"schema": SCHEMA, **obj}
+    text = json.dumps(payload, sort_keys=True, indent=1, default=_plain)
+    path.write_text(text + "\n", encoding="utf-8")

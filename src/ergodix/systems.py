@@ -19,7 +19,7 @@ Observables are numpy matrices (finite backend) or ``LocalObservable``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -63,7 +63,6 @@ class FiniteSystem:
 
     generators: tuple[np.ndarray, ...]
     state: State
-    _pow_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         gens = tuple(as_matrix(u) for u in self.generators)
@@ -97,26 +96,13 @@ class FiniteSystem:
     def is_tracial(self) -> bool:
         return self.state.tracial
 
-    def _power(self, j: int, m: int) -> np.ndarray:
-        if m == 0:
-            return identity(self.dim)
-        key = (j, m)
-        cached = self._pow_cache.get(key)
-        if cached is not None:
-            return cached
-        base = self.generators[j] if m > 0 else self.generators[j].conj().T
-        acc = identity(self.dim)
-        for _ in range(abs(m)):
-            acc = acc @ base
-        self._pow_cache[key] = acc
-        return acc
-
     def unitary_for(self, g: Union[int, Sequence[int]]) -> np.ndarray:
+        """U^g, each generator power by repeated squaring (O(log |g_j|) matmuls)."""
         g = as_element(g, self.q)
         w = identity(self.dim)
-        for j, gj in enumerate(g):
+        for u, gj in zip(self.generators, g):
             if gj != 0:
-                w = w @ self._power(j, gj)
+                w = w @ np.linalg.matrix_power(u if gj > 0 else u.conj().T, abs(gj))
         return w
 
     def translate(self, a: np.ndarray, g: Union[int, Sequence[int]]) -> np.ndarray:

@@ -152,6 +152,23 @@ class TestMixCommand:
         assert rep["statistics"]["weak-mixing"]["verdict"] == \
             rep["statistics"]["square"]["verdict"]
 
+    def test_huge_homomorphism_multiplier(self, tmp_path):
+        # Every m*g is a multiple of Q = 5, so tau fixes V and the defect is
+        # exactly 1; the gap left is the clock phase's own rounding.
+        cfg = write_cfg(tmp_path, "c.json", {
+            "system": {"kind": "rotation", "p": 1, "Q": 5},
+            "windows": {"shape": "box", "n_min": 1, "n_max": 3},
+            "observables": {"a": {"kind": "named", "name": "V*"},
+                            "b": {"kind": "named", "name": "V"}},
+            "hom": {"kind": "scalar", "m": 10**10},
+        })
+        out = tmp_path / "o"
+        assert main(["mix", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "mix_weak_mixing.csv").read_text().strip().splitlines()[1:]
+        assert len(lines) == 3
+        for line in lines:
+            assert abs(float(line.split(",")[2]) - 1.0) < 1e-5
+
 
 class TestVdcCommand:
     def test_weyl_report(self, tmp_path):

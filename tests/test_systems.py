@@ -95,6 +95,27 @@ class TestRotationAlgebra:
                 assert sys_h.omega_distance(x, y) > 1.1
 
 
+class TestUnitaryPowers:
+    @pytest.mark.parametrize("m", [10**12 + 3, -(10**12 + 3)])
+    def test_huge_permutation_power_is_exact(self, m):
+        sys_h = cyclic_permutation_system(7)
+        expected = np.linalg.matrix_power(cyclic_shift_matrix(7), m % 7)
+        assert np.array_equal(sys_h.unitary_for(m), expected)
+
+    def test_zero_is_identity(self):
+        assert np.array_equal(cyclic_permutation_system(4).unitary_for(0), np.eye(4))
+        assert np.array_equal(clock_shift_system(3).unitary_for((0, 0)), np.eye(3))
+
+    def test_exponent_law_on_random_generators(self):
+        rng = np.random.default_rng(5)
+        for i in range(6):
+            sys_h = random_finite_system(rng, q=1)
+            a, b = (int(x) for x in rng.integers(9_000, 11_000, size=2))
+            b = b if i % 2 else -b
+            product = sys_h.unitary_for(a) @ sys_h.unitary_for(b)
+            assert np.linalg.norm(sys_h.unitary_for(a + b) - product) < 1e-9
+
+
 class TestEvaluate:
     def test_finite_single_factor(self):
         sys_h = rotation_algebra_system(1, 3)
