@@ -21,7 +21,9 @@ import numpy as np
 from . import compactness, folner, mixing, spectral, vdc
 from .config import (
     ConfigError,
+    _element,
     _int,
+    _list,
     _num,
     _require_keys,
     parse_candidates,
@@ -64,7 +66,8 @@ def run_folner(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
                   {"group", "windows"}, "config")
     q = parse_group(cfg["group"])
     windows = parse_windows(cfg["windows"], q)
-    shifts = [folner.as_element(s, q) for s in cfg.get("shifts", [[1] + [0] * (q - 1)])]
+    shifts = [_element(s, "shifts[]", q)
+              for s in _list(cfg.get("shifts", [[1] + [0] * (q - 1)]), "shifts")]
 
     rows = []
     for w in windows:
@@ -260,7 +263,8 @@ def run_compact(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     q = sys_h.q
     a = parse_observable(cfg["observable"], sys_h)
     eps = _num(cfg["epsilon"], "epsilon")
-    exponents = [_int(m, "exponents[]", 0) for m in cfg["exponents"]]
+    exponents = [_int(m, "exponents[]", 0)
+                 for m in _list(cfg["exponents"], "exponents", nonempty=True)]
     scan = parse_scan(cfg["scan"], q)
 
     cert = compactness.orbit_epsilon_structure(sys_h, a, eps, scan)
@@ -352,7 +356,7 @@ def run_szemeredi(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     sys_h = parse_system(cfg["system"])
     q = sys_h.q
     a = parse_observable(cfg["observable"], sys_h)
-    exponents = [_int(m, "exponents[]", 1) for m in cfg["exponents"]]
+    exponents = [_int(m, "exponents[]", 1) for m in _list(cfg["exponents"], "exponents")]
     windows = parse_windows(cfg["windows"], q)
     cands = parse_candidates(cfg["candidates"], q) if "candidates" in cfg else None
 
@@ -378,7 +382,7 @@ def run_invariants(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
         seed = cfg.get("seed")
     if seed is None:
         raise ConfigError("invariants: a seed is mandatory (config key or --seed)")
-    scale = _num(cfg.get("scale", 1.0), "scale")
+    scale = _num(cfg.get("scale", 1.0), "scale", 0)
     results = run_all(int(seed), scale)
     report = {
         "seed": int(seed),

@@ -129,7 +129,7 @@ def return_set(
     for g, dists in results:
         if max(dists) < epsilon:
             members.append(g)
-            base = _return_distance(sys, a, g, 1)
+            base = dists[exps.index(1)] if 1 in exps else _return_distance(sys, a, g, 1)
             cc = tuple(
                 ChainCertificate(
                     exponent=m,

@@ -11,6 +11,7 @@ from . import folner
 from .folner import FolnerWindow, Homomorphism
 from .operators import State, matrix_from_json, trace_state
 from .systems import (
+    PAULI,
     FiniteSystem,
     LocalObservable,
     QuasiLocalSystem,
@@ -47,10 +48,24 @@ def _int(obj, ctx: str, minimum: Optional[int] = None) -> int:
     return obj
 
 
-def _num(obj, ctx: str) -> float:
+def _num(obj, ctx: str, minimum: Optional[float] = None) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"{ctx}: expected a number")
+    if minimum is not None and obj < minimum:
+        raise ConfigError(f"{ctx}: must be >= {minimum}")
     return float(obj)
+
+
+def _list(obj, ctx: str, nonempty: bool = False) -> list:
+    if not isinstance(obj, list) or (nonempty and not obj):
+        raise ConfigError(f"{ctx}: expected a {'nonempty ' if nonempty else ''}list")
+    return obj
+
+
+def _element(obj, ctx: str, q: Optional[int] = None) -> folner.GroupElement:
+    """A group element written as an integer (q = 1) or a list of integers."""
+    coords = obj if isinstance(obj, list) else [obj]
+    return folner.as_element([_int(x, ctx) for x in coords], q)
 
 
 def parse_group(obj: dict) -> int:
@@ -76,7 +91,8 @@ def parse_windows(obj: dict, q: int) -> list[FolnerWindow]:
             raise ConfigError("windows: custom shape needs elements")
         if any(k in obj for k in ("n", "n_min", "n_max", "stride")):
             raise ConfigError("windows: custom shape does not take box bounds")
-        return [folner.custom_window(q, obj["elements"])]
+        elements = _list(obj["elements"], "windows.elements")
+        return [folner.custom_window(q, [_element(e, "windows.elements[]") for e in elements])]
     raise ConfigError(f"windows.shape: unknown shape {shape!r}")
 
 
@@ -94,20 +110,21 @@ def parse_set(obj: dict) -> folner.SetPredicate:
     if kind == "residue":
         _require_keys(obj, {"kind", "modulus", "residues", "coeffs"},
                       {"kind", "modulus", "residues"}, "set")
-        coeffs = tuple(obj["coeffs"]) if "coeffs" in obj else None
+        coeffs = (tuple(_int(c, "set.coeffs[]") for c in _list(obj["coeffs"], "set.coeffs"))
+                  if "coeffs" in obj else None)
         return folner.ResidueClassSet(
             _int(obj["modulus"], "set.modulus", 1),
-            tuple(_int(r, "set.residues[]") for r in obj["residues"]),
+            tuple(_int(r, "set.residues[]") for r in _list(obj["residues"], "set.residues")),
             coeffs,
         )
     if kind == "finite":
         _require_keys(obj, {"kind", "points"}, {"kind", "points"}, "set")
-        pts = frozenset(folner.as_element(p) for p in obj["points"])
+        pts = frozenset(_element(p, "set.points[]") for p in _list(obj["points"], "set.points"))
         return folner.FiniteSet(pts)
     if kind == "progression":
         _require_keys(obj, {"kind", "start", "step"}, {"kind", "start", "step"}, "set")
         return folner.ProgressionSet(
-            folner.as_element(obj["start"]), folner.as_element(obj["step"]))
+            _element(obj["start"], "set.start"), _element(obj["step"], "set.step"))
     if kind == "all":
         _require_keys(obj, {"kind"}, {"kind"}, "set")
         return folner.FullSet()
@@ -165,16 +182,19 @@ def parse_observable(obj: dict, sys) -> object:
             raise ConfigError("pauli observables need site dimension 2")
         _require_keys(obj, {"kind", "sites", "label"}, {"kind", "sites", "label"},
                       "observable")
-        return pauli_observable(obj["sites"], obj["label"], q=sys.q)
+        label = obj["label"]
+        if not isinstance(label, str) or not set(label.upper()) <= set(PAULI):
+            raise ConfigError(f"observable.label: letters must be among {sorted(PAULI)}")
+        sites = [_element(s, "observable.sites[]", sys.q)
+                 for s in _list(obj["sites"], "observable.sites")]
+        return pauli_observable(sites, label, q=sys.q)
     if kind == "matrix":
         _require_keys(obj, {"kind", "entries", "sites"}, {"kind", "entries"},
                       "observable")
         mat = matrix_from_json(obj["entries"])
         if isinstance(sys, QuasiLocalSystem):
-            sites = obj.get("sites")
-            if sites is None:
-                raise ConfigError("matrix observables on a shift system need sites")
-            supp = tuple(folner.as_element(s, sys.q) for s in sites)
+            supp = tuple(_element(s, "observable.sites[]", sys.q)
+                         for s in _list(obj.get("sites"), "observable.sites"))
             return LocalObservable(supp, mat, sys.d)
         if mat.shape[0] != sys.dim:
             raise ConfigError("observable dimension does not match the system")
@@ -207,6 +227,4 @@ def parse_hom(obj: dict, q: int) -> Homomorphism:
 
 
 def parse_candidates(obj, q: int) -> list:
-    if not isinstance(obj, list) or not obj:
-        raise ConfigError("candidates: expected a nonempty list")
-    return [folner.as_element(c, q) for c in obj]
+    return [_element(c, "candidates[]", q) for c in _list(obj, "candidates", nonempty=True)]

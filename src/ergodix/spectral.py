@@ -146,10 +146,9 @@ class KoopmanSplitting:
         return sum(1 for ch in self.characters if all(abs(c - 1.0) <= CLUSTER_TOL for c in ch))
 
 
-def koopman_split(sys: FiniteSystem, gns: Optional[GnsSpace] = None) -> KoopmanSplitting:
+def koopman_split(sys: FiniteSystem) -> KoopmanSplitting:
     """Simultaneously diagonalize the generator Koopman unitaries."""
-    if gns is None:
-        gns = gns_build(sys)
+    gns = gns_build(sys)
     mats = [gns.koopman_matrix(j) for j in range(sys.q)]
     n2 = gns.dim
     for i in range(len(mats)):

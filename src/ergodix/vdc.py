@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -169,38 +169,12 @@ class VdcReport:
     threshold: float
 
 
-def _gamma_empirical(
-    vals: Sequence[np.ndarray], rows: np.ndarray, size: int
-) -> list[complex]:
-    """gamma_h = (1/|W|) sum_{g in W} <f(g), f(g+h)> for each lag column of
-    ``rows``, whose entry [i, j] is the index in ``vals`` of g_i + h_j.  The
-    lags are a symmetric set in sorted order, so the middle column is h = 0."""
-    own = rows[:, rows.shape[1] // 2].tolist()
-
-    def one(j: int) -> complex:
-        terms = [complex(np.vdot(vals[a], vals[b])) for a, b in zip(own, rows[:, j].tolist())]
-        return fsum_complex(terms) / size
-
-    return ordered_map(one, range(rows.shape[1]))
-
-
-def _gamma_empirical_box1(
-    values: dict[GroupElement, np.ndarray], window: FolnerWindow, h_max: int
-) -> dict[GroupElement, complex]:
-    """Vectorized lag loop for one-dimensional boxes, from the table of f."""
-    n = window.index
-    c = window.center[0]
-    lo, hi = c - n - h_max, c + n + h_max
-    vals = np.stack([values[(g,)] for g in range(lo, hi + 1)])
-
-    def one(h: int) -> complex:
-        a = vals[(c - n) - lo:(c + n) - lo + 1]
-        b = vals[(c - n + h) - lo:(c + n + h) - lo + 1]
-        return complex(np.vdot(a, b)) / window.size
-
-    lags = list(range(-h_max, h_max + 1))
-    out = ordered_map(one, lags)
-    return {(h,): v for h, v in zip(lags, out)}
+def _gamma_empirical(vals: np.ndarray, own, lag_rows: Iterable, size: int) -> list[complex]:
+    """gamma_h = (1/|W|) sum_{g in W} <f(g), f(g+h)>, one ``np.vdot`` per lag:
+    ``own`` picks the rows of W in the stacked table ``vals`` of f, and each
+    item of ``lag_rows`` the rows of W + h in the same order."""
+    a = vals[own]
+    return ordered_map(lambda r: complex(np.vdot(a, vals[r])) / size, lag_rows)
 
 
 def vdc_verdict(
@@ -223,15 +197,18 @@ def vdc_verdict(
     windows = sorted(windows, key=lambda w: w.size)
     largest = windows[-1]
     table = difference_counts(largest)
-    box1 = largest.shape == "box" and largest.q == 1
     # f is tabulated once on the lag support of the largest window and on
     # every window; the lag estimates and the averages read the same table
-    if box1:
+    if largest.shape == "box" and largest.q == 1:
         radius = h_max if h_max is not None else 2 * largest.index
         reach = largest.index + radius
         c = largest.center[0]
         support = [(g,) for g in range(c - reach, c + reach + 1)]
         lags = np.arange(-radius, radius + 1, dtype=np.int64)[:, None]
+        # W + h is the contiguous run of the support from row radius + h,
+        # so the lags read slices and gather nothing
+        own = slice(radius, radius + largest.size)
+        lag_rows = (slice(k, k + largest.size) for k in range(len(lags)))
     else:
         lags = table[0]
         if h_max is not None:
@@ -244,11 +221,11 @@ def vdc_verdict(
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         support = list(map(tuple, sums[first].tolist()))
         rows = inverse.reshape(len(gs), len(lags))
+        # the lags are symmetric and sorted, so the middle column is h = 0
+        own, lag_rows = rows[:, len(lags) // 2], rows.T
     values = tabulate(f, support + [g for w in windows for g in w.iter_elements()])
-    if box1:
-        gamma = list(_gamma_empirical_box1(values, largest, radius).values())
-    else:
-        gamma = _gamma_empirical([values[g] for g in support], rows, largest.size)
+    vals = np.stack([values[g] for g in support])
+    gamma = _gamma_empirical(vals, own, lag_rows, largest.size)
 
     # each window's lags, looked up among the estimated ones by key; the
     # overlap |W intersect (W+h)| is the lag's multiplicity in the table

@@ -99,6 +99,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command,cfg,message", [
+        ("compact", {"system": {"kind": "rotation", "p": 1, "Q": 5},
+                     "observable": {"kind": "named", "name": "V"},
+                     "epsilon": 0.1, "exponents": [], "scan": {"shape": "box", "n": 5}},
+         "exponents: expected a nonempty list"),
+        ("mix", {**MIX_CFG, "observables": {"a": {"kind": "pauli", "sites": [0], "label": "Q"},
+                                            "b": {"kind": "pauli", "sites": [0], "label": "Z"}}},
+         "observable.label: letters must be among ['I', 'X', 'Y', 'Z']"),
+        ("folner", {**FOLNER_CFG, "set": {"kind": "residue", "modulus": 3, "residues": [0],
+                                          "coeffs": ["x"]}},
+         "set.coeffs[]: expected an integer"),
+        ("folner", {**FOLNER_CFG, "windows": {"shape": "custom", "elements": [None]}},
+         "windows.elements[]: expected an integer"),
+        ("invariants", {"seed": 1, "scale": -1}, "scale: must be >= 0"),
+        ("folner", {**FOLNER_CFG, "shifts": [None]}, "shifts[]: expected an integer"),
+        ("folner", {**FOLNER_CFG, "set": {"kind": "finite", "points": 5}},
+         "set.points: expected a list"),
+        ("mix", {**MIX_CFG, "observables": {"a": {"kind": "pauli", "sites": [[0.5]], "label": "Z"},
+                                            "b": {"kind": "pauli", "sites": [0], "label": "Z"}}},
+         "observable.sites[]: expected an integer"),
+    ])
+    def test_invalid_value_is_input_error(self, tmp_path, capsys, command, cfg, message):
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_stale_failures_removed(self, tmp_path):
         # the projection onto one of four cyclically permuted points: the
         # absolute defect stays near 0.1 while its square falls under 0.05

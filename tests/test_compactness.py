@@ -17,6 +17,7 @@ from ergodix.operators import operator_norm, telescope_decompose, trace_state
 from ergodix.sampling import ginibre, random_finite_system, random_positive
 from ergodix.spectral import szemeredi_driver
 from ergodix.systems import (
+    FiniteSystem,
     clock_shift_system,
     cyclic_permutation_system,
     cyclic_shift_matrix,
@@ -118,6 +119,26 @@ class TestReturnSet:
         rset = return_set(sys_h, v, 0.1, (1,), box_window(1, 30))
         assert rset.gap_witness is not None
         assert len(rset.gap_witness) == 6  # gaps of 5 -> candidates {0..5}
+
+    def test_each_distance_computed_once(self, monkeypatch):
+        # the exponent-1 distance of a member is its certificate base; with
+        # 1 among the exponents it is read from the probe, not recomputed
+        sys_h = cyclic_permutation_system(3)
+        a = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        calls = []
+        original = FiniteSystem.translate
+
+        def counting(self, obs, g):
+            calls.append(g)
+            return original(self, obs, g)
+
+        monkeypatch.setattr(FiniteSystem, "translate", counting)
+        rset = return_set(sys_h, a, 0.1, (0, 1, 2), box_window(1, 30))
+        assert len(rset.members) == 21
+        assert len(calls) == 2 * 61
+        for g, certs in rset.chain_certificates:
+            base = sys_h.omega_distance(original(sys_h, a, g), a)
+            assert [c.rhs for c in certs] == [m * base for m in (0, 1, 2)]
 
 
 class TestCorrelationLowerBound:

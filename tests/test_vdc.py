@@ -267,8 +267,9 @@ def reference_vdc(f, windows, h_max=None):
     lags = diffs(gs)
     if h_max is not None:
         lags = [h for h in lags if max(abs(x) for x in h) <= h_max]
-    gamma = {h: fsum_complex([complex(np.vdot(f(g), f(add(g, h)))) for g in gs])
-             / largest.size for h in lags}
+    gamma = {h: complex(np.vdot(np.stack([f(g) for g in gs]),
+                                np.stack([f(add(g, h)) for g in gs]))) / largest.size
+             for h in lags}
     statistic, double_avg, averages = [], [], []
     for w in windows:
         pts = list(w.iter_elements())
