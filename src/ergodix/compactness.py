@@ -259,11 +259,23 @@ def covering_candidates(
     if not windows:
         raise ValueError("need at least one window")
     a_hat, _, eps_return = _return_budget(sys, a, len(exps))
+    return _covering_grid(_probe_returns(sys, a_hat, eps_return, exps, windows))
+
+
+def _probe_returns(sys, a_hat, eps_return, exps, windows) -> ReturnSet:
+    """The return set behind the candidate-grid probe."""
     scan = box_window(sys.q, max(w.index for w in windows) + 4)
-    members = set(return_set(sys, a_hat, eps_return, (0,) + exps, scan).members)
+    return return_set(sys, a_hat, eps_return, (0,) + exps, scan)
+
+
+def _covering_grid(probe: ReturnSet) -> list[GroupElement]:
+    """The smallest grid {0..r-1}^q whose translates meet the probe's members
+    from every point of a core of its scan."""
+    scan = probe.scan_window
+    members = set(probe.members)
     for r in range(1, scan.index):
-        cands = [tuple(c) for c in itertools.product(range(r), repeat=sys.q)]
-        core = box_window(sys.q, scan.index - r)
+        cands = [tuple(c) for c in itertools.product(range(r), repeat=scan.q)]
+        core = box_window(scan.q, scan.index - r)
         if relative_density_witness(lambda g: g in members, core, cands).accepted:
             return cands
     raise ValueError("could not find a covering candidate grid; "
@@ -275,7 +287,7 @@ def szemeredi_average_compact(
     a,
     exponents: Sequence[int],
     windows: Sequence[FolnerWindow],
-    candidates: Sequence[Union[int, Sequence[int]]],
+    candidates: Optional[Sequence[Union[int, Sequence[int]]]] = None,
 ) -> SzemerediCompactReport:
     """Shifted-window multi-correlation average for a compact tracial system.
 
@@ -283,7 +295,9 @@ def szemeredi_average_compact(
     window onto the return set by the best candidate shift, and averages
     |omega(a prod_j tau_{m_j g}(a))| over the shifted windows.  The tail
     minimum over the last quarter of the schedule is reported and must be
-    positive.
+    positive.  Without candidates, the grid of covering_candidates is used,
+    and its probe's return set serves the average too wherever it covers the
+    average's scan: membership is decided point by point.
     """
     if not sys.is_tracial:
         raise ValueError("compact Szemeredi average requires a tracial state")
@@ -292,28 +306,31 @@ def szemeredi_average_compact(
     exps = increasing_exponents(exponents)
     if not windows:
         raise ValueError("need at least one window")
-    if not candidates:
+    if candidates is not None and not candidates:
         raise ValueError("need at least one candidate shift")
     q = sys.q
-    cands = [as_element(c, q) for c in candidates]
 
     a_hat, eps_total, eps_return = _return_budget(sys, a, len(exps))
+    probe = None
+    if candidates is None:
+        probe = _probe_returns(sys, a_hat, eps_return, exps, windows)
+        candidates = _covering_grid(probe)
+    cands = [as_element(c, q) for c in candidates]
 
-    def window_reach(w: FolnerWindow) -> int:
-        if w.shape == "box":
-            return w.index + max((abs(c) for c in w.center), default=0)
-        return max(abs(x) for g in w.points for x in g)
-
-    max_coord = max(window_reach(w) for w in windows)
+    max_coord = max(abs(x) for w in windows for corner in w.bounds() for x in corner)
     max_cand = max(max(abs(x) for x in c) for c in cands)
     scan = box_window(q, max_coord + max_cand)
 
     full_exps = (0,) + exps
-    rset = return_set(sys, a_hat, eps_return, full_exps, scan)
-    if not rset.members:
+    if probe is not None and scan.index <= probe.scan_window.index:
+        # both scans are boxes about 0 in lexicographic order
+        members = tuple(g for g in probe.members if g in scan)
+    else:
+        members = return_set(sys, a_hat, eps_return, full_exps, scan).members
+    if not members:
         raise ValueError(
             "return set empty on the scan window; enlarge the window schedule")
-    member_set = set(rset.members)
+    member_set = set(members)
     witness = relative_density_witness(lambda g: g in member_set, _core_scan(scan, cands), cands)
 
     shifts = []
@@ -330,7 +347,7 @@ def szemeredi_average_compact(
         epsilon_total=eps_total,
         epsilon_return=eps_return,
         exponents=exps,
-        members=rset.members,
+        members=members,
         shifts_per_window=tuple(shifts),
         averages=tuple(averages),
         tail_min=tail_min,

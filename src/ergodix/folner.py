@@ -13,23 +13,30 @@ supports) runs on integer arrays whose rows are ordered by scalar keys.
 from __future__ import annotations
 
 import itertools
-import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from ._parallel import window_means
+from ._parallel import lex_keys, ordered_map, point_table, window_means
 
 GroupElement = tuple[int, ...]
 
+# Coordinates below this bound keep every sum or difference of three of them
+# inside int64; larger ones make the arrays hold exact Python ints instead.
+_INT64_SAFE = 2 ** 61
+
 
 def as_element(g: Union[int, Sequence[int]], q: Optional[int] = None) -> GroupElement:
-    """Coerce an int (for q=1) or an int sequence into a group element."""
-    if isinstance(g, int):
-        out = (g,)
-    else:
-        out = tuple(int(x) for x in g)
+    """Coerce an integer (for q=1) or a sequence of integers into a group
+    element.  Python and numpy integers are accepted; anything else, a float
+    included, raises ValueError rather than being truncated."""
+    try:
+        out = tuple(map(operator.index, g)) if hasattr(g, "__iter__") else (operator.index(g),)
+    except TypeError:
+        raise ValueError(
+            f"group element {g!r} is not an integer or a sequence of integers") from None
     if q is not None and len(out) != q:
         raise ValueError(f"group element {out} has rank {len(out)}, expected {q}")
     return out
@@ -166,6 +173,26 @@ class FolnerWindow:
         else:
             yield from sorted(self.points)
 
+    def bounds(self) -> tuple[GroupElement, GroupElement]:
+        """The least and the greatest coordinate of the elements on each axis."""
+        if self.shape == "box":
+            n = self.index
+            return tuple(c - n for c in self.center), tuple(c + n for c in self.center)
+        axes = list(zip(*self.points))
+        return tuple(map(min, axes)), tuple(map(max, axes))
+
+    def element_array(self) -> np.ndarray:
+        """The elements, in order, as the rows of a (size, q) integer array:
+        int64 when the coordinates are small enough for sums and differences,
+        else exact Python ints (dtype object)."""
+        lo, hi = self.bounds()
+        dtype = np.int64 if all(-_INT64_SAFE < x < _INT64_SAFE for x in lo + hi) else object
+        if self.shape == "custom":
+            return np.array(sorted(self.points), dtype=dtype).reshape(self.size, self.q)
+        axes = [np.arange(a, b + 1, dtype=dtype) for a, b in zip(lo, hi)]
+        grid = np.meshgrid(*axes, indexing="ij")
+        return np.stack(grid, axis=-1).reshape(self.size, self.q)
+
     def __contains__(self, g: GroupElement) -> bool:
         if self.shape == "box":
             n = self.index
@@ -216,35 +243,6 @@ def inverse_product(window: FolnerWindow) -> FolnerWindow:
                         center=zero(window.q), points=frozenset(map(tuple, lags.tolist())))
 
 
-# Coordinates below this bound keep every sum or difference of three of them
-# inside int64; larger ones make the arrays hold exact Python ints instead.
-_INT64_SAFE = 2 ** 61
-_INT64_MAX = 2 ** 63 - 1
-
-
-def element_array(window: FolnerWindow) -> np.ndarray:
-    """The window's elements, in order, as the rows of a (size, q) integer
-    array: int64 when the coordinates are small enough for sums and
-    differences, else exact Python ints (dtype object)."""
-    pts = list(window.iter_elements())
-    small = all(-_INT64_SAFE < x < _INT64_SAFE for g in pts for x in g)
-    return np.array(pts, dtype=np.int64 if small else object).reshape(len(pts), window.q)
-
-
-def lex_keys(*blocks: np.ndarray) -> list[np.ndarray]:
-    """One scalar key per row of each (k, q) integer block, ordered as the
-    rows' tuples: the mixed-radix number of the row in the blocks' joint
-    bounding box, first coordinate most significant.  Keys are int64 when
-    the box has at most 2^63 - 1 points, else exact Python ints."""
-    rows = np.concatenate(blocks)
-    lo, hi = rows.min(axis=0), rows.max(axis=0)
-    spans = [int(b) - int(a) + 1 for a, b in zip(lo, hi)]
-    dtype = np.int64 if math.prod(spans) <= _INT64_MAX else object
-    strides = np.array([math.prod(spans[i + 1:]) for i in range(len(spans))], dtype=dtype)
-    lo = lo.astype(dtype)
-    return [((b.astype(dtype) - lo) * strides).sum(axis=1) for b in blocks]
-
-
 def difference_counts(window: FolnerWindow) -> tuple[np.ndarray, np.ndarray]:
     """The difference set W^-1 W as a (k, q) integer array of lags in sorted
     tuple order, and |W intersect (W+h)| for each lag h.
@@ -257,10 +255,9 @@ def difference_counts(window: FolnerWindow) -> tuple[np.ndarray, np.ndarray]:
     q = window.q
     if window.shape == "box":
         n = window.index
-        axis = np.arange(-2 * n, 2 * n + 1, dtype=np.int64)
-        lags = np.stack(np.meshgrid(*[axis] * q, indexing="ij"), axis=-1).reshape(-1, q)
+        lags = box_window(q, 2 * n).element_array()
         return lags, np.prod(2 * n + 1 - np.abs(lags), axis=1)
-    pts = element_array(window)
+    pts = window.element_array()
     diffs = (pts[None, :, :] - pts[:, None, :]).reshape(-1, q)
     (keys,) = lex_keys(diffs)
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)
@@ -429,15 +426,29 @@ def relative_density_witness(
     """Check the covering property behind relative denseness on a finite scan:
     every g in the scan must have E intersect {g+g_1,...,g+g_r} nonempty.
     On failure the first failing g (in lexicographic scan order) is reported.
+
+    The predicate runs once per distinct point g + g_j, in first-seen order.
     """
     if not candidates:
         raise ValueError("need at least one candidate")
     cands = tuple(as_element(c, scan.q) for c in candidates)
+    gs = scan.element_array()
+    small = all(-_INT64_SAFE < x < _INT64_SAFE for c in cands for x in c)
+    offsets = np.array(cands, dtype=np.int64 if small else object)
+    # row (i, j) of the sums is g_i + g_j, scan-major
+    sums = (gs[:, None, :] + offsets[None, :, :]).reshape(-1, scan.q)
+    lo, hi = scan.bounds()
+    lo = [a + min(c) for a, c in zip(lo, zip(*cands))]
+    hi = [b + max(c) for b, c in zip(hi, zip(*cands))]
+    pts, (rows,) = point_table([sums], lo, hi)
     contains = _as_contains(pred)
-    for g in scan.iter_elements():
-        if not any(contains(add(g, c)) for c in cands):
-            return RelativeDensityResult(False, cands, failing_point=g)
-    return RelativeDensityResult(True, cands)
+    hits = ordered_map(contains, list(map(tuple, pts.tolist())))
+    hits = np.array([bool(x) for x in hits])
+    covered = hits[rows].reshape(len(gs), len(cands)).any(axis=1)
+    if covered.all():
+        return RelativeDensityResult(True, cands)
+    failing = tuple(gs[int(np.argmin(covered))].tolist())
+    return RelativeDensityResult(False, cands, failing_point=failing)
 
 
 def best_shift_for_density(

@@ -7,6 +7,7 @@ files.
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -42,5 +43,10 @@ def _plain(value):
 
 def write_json(path: Path, obj: dict) -> None:
     payload = {"schema": SCHEMA, **obj}
-    text = json.dumps(payload, sort_keys=True, indent=1, default=_plain)
-    path.write_text(text + "\n", encoding="utf-8")
+    chunks = json.JSONEncoder(sort_keys=True, indent=1, default=_plain).iterencode(payload)
+    # The encoder that indent selects yields about one chunk per token; joining
+    # them a slice at a time keeps a long table from holding every chunk at once.
+    with path.open("w", encoding="utf-8") as fp:
+        while part := "".join(itertools.islice(chunks, 1 << 14)):
+            fp.write(part)
+        fp.write("\n")

@@ -21,7 +21,6 @@ import numpy as np
 from ._parallel import window_means
 from .compactness import (
     SzemerediCompactReport,
-    covering_candidates,
     increasing_exponents,
     multi_correlation,
     szemeredi_average_compact,
@@ -373,9 +372,7 @@ def _driver_compact(sys, a, exps, windows, candidates) -> SzemerediDriverReport:
     verdict = dichotomy_classify(sys)
     if not verdict.ergodic:
         raise ValueError("finite-backend driver requires an ergodic system")
-    if candidates is None:
-        candidates = covering_candidates(sys, a, exps, windows)
-    report = szemeredi_average_compact(sys, a, exps, windows, list(candidates))
+    report = szemeredi_average_compact(sys, a, exps, windows, candidates)
     return SzemerediDriverReport(
         branch="compact",
         exponents=exps,

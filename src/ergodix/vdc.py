@@ -16,16 +16,15 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from ._parallel import fsum_complex, ordered_map, tabulate
+from ._parallel import fsum_complex, lex_keys, ordered_map, tabulate, window_table
 from .folner import (
     FolnerWindow,
     GroupElement,
     add,
     as_element,
+    box_window,
     difference_counts,
-    element_array,
     inverse_product,
-    lex_keys,
 )
 
 BOUND_SLACK = 1e-12
@@ -43,14 +42,35 @@ class VectorSequence:
     dim: int
 
     def __call__(self, g: Union[int, Sequence[int]]) -> np.ndarray:
-        g = as_element(g)
-        v = np.asarray(self.fn(g), dtype=np.complex128)
-        if v.shape != (self.dim,):
-            raise ValueError(f"sequence value has shape {v.shape}, expected ({self.dim},)")
-        norm = float(np.linalg.norm(v))
-        if norm > self.bound * (1.0 + BOUND_SLACK) + BOUND_SLACK:
-            raise ValueError(f"declared bound {self.bound} violated at {g}: |f(g)| = {norm}")
-        return v
+        return self.table([as_element(g)])[0]
+
+    def table(self, points: Sequence[GroupElement]) -> np.ndarray:
+        """f at each point, as the rows of one (len(points), dim) array filled
+        in place.  The shape and the declared bound are checked as if each
+        point were evaluated in turn: the error names the first offending
+        point, whatever follows it."""
+        vals = np.empty((len(points), self.dim), dtype=np.complex128)
+        for i, g in enumerate(points):
+            v = np.asarray(self.fn(g), dtype=np.complex128)
+            if v.shape != (self.dim,):
+                self._check_bound(vals[:i], points)
+                raise ValueError(f"sequence value has shape {v.shape}, expected ({self.dim},)")
+            vals[i] = v
+        self._check_bound(vals, points)
+        return vals
+
+    def _check_bound(self, vals: np.ndarray, points: Sequence[GroupElement]) -> None:
+        limit = self.bound * (1.0 + BOUND_SLACK) + BOUND_SLACK
+        # Screen with one vectorized norm, then decide each flagged row with
+        # the norm a single evaluation takes.  Both are square roots of a sum
+        # of 2 * dim squares, so they differ by well under the margin.
+        rough = np.sqrt((vals.real ** 2 + vals.imag ** 2).sum(axis=1))
+        margin = 1.0 - 4 * (self.dim + 1) * np.finfo(np.float64).eps
+        for i in np.flatnonzero(rough > limit * margin).tolist():
+            norm = float(np.linalg.norm(vals[i]))
+            if norm > limit:
+                raise ValueError(
+                    f"declared bound {self.bound} violated at {points[i]}: |f(g)| = {norm}")
 
 
 def constant_sequence(v) -> VectorSequence:
@@ -80,13 +100,13 @@ def weyl_quadratic_sequence(alpha: float, v) -> VectorSequence:
 
 def average_vector(f: VectorSequence, window: FolnerWindow) -> np.ndarray:
     """(1/|W|) sum of f over the window."""
-    return _mean_vector([f(g) for g in window.iter_elements()], window.size)
+    return _mean_vector(f.table(list(window.iter_elements())), window.size)
 
 
-def _mean_vector(vals: Sequence[np.ndarray], size: int) -> np.ndarray:
-    """Componentwise correctly rounded sum of the vectors, divided by size."""
-    stacked = np.stack(vals)
-    total = np.array([fsum_complex(col.tolist()) for col in stacked.T], dtype=np.complex128)
+def _mean_vector(rows: np.ndarray, size: int) -> np.ndarray:
+    """Componentwise correctly rounded sum of the rows, divided by size."""
+    total = np.array([complex(math.fsum(col.real.tolist()), math.fsum(col.imag.tolist()))
+                      for col in rows.T], dtype=np.complex128)
     return total / size
 
 
@@ -99,8 +119,8 @@ class InequalityCheck:
 
 def check_window_cauchy_schwarz(f: VectorSequence, window: FolnerWindow) -> InequalityCheck:
     """||sum_W f||^2 <= |W| * sum_W ||f||^2 with relative slack 1e-9."""
-    vals = [f(g) for g in window.iter_elements()]
-    total = np.sum(np.stack(vals), axis=0)
+    vals = f.table(list(window.iter_elements()))
+    total = np.sum(vals, axis=0)
     lhs = float(np.linalg.norm(total) ** 2)
     rhs = window.size * math.fsum(float(np.linalg.norm(v) ** 2) for v in vals)
     return InequalityCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + REL_SLACK * rhs)
@@ -202,8 +222,7 @@ def vdc_verdict(
     if largest.shape == "box" and largest.q == 1:
         radius = h_max if h_max is not None else 2 * largest.index
         reach = largest.index + radius
-        c = largest.center[0]
-        support = [(g,) for g in range(c - reach, c + reach + 1)]
+        support = box_window(1, reach, largest.center).element_array()
         lags = np.arange(-radius, radius + 1, dtype=np.int64)[:, None]
         # W + h is the contiguous run of the support from row radius + h,
         # so the lags read slices and gather nothing
@@ -213,18 +232,19 @@ def vdc_verdict(
         lags = table[0]
         if h_max is not None:
             lags = lags[np.abs(lags).max(axis=1) <= h_max]
-        gs = element_array(largest)
+        gs = largest.element_array()
         # every g + h; the support is their sorted distinct set (W itself
         # is in it, at h = 0), and rows[i, j] is the support row of g_i + h_j
         sums = (gs[:, None, :] + lags[None, :, :]).reshape(-1, largest.q)
         (keys,) = lex_keys(sums)
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        support = list(map(tuple, sums[first].tolist()))
+        support = sums[first]
         rows = inverse.reshape(len(gs), len(lags))
         # the lags are symmetric and sorted, so the middle column is h = 0
         own, lag_rows = rows[:, len(lags) // 2], rows.T
-    values = tabulate(f, support + [g for w in windows for g in w.iter_elements()])
-    vals = np.stack([values[g] for g in support])
+    # the support leads the table, so its rows keep their indices
+    points, window_rows = window_table(windows, lead=support)
+    vals = f.table(points)
     gamma = _gamma_empirical(vals, own, lag_rows, largest.size)
 
     # each window's lags, looked up among the estimated ones by key; the
@@ -242,8 +262,8 @@ def vdc_verdict(
         statistic.append((w.index, math.fsum(abs_gamma[i] for i in idx) / w.size))
         double_avg.append((w.index, fsum_complex(weighted) / (w.size ** 2)))
 
-    averages = [(w.index, float(np.linalg.norm(
-        _mean_vector([values[g] for g in w.iter_elements()], w.size)))) for w in windows]
+    averages = [(w.index, float(np.linalg.norm(_mean_vector(vals[r], w.size))))
+                for w, r in zip(windows, window_rows[1:])]
 
     hyp = statistic[-1][1] < threshold
     concl = averages[-1][1] < threshold

@@ -308,10 +308,30 @@ class TestSharedBudget:
         monkeypatch.setattr(compactness, "return_set", recording)
         rep = szemeredi_driver(sys_h, a, (1, 2), box_schedule(2, 1, 4))
         assert rep.tail_min > 0
-        (probe_a, probe_eps, probe_exps), (avg_a, avg_eps, avg_exps) = calls
-        assert np.array_equal(probe_a, avg_a)
-        assert probe_eps == avg_eps == rep.compact_report.epsilon_return
-        assert probe_exps == avg_exps == (0, 1, 2)
+        # the probe's return set covers the average's scan, so it is the only one
+        ((_, eps, exps),) = calls
+        assert eps == rep.compact_report.epsilon_return
+        assert exps == (0, 1, 2)
+
+    def test_driver_computes_one_return_set(self, monkeypatch):
+        # the finite benchmark's szemeredi inputs: probe and average scan n = 16
+        system, a, exps, windows = (clock_shift_system(5), positive_cosine(5), (1, 2),
+                                    box_schedule(2, 1, 12))
+        cands = covering_candidates(system, a, exps, windows)
+        separate = szemeredi_average_compact(system, a, exps, windows, cands)
+        calls = []
+        original = compactness.return_set
+
+        def counting(*args):
+            calls.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(compactness, "return_set", counting)
+        rep = szemeredi_driver(system, a, exps, windows)
+        assert len(calls) == 1
+        # the restricted members, shifts and averages are those of a fresh
+        # return set on the average's own scan
+        assert rep.compact_report == separate
 
     def test_covering_candidates_grid(self):
         # every point of Z^2 returns for the unit observable: one candidate

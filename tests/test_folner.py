@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,8 @@ from ergodix.folner import (
     HomSet,
     ProgressionSet,
     ResidueClassSet,
+    add,
+    as_element,
     best_shift_for_density,
     box_schedule,
     box_window,
@@ -23,7 +27,7 @@ from ergodix.folner import (
     shift_window,
     tempelman_ratio,
 )
-from test_parallel import schedules
+from test_parallel import FAR, batch_sizes, schedules
 
 
 def brute_inverse_product(points):
@@ -297,6 +301,40 @@ class TestRelativeDensityWitness:
     def test_full_set_trivial(self):
         res = relative_density_witness(FullSet(), box_window(1, 5), [0])
         assert res.accepted
+
+    @pytest.mark.parametrize("center", [(1, -2), (FAR, -FAR)])
+    def test_first_failing_point_is_brute_force(self, monkeypatch, center):
+        # x + 2y = 4 mod 7 is the one residue whose three shifts miss {0, 3}
+        pred = ResidueClassSet(7, (0, 3), coeffs=(1, 2))
+        scan = box_window(2, 6, center=center)
+        cands = [(0, 0), (1, 0), (0, 1)]
+        failing = [g for g in scan.iter_elements()
+                   if not any(pred.contains(add(g, c)) for c in cands)]
+        assert len(failing) > 1
+        for _ in batch_sizes(monkeypatch):
+            calls = []
+            res = relative_density_witness(lambda g: calls.append(g) or pred.contains(g),
+                                           scan, cands)
+            assert not res.accepted
+            assert res.failing_point == failing[0]
+            assert calls == list(dict.fromkeys(
+                add(g, c) for g in scan.iter_elements() for c in cands))
+
+
+class TestAsElement:
+    def test_numpy_integers_accepted(self):
+        assert as_element(np.int64(3)) == (3,)
+        assert as_element([np.int32(-1), 2], 2) == (-1, 2)
+        assert all(type(x) is int for x in as_element(np.array([4, 5])))
+
+    @pytest.mark.parametrize("bad", [0.5, [0.5], [1, 2.0], "ab", [None]])
+    def test_non_integers_rejected(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"group element {bad!r}")):
+            as_element(bad)
+
+    def test_custom_window_does_not_truncate(self):
+        with pytest.raises(ValueError, match=re.escape("group element [0.5]")):
+            custom_window(1, [[0.5]])
 
 
 class TestBestShift:

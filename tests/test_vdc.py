@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -251,6 +252,27 @@ class TestVdcVerdict:
         rep = vdc_verdict(f, windows)
         assert len(seen) == len(set(seen)) == points
         assert rep.averages[-1][1] == 1.0
+
+
+    @pytest.mark.parametrize("window", [box_window(1, 5), custom_window(1, range(-5, 6))])
+    def test_first_offending_point_is_reported(self, window):
+        v = np.array([1.0 + 0j])
+
+        def bad_at(points, value):
+            return VectorSequence(lambda g: value if g[0] in points else v, bound=1.0, dim=1)
+
+        # the table lists the lag support in tuple order, so -3 comes first
+        with pytest.raises(ValueError, match=re.escape(
+                "declared bound 1.0 violated at (-3,): |f(g)| = 2.0")):
+            vdc_verdict(bad_at((7, -3), 2 * v), [window])
+        # a bound violation ahead of a shape error is the one reported
+        f = VectorSequence(lambda g: np.zeros(2) if g[0] == 7 else 2 * v if g[0] == -3 else v,
+                           bound=1.0, dim=1)
+        with pytest.raises(ValueError, match=re.escape("violated at (-3,)")):
+            vdc_verdict(f, [window])
+        with pytest.raises(ValueError, match=re.escape(
+                "sequence value has shape (2,), expected (1,)")):
+            vdc_verdict(bad_at((-3,), np.zeros(2)), [window])
 
 
 def reference_vdc(f, windows, h_max=None):
