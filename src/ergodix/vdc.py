@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -189,12 +189,26 @@ class VdcReport:
     threshold: float
 
 
-def _gamma_empirical(vals: np.ndarray, own, lag_rows: Iterable, size: int) -> list[complex]:
+def _gamma_empirical(vals: np.ndarray, rows: np.ndarray, size: int) -> list[complex]:
     """gamma_h = (1/|W|) sum_{g in W} <f(g), f(g+h)>, one ``np.vdot`` per lag:
-    ``own`` picks the rows of W in the stacked table ``vals`` of f, and each
-    item of ``lag_rows`` the rows of W + h in the same order."""
-    a = vals[own]
-    return ordered_map(lambda r: complex(np.vdot(a, vals[r])) / size, lag_rows)
+    ``rows[i, j]`` is the row of g_i + h_j in the stacked table ``vals`` of f,
+    and the lags are symmetric and sorted, so the middle column is h = 0."""
+    a = vals[rows[:, rows.shape[1] // 2]]
+    return ordered_map(lambda r: complex(np.vdot(a, vals[r])) / size, rows.T)
+
+
+def _gamma_box1(vals: np.ndarray, radius: int, size: int) -> list[complex]:
+    """gamma_h for h = -radius..radius on a one-dimensional box, as one FFT
+    cross-correlation: ``vals`` is f on the lag support in order, so W is the
+    run of ``size`` rows from row ``radius`` and g + h stays inside ``vals``
+    for every lag.  With the rows of W at c = 0..size-1, the circular
+    correlation c_k = sum_c <f(W_c), f(support_{c+k})> over a length
+    L >= len(vals) never wraps, and gamma_h = c_{radius+h} / |W|."""
+    length = 1 << (len(vals) - 1).bit_length()
+    fw = np.fft.fft(vals[radius:radius + size], n=length, axis=0)
+    fs = np.fft.fft(vals, n=length, axis=0)
+    corr = np.fft.ifft((fw.conj() * fs).sum(axis=1))
+    return (corr[:2 * radius + 1] / size).tolist()
 
 
 def vdc_verdict(
@@ -219,15 +233,13 @@ def vdc_verdict(
     table = difference_counts(largest)
     # f is tabulated once on the lag support of the largest window and on
     # every window; the lag estimates and the averages read the same table
-    if largest.shape == "box" and largest.q == 1:
-        radius = h_max if h_max is not None else 2 * largest.index
+    box1 = largest.shape == "box" and largest.q == 1
+    if box1:
+        # no lag of W^-1 W exceeds 2n
+        radius = 2 * largest.index if h_max is None else min(h_max, 2 * largest.index)
         reach = largest.index + radius
         support = box_window(1, reach, largest.center).element_array()
         lags = np.arange(-radius, radius + 1, dtype=np.int64)[:, None]
-        # W + h is the contiguous run of the support from row radius + h,
-        # so the lags read slices and gather nothing
-        own = slice(radius, radius + largest.size)
-        lag_rows = (slice(k, k + largest.size) for k in range(len(lags)))
     else:
         lags = table[0]
         if h_max is not None:
@@ -240,12 +252,13 @@ def vdc_verdict(
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         support = sums[first]
         rows = inverse.reshape(len(gs), len(lags))
-        # the lags are symmetric and sorted, so the middle column is h = 0
-        own, lag_rows = rows[:, len(lags) // 2], rows.T
     # the support leads the table, so its rows keep their indices
     points, window_rows = window_table(windows, lead=support)
     vals = f.table(points)
-    gamma = _gamma_empirical(vals, own, lag_rows, largest.size)
+    if box1:
+        gamma = _gamma_box1(vals[:len(support)], radius, largest.size)
+    else:
+        gamma = _gamma_empirical(vals, rows, largest.size)
 
     # each window's lags, looked up among the estimated ones by key; the
     # overlap |W intersect (W+h)| is the lag's multiplicity in the table

@@ -1,9 +1,15 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ergodix
 from ergodix import spectral
 from ergodix.cli import main
 from ergodix.operators import matrix_to_json
@@ -210,6 +216,22 @@ class TestVdcCommand:
         assert rep["gamma_window_index"] == 400
         assert rep["gamma_statistic"][-1][1] < 0.05
 
+    def test_huge_h_max_reads_the_difference_set(self, tmp_path):
+        # lags beyond 2n are not in W^-1 W, so h_max = 10^9 on the n = 10 box
+        # tabulates the 41 lags of the box, not a 2 * 10^9-row support
+        cfg = write_cfg(tmp_path, "c.json", {
+            "sequence": {"kind": "weyl-quadratic", "alpha": 0.41421356237309515,
+                         "vector": [[1.0, 0.0]]},
+            "windows": {"shape": "box", "n_min": 10, "n_max": 10},
+            "h_max": 10 ** 9,
+        })
+        out = tmp_path / "o"
+        start = time.perf_counter()
+        assert main(["vdc", "--config", cfg, "--out", str(out)]) == 0
+        assert time.perf_counter() - start < 1.0
+        gamma = read_json(out / "vdc.json")["gamma"]
+        assert [h for h, _, _ in gamma] == [[h] for h in range(-20, 21)]
+
 
 class TestHigherCommand:
     def test_matrix_homomorphism_on_plane(self, tmp_path):
@@ -391,6 +413,29 @@ class TestDeterminism:
             out = tmp_path / tag
             assert main([command, "--config", cfg_path, "--out", str(out),
                          "--threads", str(threads)]) == 0
+            outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outs[0] == outs[1]
+
+    def test_blas_threads_do_not_change_bytes(self, tmp_path):
+        # n = 2500 is the smallest box whose 2 * (2n + 1)-entry lag blocks
+        # OpenBLAS splits across threads when they are summed by np.vdot;
+        # the FFT lag table sums every lag the same way at any thread count
+        cfg_path = write_cfg(tmp_path, "c.json", {
+            "sequence": {"kind": "weyl-quadratic", "alpha": 0.41421356237309515,
+                         "vector": [[0.6, 0.0], [0.0, 0.8]]},
+            "windows": {"shape": "box", "n_min": 2500, "n_max": 2500},
+        })
+        src = str(Path(ergodix.__file__).resolve().parent.parent)
+        outs = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"t{threads}"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from ergodix.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "vdc", "--config", cfg_path, "--out", str(out)],
+                env=env, check=True, timeout=120)
             outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert outs[0] == outs[1]
 

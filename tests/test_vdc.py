@@ -347,6 +347,64 @@ class TestGenericLagPath:
         assert rep.statistic[0][1] == pytest.approx(ratio, abs=1e-9)
 
 
+def vdot_box_reference(f, windows, h_max):
+    """gamma of the largest q = 1 box by one ``np.vdot`` per lag over f on
+    its lag support, and each window's statistic and double average from it
+    (the overlap of a box with its h-translate is 2n + 1 - |h|)."""
+    windows = sorted(windows, key=lambda w: w.size)
+    largest = windows[-1]
+    n, (c,) = largest.index, largest.center
+    radius = 2 * n if h_max is None else min(h_max, 2 * n)
+    vals = np.stack([f((x,)) for x in range(c - n - radius, c + n + radius + 1)])
+    size = largest.size
+    own = vals[radius:radius + size]
+    gamma = {(h,): complex(np.vdot(own, vals[radius + h:radius + h + size])) / size
+             for h in range(-radius, radius + 1)}
+    statistic, double_avg = [], []
+    for w in windows:
+        lags = [h for h in range(-2 * w.index, 2 * w.index + 1) if (h,) in gamma]
+        statistic.append(math.fsum(abs(gamma[(h,)]) for h in lags) / w.size)
+        double_avg.append(fsum_complex((w.size - abs(h)) * gamma[(h,)] for h in lags)
+                          / w.size ** 2)
+    return gamma, statistic, double_avg
+
+
+class TestBoxLagPath:
+    @pytest.mark.parametrize("windows", [
+        [box_window(1, 1)],
+        [box_window(1, 2)],
+        [box_window(1, 1), box_window(1, 7)],
+        [box_window(1, 7, center=-40)],
+        [box_window(1, 300)],
+        # a smaller window off the largest one's lag support
+        [box_window(1, 2, center=900), box_window(1, 300, center=123)],
+    ])
+    @pytest.mark.parametrize("h_max", [None, 0, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_fft_matches_per_lag_vdot(self, windows, h_max, dim):
+        f = random_sequence(11 * dim, dim)
+        rep = vdc_verdict(f, windows, h_max=h_max)
+        gamma, statistic, double_avg = vdot_box_reference(f, windows, h_max)
+        assert [h for h, _ in rep.gamma] == list(gamma)
+        for h, g in rep.gamma:
+            assert abs(g - gamma[h]) <= 1e-13
+        for (_, s), ref in zip(rep.statistic, statistic, strict=True):
+            assert abs(s - ref) <= 1e-12
+        for (_, d), ref in zip(rep.double_average, double_avg, strict=True):
+            assert abs(d - ref) <= 1e-12
+
+    @pytest.mark.parametrize("h_max", [5, 20, 100])
+    def test_lags_clamped_to_difference_set(self, h_max):
+        f = random_sequence(5, dim=2)
+        rep_box = vdc_verdict(f, [box_window(1, 10)], h_max=h_max)
+        rep_custom = vdc_verdict(f, [custom_window(1, range(-10, 11))], h_max=h_max)
+        assert [h for h, _ in rep_box.gamma] == [h for h, _ in rep_custom.gamma]
+        for (_, g1), (_, g2) in zip(rep_box.gamma, rep_custom.gamma):
+            assert g1 == pytest.approx(g2, abs=1e-12)
+        assert rep_box.statistic[0][1] == pytest.approx(rep_custom.statistic[0][1],
+                                                        abs=1e-12)
+
+
 class TestSmoothingConsistency:
     def test_bound_on_random_sequences(self):
         rng = np.random.default_rng(400)
