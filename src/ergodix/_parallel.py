@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -44,13 +44,6 @@ def fmean(values: Iterable[float], size: int) -> float:
 def fmean_complex(values: Iterable[complex], size: int) -> complex:
     total = fsum_complex(values)
     return complex(total.real / size, total.imag / size)
-
-
-def tabulate(fn: Callable[[Hashable], R], points: Iterable[Hashable]) -> dict[Hashable, R]:
-    """``fn`` at each distinct point, mapped once in first-seen order, for
-    callers that look values up by tuple."""
-    unique = list(dict.fromkeys(points))
-    return dict(zip(unique, ordered_map(fn, unique)))
 
 
 def row_keys(lo: Sequence[int], hi: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]:

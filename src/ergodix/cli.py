@@ -21,6 +21,7 @@ import numpy as np
 from . import compactness, folner, mixing, spectral, vdc
 from .config import (
     ConfigError,
+    _complex,
     _element,
     _int,
     _list,
@@ -132,7 +133,10 @@ def run_mix(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     b = parse_observable(cfg["observables"]["b"], sys_h)
     hom = parse_hom(cfg["hom"], q)
     threshold = _num(cfg["threshold"], "threshold") if "threshold" in cfg else None
-    names = cfg.get("statistics", ["weak-mixing", "square"])
+    names = _list(cfg.get("statistics", ["weak-mixing", "square"]), "statistics")
+    unknown = [name for name in names if name not in ("ergodic-average", *_STATS)]
+    if unknown:
+        raise ConfigError(f"statistics: unknown statistic {unknown[0]!r}")
 
     report: dict = {"statistics": {}}
     failures: list[str] = []
@@ -148,8 +152,6 @@ def run_mix(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
                 "last": ea.per_window[-1][1],
             }
             continue
-        if name not in _STATS:
-            raise ConfigError(f"statistics: unknown statistic {name!r}")
         stat = _STATS[name](sys_h, a, b, hom, windows, threshold=threshold)
         write_csv(out / f"mix_{name.replace('-', '_')}.csv",
                   ["n", "window_size", "value"], _window_rows(stat.per_window))
@@ -173,8 +175,8 @@ def run_higher(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     sys_h = parse_system(cfg["system"])
     q = sys_h.q
     windows = parse_windows(cfg["windows"], q)
-    obs = [parse_observable(o, sys_h) for o in cfg["observables"]]
-    homs = tuple(parse_hom(h, q) for h in cfg["homs"])
+    obs = [parse_observable(o, sys_h) for o in _list(cfg["observables"], "observables")]
+    homs = tuple(parse_hom(h, q) for h in _list(cfg["homs"], "homs"))
     spec = mixing.HigherOrderSpec(observables=tuple(obs), homs=homs)
     threshold = _num(cfg["threshold"], "threshold") if "threshold" in cfg else None
 
@@ -212,7 +214,8 @@ def run_higher(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
 
 def _build_sequence(obj: dict) -> vdc.VectorSequence:
     _require_keys(obj, {"kind", "alpha", "vector"}, {"kind"}, "sequence")
-    vec = np.array([complex(re, im) for re, im in obj.get("vector", [[1.0, 0.0]])])
+    vec = np.array([_complex(x, "sequence.vector[]") for x in
+                    _list(obj.get("vector", [[1.0, 0.0]]), "sequence.vector", nonempty=True)])
     kind = obj["kind"]
     if kind == "constant":
         return vdc.constant_sequence(vec)

@@ -62,6 +62,21 @@ def _list(obj, ctx: str, nonempty: bool = False) -> list:
     return obj
 
 
+def _complex(obj, ctx: str) -> complex:
+    """A complex number written as an [re, im] pair of numbers."""
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise ConfigError(f"{ctx}: expected an [re, im] pair")
+    return complex(_num(obj[0], ctx), _num(obj[1], ctx))
+
+
+def _matrix(obj, ctx: str):
+    """A complex matrix written as a list of rows of [re, im] pairs."""
+    for row in _list(obj, ctx):
+        for x in _list(row, f"{ctx}[]"):
+            _complex(x, f"{ctx}[][]")
+    return matrix_from_json(obj)
+
+
 def _element(obj, ctx: str, q: Optional[int] = None) -> folner.GroupElement:
     """A group element written as an integer (q = 1) or a list of integers."""
     coords = obj if isinstance(obj, list) else [obj]
@@ -153,7 +168,8 @@ def parse_system(obj: dict):
     if kind == "finite":
         _require_keys(obj, {"kind", "generators", "state"},
                       {"kind", "generators"}, "system")
-        gens = tuple(matrix_from_json(g) for g in obj["generators"])
+        gens = tuple(_matrix(g, "system.generators[]")
+                     for g in _list(obj["generators"], "system.generators"))
         if not gens:
             raise ConfigError("system.generators: need at least one generator")
         state_obj = obj.get("state", {"kind": "trace"})
@@ -161,7 +177,8 @@ def parse_system(obj: dict):
         if state_obj["kind"] == "trace":
             state = trace_state(gens[0].shape[0])
         elif state_obj["kind"] == "density":
-            state = State(matrix_from_json(state_obj["entries"]))
+            _require_keys(state_obj, {"kind", "entries"}, {"kind", "entries"}, "system.state")
+            state = State(_matrix(state_obj["entries"], "system.state.entries"))
         else:
             raise ConfigError("system.state.kind must be 'trace' or 'density'")
         return FiniteSystem(generators=gens, state=state)
@@ -191,7 +208,7 @@ def parse_observable(obj: dict, sys) -> object:
     if kind == "matrix":
         _require_keys(obj, {"kind", "entries", "sites"}, {"kind", "entries"},
                       "observable")
-        mat = matrix_from_json(obj["entries"])
+        mat = _matrix(obj["entries"], "observable.entries")
         if isinstance(sys, QuasiLocalSystem):
             supp = tuple(_element(s, "observable.sites[]", sys.q)
                          for s in _list(obj.get("sites"), "observable.sites"))
@@ -219,7 +236,9 @@ def parse_hom(obj: dict, q: int) -> Homomorphism:
         return Homomorphism.scalar(q, _int(obj["m"], "hom.m"))
     if obj["kind"] == "matrix":
         _require_keys(obj, {"kind", "entries"}, {"kind", "entries"}, "hom")
-        h = Homomorphism.from_matrix(obj["entries"])
+        rows = _list(obj["entries"], "hom.entries")
+        h = Homomorphism.from_matrix(
+            [[_int(x, "hom.entries[][]") for x in _list(row, "hom.entries[]")] for row in rows])
         if h.q != q:
             raise ConfigError("hom.entries: rank does not match the group")
         return h

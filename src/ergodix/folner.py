@@ -75,7 +75,13 @@ class Homomorphism:
 
     @staticmethod
     def from_matrix(rows: Sequence[Sequence[int]]) -> "Homomorphism":
-        mat = tuple(tuple(int(x) for x in row) for row in rows)
+        """The homomorphism of an integer matrix; Python and numpy integers
+        are accepted, and anything else, a float included, raises ValueError
+        rather than being truncated."""
+        try:
+            mat = tuple(tuple(map(operator.index, row)) for row in rows)
+        except TypeError:
+            raise ValueError(f"homomorphism matrix {rows!r} has a non-integer entry") from None
         q = len(mat)
         if any(len(row) != q for row in mat):
             raise ValueError("homomorphism matrix must be square")

@@ -16,16 +16,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ._parallel import fmean_complex, ordered_map, tabulate, window_means
-from .folner import (
-    FolnerWindow,
-    GroupElement,
-    Homomorphism,
-    add,
-    inverse_product,
-    lower_density,
-    zero,
-)
+import numpy as np
+
+from ._parallel import fmean, fmean_complex, ordered_map, window_means, window_table
+from .folner import _INT64_SAFE, FolnerWindow, GroupElement, Homomorphism, inverse_product, zero
 from .systems import SystemHandle, commutator_norm, evaluate
 
 VERDICT_DECAYING = "decaying"
@@ -287,22 +281,26 @@ def gamma_sequence(
     def x_adj_factors(base: GroupElement) -> list:
         return [(aa, h, base) for aa, h in zip(reversed(adjoints), reversed(spec.homs))]
 
-    gs = list(largest.iter_elements())
-    # x(g) on the window and on every lag translate of it
-    x_vals = tabulate(lambda g: evaluate(sys, x_factors(g)),
-                      gs + [add(g, h) for h in h_range for g in gs])
+    gs = largest.element_array()
+    small = all(-_INT64_SAFE < x < _INT64_SAFE for h in h_range for x in h)
+    offsets = np.array([zero(spec.q), *h_range], dtype=np.int64 if small else object)
+    # x on the window (block 0) and on each lag translate of it (block 1 + j)
+    sums = (offsets[:, None, :] + gs[None, :, :]).reshape(-1, spec.q)
+    points, (rows,) = window_table([], lead=sums)
+    x_vals = ordered_map(lambda g: evaluate(sys, x_factors(g)), points)
+    here, *there = rows.reshape(len(offsets), len(gs)).tolist()
 
     entries = []
-    for h in h_range:
-        def inner(g):
-            gh = add(g, h)
-            cross = evaluate(sys, x_adj_factors(g) + x_factors(gh))
+    for h, lag_rows in zip(h_range, there):
+        def inner(pair):
+            i, j = pair
+            cross = evaluate(sys, x_adj_factors(points[i]) + x_factors(points[j]))
             return (cross
-                    - kappa * x_vals[g].conjugate()
-                    - kappa.conjugate() * x_vals[gh]
+                    - kappa * x_vals[i].conjugate()
+                    - kappa.conjugate() * x_vals[j]
                     + abs(kappa) ** 2)
 
-        vals = ordered_map(inner, gs)
+        vals = ordered_map(inner, list(zip(here, lag_rows)))
         empirical = fmean_complex(vals, largest.size)
 
         closed = 1.0 + 0j
@@ -337,18 +335,21 @@ def density_limit_check(
         raise ValueError("need at least one window")
     if not eps_grid or any(e <= 0 for e in eps_grid):
         raise ValueError("eps grid must be positive")
-    values = tabulate(f, (g for w in windows for g in w.iter_elements()))
-    if any(v < 0 for v in values.values()):
-        raise ValueError("f must be nonnegative")
-    means = window_means(values.__getitem__, windows)
+    points, rows = window_table(windows)
+    values = np.array(ordered_map(f, points), dtype=np.float64)
+    if not (np.isfinite(values) & (values >= 0)).all():
+        raise ValueError("f must be finite and nonnegative")
+    window_vals = [values[r] for r in rows]
+    means = [fmean(v.tolist(), w.size) for w, v in zip(windows, window_vals)]
     averages = list(zip((w.index for w in windows), means))
 
+    # the level ratio counts the window's points with f >= eps
     level_curves = []
     density_zero = True
     for eps in eps_grid:
-        rep = lower_density(lambda g: values[g] >= eps, windows)
-        level_curves.append((eps, rep.per_n_ratios))
-        if max(_tail([r for _, r in rep.per_n_ratios])) >= threshold:
+        ratios = [np.count_nonzero(v >= eps) / w.size for w, v in zip(windows, window_vals)]
+        level_curves.append((eps, tuple(zip((w.index for w in windows), ratios))))
+        if max(_tail(ratios)) >= threshold:
             density_zero = False
 
     avg_zero = max(_tail(means)) < threshold

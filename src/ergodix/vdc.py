@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from ._parallel import fsum_complex, lex_keys, ordered_map, tabulate, window_table
+from ._parallel import fsum_complex, lex_keys, ordered_map, window_table
 from .folner import (
     FolnerWindow,
     GroupElement,
@@ -135,21 +135,15 @@ def check_double_average_bound(
     The triple sum is a sum of squared norms, so a nonvanishing imaginary
     residue signals an implementation bug and raises.
     """
-    inner_pts = list(inner.iter_elements())
-    outer_pts = list(outer.iter_elements())
-    values = tabulate(f, (add(g, h) for g in outer_pts for h in inner_pts))
+    gs, hs = outer.element_array(), inner.element_array()
+    # f at every g + h, outer-major, read from one table of the distinct sums
+    sums = (gs[:, None, :] + hs[None, :, :]).reshape(-1, outer.q)
+    points, (rows,) = window_table([], lead=sums)
+    vals = f.table(points)[rows].reshape(len(gs), len(hs), f.dim)
+    lhs = float(np.linalg.norm(vals.reshape(-1, f.dim).sum(axis=0)) ** 2)
 
-    lhs_vec = np.zeros(f.dim, dtype=np.complex128)
-    for g in outer_pts:
-        for h in inner_pts:
-            lhs_vec = lhs_vec + values[add(g, h)]
-    lhs = float(np.linalg.norm(lhs_vec) ** 2)
-
-    # columns stack f(g+h) over g; the Gram sum is the triple sum
-    cols = np.stack(
-        [np.concatenate([values[add(g, h)] for g in outer_pts]) for h in inner_pts],
-        axis=1,
-    )
+    # column j stacks f(g + h_j) over g; the Gram sum is the triple sum
+    cols = vals.transpose(0, 2, 1).reshape(-1, len(hs))
     gram = cols.conj().T @ cols
     total = complex(gram.sum())
     if abs(total.imag) > IMAG_TOL:
@@ -245,19 +239,16 @@ def vdc_verdict(
         if h_max is not None:
             lags = lags[np.abs(lags).max(axis=1) <= h_max]
         gs = largest.element_array()
-        # every g + h; the support is their sorted distinct set (W itself
-        # is in it, at h = 0), and rows[i, j] is the support row of g_i + h_j
-        sums = (gs[:, None, :] + lags[None, :, :]).reshape(-1, largest.q)
-        (keys,) = lex_keys(sums)
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        support = sums[first]
-        rows = inverse.reshape(len(gs), len(lags))
-    # the support leads the table, so its rows keep their indices
+        # every g + h, g-major; W itself is among them, at h = 0
+        support = (gs[:, None, :] + lags[None, :, :]).reshape(-1, largest.q)
+    # the support leads the table: a box keeps its rows' indices, and in the
+    # generic path rows[i, j] is the row of g_i + h_j
     points, window_rows = window_table(windows, lead=support)
     vals = f.table(points)
     if box1:
         gamma = _gamma_box1(vals[:len(support)], radius, largest.size)
     else:
+        rows = window_rows[0].reshape(len(gs), len(lags))
         gamma = _gamma_empirical(vals, rows, largest.size)
 
     # each window's lags, looked up among the estimated ones by key; the

@@ -43,6 +43,18 @@ MIX_CFG = {
     "statistics": ["weak-mixing", "square", "abelianness", "ergodic-average"],
 }
 
+HIGHER_CFG = {
+    "system": {"kind": "shift", "q": 1, "d": 2},
+    "windows": {"shape": "box", "n_min": 1, "n_max": 4},
+    "observables": [{"kind": "pauli", "sites": [0], "label": "Z"}] * 3,
+    "homs": [{"kind": "scalar", "m": 1}, {"kind": "scalar", "m": 2}],
+}
+
+VDC_CFG = {
+    "sequence": {"kind": "linear-phase", "alpha": 0.25},
+    "windows": {"shape": "box", "n_min": 1, "n_max": 4},
+}
+
 
 class TestExitCodes:
     def test_unknown_top_level_key(self, tmp_path, capsys):
@@ -125,6 +137,27 @@ class TestExitCodes:
         ("mix", {**MIX_CFG, "observables": {"a": {"kind": "pauli", "sites": [[0.5]], "label": "Z"},
                                             "b": {"kind": "pauli", "sites": [0], "label": "Z"}}},
          "observable.sites[]: expected an integer"),
+        ("mix", {**MIX_CFG, "statistics": 5}, "statistics: expected a list"),
+        ("higher", {**HIGHER_CFG, "homs": 5}, "homs: expected a list"),
+        ("higher", {**HIGHER_CFG, "observables": 5}, "observables: expected a list"),
+        ("vdc", {**VDC_CFG, "sequence": {"kind": "constant", "vector": 5}},
+         "sequence.vector: expected a nonempty list"),
+        ("vdc", {**VDC_CFG, "sequence": {"kind": "constant", "vector": [[1, "a"]]}},
+         "sequence.vector[]: expected a number"),
+        ("vdc", {**VDC_CFG, "sequence": {"kind": "constant", "vector": []}},
+         "sequence.vector: expected a nonempty list"),
+        ("split", {"system": {"kind": "finite", "generators": 5}},
+         "system.generators: expected a list"),
+        ("mix", {**MIX_CFG, "observables": {"a": {"kind": "matrix", "entries": 5},
+                                            "b": {"kind": "pauli", "sites": [0], "label": "Z"}}},
+         "observable.entries: expected a list"),
+        ("mix", {**MIX_CFG, "hom": {"kind": "matrix", "entries": [[1.5]]}},
+         "hom.entries[][]: expected an integer"),
+        ("mix", {**MIX_CFG, "hom": {"kind": "matrix", "entries": [[True]]}},
+         "hom.entries[][]: expected an integer"),
+        ("split", {"system": {"kind": "finite", "generators": [[[[1, 0]]]],
+                              "state": {"kind": "density"}}},
+         "system.state: missing keys ['entries']"),
     ])
     def test_invalid_value_is_input_error(self, tmp_path, capsys, command, cfg, message):
         path = write_cfg(tmp_path, "c.json", cfg)

@@ -379,6 +379,12 @@ class TestHomomorphisms:
         ab = tuple(x + y for x, y in zip(a, b))
         assert h(ab) == tuple(x + y for x, y in zip(h(a), h(b)))
 
+    def test_from_matrix_does_not_truncate(self):
+        assert Homomorphism.from_matrix([[np.int64(2)]]).matrix == ((2,),)
+        for bad in ([[0.5]], [[1, 0], [0, 2.0]]):
+            with pytest.raises(ValueError, match="non-integer entry"):
+                Homomorphism.from_matrix(bad)
+
     def test_translational_scalars(self):
         homs = tuple(Homomorphism.scalar(1, m) for m in (-2, -1, 1, 2))
         # differences of distinct members: +-1, +-2, +-3, +-4 -> 3,4 missing

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ergodix.folner import Homomorphism, box_schedule, box_window, shift_window
+from ergodix._parallel import fmean_complex
+from ergodix.folner import Homomorphism, add, box_schedule, box_window, shift_window
 from ergodix.mixing import (
     HigherOrderSpec,
     MixingStatistic,
@@ -315,6 +316,34 @@ class TestGammaSequence:
         assert worst_large < 0.05
 
 
+    def test_huge_lags_match_tuple_arithmetic(self):
+        # lags whose translates leave int64 when added to a window point
+        rng = np.random.default_rng(5)
+        sys_h = rotation_algebra_system(1, 5)
+        spec = HigherOrderSpec(observables=(np.eye(5, dtype=complex), ginibre(rng, 5)),
+                               homs=(M1,))
+        window = box_window(1, 3)
+        h_range = [(0,), (2,), (2 ** 62 + 1,), (-(2 ** 62),)]
+        rep = gamma_sequence(sys_h, spec, [window], h_range=h_range)
+
+        (a,), (hom,) = spec.observables[1:], spec.homs
+        adj = sys_h.obs_adjoint(a)
+        kappa = evaluate(sys_h, [(a, None, (0,))])
+        gs = list(window.iter_elements())
+        x = {g: evaluate(sys_h, [(a, hom, g)]) for g in gs}
+        expected = []
+        for h in h_range:
+            terms = []
+            for g in gs:
+                gh = add(g, h)
+                cross = evaluate(sys_h, [(adj, hom, g), (a, hom, gh)])
+                x_gh = evaluate(sys_h, [(a, hom, gh)])
+                terms.append(cross - kappa * x[g].conjugate() - kappa.conjugate() * x_gh
+                             + abs(kappa) ** 2)
+            expected.append((h, fmean_complex(terms, window.size)))
+        assert [(e.h, e.empirical) for e in rep.entries] == expected
+
+
 class TestDensityLimit:
     def test_zero_function(self):
         rep = density_limit_check(lambda g: 0.0, box_schedule(1, 1, 10), [0.5])
@@ -353,6 +382,37 @@ class TestDensityLimit:
         rep = density_limit_check(f, box_schedule(1, 1, 20), [0.1, 0.2, 0.5])
         assert len(seen) == len(set(seen)) == 41
         assert len(rep.level_densities) == 3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="f must be finite and nonnegative"):
+            density_limit_check(lambda g: bad if g == (3,) else 0.0,
+                                box_schedule(1, 1, 5), [0.5])
+
+    def test_one_point_table_per_call(self, monkeypatch):
+        import ergodix._parallel as par
+
+        built = []
+        real = par.point_table
+        monkeypatch.setattr(par, "point_table", lambda *a: built.append(1) or real(*a))
+        density_limit_check(lambda g: 1.0 / (1 + abs(g[0])), box_schedule(1, 1, 20),
+                            [0.1, 0.2, 0.5])
+        assert len(built) == 1
+
+    def test_matches_per_window_sums(self):
+        def f(g):
+            return math.sin(g[0]) ** 2 + (g[0] % 7) / 3
+
+        windows = [box_window(1, 4), shift_window(box_window(1, 9), 5), box_window(1, 30)]
+        eps_grid = [0.25, 1.0, 2.5]
+        rep = density_limit_check(f, windows, eps_grid)
+        pts = [list(w.iter_elements()) for w in windows]
+        assert rep.averages == tuple(
+            (w.index, math.fsum(map(f, p)) / w.size) for w, p in zip(windows, pts))
+        assert rep.level_densities == tuple(
+            (eps, tuple((w.index, math.fsum(1.0 if f(g) >= eps else 0.0 for g in p) / w.size)
+                        for w, p in zip(windows, pts)))
+            for eps in eps_grid)
 
 
 class TestFolnerIndependence:

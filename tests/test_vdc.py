@@ -128,6 +128,43 @@ class TestDoubleAverageBound:
         assert res.lhs < res.rhs  # strictly, with visible slack
 
 
+def reference_double_average(f, inner, outer):
+    """lhs and rhs of the double-average bound by a loop over tuples, f
+    evaluated afresh at every use."""
+    hs, gs = list(inner.iter_elements()), list(outer.iter_elements())
+    total = np.zeros(f.dim, dtype=np.complex128)
+    for g in gs:
+        for h in hs:
+            total = total + f(add(g, h))
+    cols = np.stack([np.concatenate([f(add(g, h)) for g in gs]) for h in hs], axis=1)
+    return float(np.linalg.norm(total) ** 2), outer.size * complex((cols.conj().T @ cols).sum()).real
+
+
+class TestDoubleAverageTable:
+    @pytest.mark.parametrize("inner, outer", [
+        (box_window(2, 1), box_window(2, 2, (3, -4))),
+        (custom_window(2, [(0, 0), (1, -2), (-3, 4)]), box_window(2, 1)),
+        # sums beyond int64
+        (custom_window(1, [0, 5, 2 ** 62 + 1]), box_window(1, 3, 2 ** 62)),
+        (box_window(2, 1, (2 ** 62, -(2 ** 62))), custom_window(2, [(2 ** 62, 1), (0, -5)])),
+    ])
+    def test_matches_tuple_loop(self, inner, outer):
+        f = random_sequence(31, dim=3)
+        res = check_double_average_bound(f, inner, outer)
+        lhs, rhs = reference_double_average(f, inner, outer)
+        assert res.lhs == pytest.approx(lhs, rel=1e-12, abs=0)
+        assert res.rhs == pytest.approx(rhs, rel=1e-12, abs=0)
+        assert res.holds
+
+    def test_sequence_called_once_per_distinct_sum(self):
+        seen = []
+        v = np.array([1.0 + 0j])
+        f = VectorSequence(lambda g: seen.append(g) or v, bound=1.0, dim=1)
+        check_double_average_bound(f, box_window(2, 1), box_window(2, 2))
+        # the sums of the two boxes fill the radius-3 box
+        assert sorted(seen) == list(box_window(2, 3).iter_elements())
+
+
 class TestDifferenceSumBound:
     def test_random_trials(self):
         rng = np.random.default_rng(300)
@@ -261,7 +298,8 @@ class TestVdcVerdict:
         def bad_at(points, value):
             return VectorSequence(lambda g: value if g[0] in points else v, bound=1.0, dim=1)
 
-        # the table lists the lag support in tuple order, so -3 comes first
+        # the table reaches -3 first: the box support is in tuple order, and
+        # the custom window's g + h sums run g-major from g = -5
         with pytest.raises(ValueError, match=re.escape(
                 "declared bound 1.0 violated at (-3,): |f(g)| = 2.0")):
             vdc_verdict(bad_at((7, -3), 2 * v), [window])
