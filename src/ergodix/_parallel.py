@@ -5,7 +5,10 @@ every result is independent of evaluation order.  Every window statistic
 (mixing defects, densities, best shifts, relative-denseness witnesses and
 van der Corput averages and lag tables) finds the distinct lattice points of
 its whole schedule with :func:`point_table`, evaluates its function once per
-point in first-seen order, and reduces each window over that table.
+point in first-seen order, and reduces each window over that table.  An
+integrand takes the whole (T, q) table and returns its T values, so a backend
+can evaluate all the points at once; :func:`pointwise` adapts a function of
+one point.
 """
 
 from __future__ import annotations
@@ -123,11 +126,11 @@ def point_table(
     return np.concatenate(table), rows
 
 
-def window_table(
+def window_points(
     windows: Sequence, lead: Optional[np.ndarray] = None
-) -> tuple[list[tuple[int, ...]], list[np.ndarray]]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """:func:`point_table` over the elements of each window in turn, after
-    the rows of ``lead`` when given, with the points as tuples."""
+    the rows of ``lead`` when given."""
     corners = [w.bounds() for w in windows]
     if lead is not None:
         corners.append((lead.min(axis=0).tolist(), lead.max(axis=0).tolist()))
@@ -136,21 +139,42 @@ def window_table(
     blocks = (w.element_array() for w in windows)
     if lead is not None:
         blocks = itertools.chain([lead], blocks)
-    table, rows = point_table(blocks, lo, hi)
+    return point_table(blocks, lo, hi)
+
+
+def window_table(
+    windows: Sequence, lead: Optional[np.ndarray] = None
+) -> tuple[list[tuple[int, ...]], list[np.ndarray]]:
+    """:func:`window_points` with the points as tuples."""
+    table, rows = window_points(windows, lead)
     return list(map(tuple, table.tolist())), rows
+
+
+def pointwise(fn: Callable[[tuple[int, ...]], R]) -> Callable[[np.ndarray], list[R]]:
+    """The table integrand that runs ``fn`` once per row of the point table,
+    in order, on the row as a tuple."""
+    return lambda points: ordered_map(fn, list(map(tuple, points.tolist())))
+
+
+def table_means(
+    fn: Callable[[np.ndarray], Sequence[R]], windows: Sequence, complex_valued: bool = False
+) -> list[R]:
+    """Mean of a table integrand over each window, dividing by ``w.size``.
+
+    ``fn`` gets the distinct elements of the union of the windows once, as
+    the rows of a (T, q) integer table in first-seen order, and returns their
+    T values.  Each window's sum is correctly rounded, so the means equal
+    those of a fresh per-window evaluation bit for bit.
+    """
+    points, rows = window_points(windows)
+    values = fn(points)
+    mean = fmean_complex if complex_valued else fmean
+    return [mean(map(values.__getitem__, r.tolist()), w.size) for w, r in zip(windows, rows)]
 
 
 def window_means(
     fn: Callable[[tuple[int, ...]], R], windows: Sequence, complex_valued: bool = False
 ) -> list[R]:
-    """Mean of ``fn`` over each window, dividing by ``w.size``.
-
-    ``fn`` runs once per distinct element of the union of the windows, in
-    first-seen order, instead of once per element of every window.  Each
-    window's sum is correctly rounded, so the means equal those of a fresh
-    per-window evaluation bit for bit.
-    """
-    points, rows = window_table(windows)
-    values = ordered_map(fn, points)
-    mean = fmean_complex if complex_valued else fmean
-    return [mean(map(values.__getitem__, r.tolist()), w.size) for w, r in zip(windows, rows)]
+    """:func:`table_means` of a function of one point, which runs once per
+    distinct element of the union of the windows, in first-seen order."""
+    return table_means(pointwise(fn), windows, complex_valued)

@@ -90,7 +90,7 @@ def run_folner(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
         failures.append("tempelman ratio exceeded 2^q on a box schedule")
 
     if "set" in cfg:
-        pred = parse_set(cfg["set"])
+        pred = parse_set(cfg["set"], q)
         dens = folner.lower_density(pred, windows)
         report["density"] = {
             "set": pred.to_json(),

@@ -13,7 +13,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from ._parallel import ordered_map, window_means
+import numpy as np
+
+from ._parallel import table_means
 from .folner import (
     FolnerWindow,
     GroupElement,
@@ -21,11 +23,11 @@ from .folner import (
     best_shift_for_density,
     box_window,
     relative_density_witness,
-    scale,
+    scale_table,
     shift_window,
 )
 from .mixing import _tail
-from .systems import SystemHandle
+from .systems import SystemHandle, table_chunks
 
 POSITIVITY_TOL = 1e-10
 CHAIN_SLACK = 1e-9
@@ -56,20 +58,26 @@ def orbit_epsilon_structure(
     sys: SystemHandle, a, epsilon: float, scan_window: FolnerWindow
 ) -> EpsilonNetCertificate:
     """Greedy maximal epsilon-separated subset of {tau_g(a) : g in scan} in
-    the omega-seminorm."""
+    the omega-seminorm.  The scan is translated a chunk of rows at a time,
+    and each translate is checked against the stack of the points picked so
+    far."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    gs = scan_window.element_array()
     picked_shifts: list[GroupElement] = []
-    picked_points: list = []
-    for g in scan_window.iter_elements():
-        x = sys.translate(a, g)
-        if all(sys.omega_distance(x, p) >= epsilon for p in picked_points):
-            picked_shifts.append(g)
-            picked_points.append(x)
+    picked = np.empty(0)
+    for chunk in table_chunks(sys, len(gs)):
+        for g, x in zip(map(tuple, gs[chunk].tolist()), sys.translate_table(a, gs[chunk])):
+            if not picked_shifts or (sys.omega_distance_table(x, picked) >= epsilon).all():
+                picked_shifts.append(g)
+                # a fresh stack one point longer (an object array of
+                # observables on the quasi-local backend), so no view into
+                # a chunk's translates outlives its loop
+                picked = np.array([*picked, x])
     return EpsilonNetCertificate(
         epsilon=epsilon,
         shifts=tuple(picked_shifts),
-        points=tuple(picked_points),
+        points=tuple(picked),
         kind="separated-maximal",
         scan_window=scan_window,
     )
@@ -102,8 +110,13 @@ class ReturnSet:
     note: str = SCAN_SCOPE_NOTE
 
 
-def _return_distance(sys, a, g: GroupElement, m: int) -> float:
-    return sys.omega_distance(sys.translate(a, scale(m, g)), a)
+def _return_distances(sys, a, points, m: int) -> list[float]:
+    """||tau_{m g}(a) - a||_omega for each row g of a (T, q) point table."""
+    shifts = scale_table(m, points)
+    out: list[float] = []
+    for chunk in table_chunks(sys, len(shifts)):
+        out += sys.omega_distance_table(sys.translate_table(a, shifts[chunk]), a).tolist()
+    return out
 
 
 def return_set(
@@ -119,27 +132,27 @@ def return_set(
     if any(m < 0 for m in exps):
         raise ValueError("exponents must be nonnegative")
 
-    def probe(g: GroupElement):
-        dists = [0.0 if m == 0 else _return_distance(sys, a, g, m) for m in exps]
-        return g, dists
-
-    results = ordered_map(probe, list(scan_window.iter_elements()))
-    members = []
+    # one column of distances per distinct exponent over the whole scan; the
+    # exponent-1 distance, each member's certificate base, is read from its
+    # column when there is one and is otherwise taken for the members only
+    gs = scan_window.element_array()
+    cols = {m: [0.0] * len(gs) if m == 0 else _return_distances(sys, a, gs, m)
+            for m in dict.fromkeys(exps)}
+    hits = [i for i in range(len(gs)) if max(cols[m][i] for m in exps) < epsilon]
+    bases = [cols[1][i] for i in hits] if 1 in cols else _return_distances(sys, a, gs[hits], 1)
+    members = [tuple(g) for g in gs[hits].tolist()]
     certs = []
-    for g, dists in results:
-        if max(dists) < epsilon:
-            members.append(g)
-            base = dists[exps.index(1)] if 1 in exps else _return_distance(sys, a, g, 1)
-            cc = tuple(
-                ChainCertificate(
-                    exponent=m,
-                    lhs=d,
-                    rhs=m * base,
-                    holds=(m == 0) or d <= m * base + CHAIN_SLACK * (1.0 + m * base),
-                )
-                for m, d in zip(exps, dists)
+    for g, i, base in zip(members, hits, bases):
+        cc = tuple(
+            ChainCertificate(
+                exponent=m,
+                lhs=cols[m][i],
+                rhs=m * base,
+                holds=(m == 0) or cols[m][i] <= m * base + CHAIN_SLACK * (1.0 + m * base),
             )
-            certs.append((g, cc))
+            for m in exps
+        )
+        certs.append((g, cc))
 
     witness = _gap_witness(members, scan_window)
     return ReturnSet(
@@ -165,9 +178,17 @@ def _gap_witness(
     return tuple((j,) for j in range(gmax + 1))
 
 
+def multi_correlations(sys: SystemHandle, a, exponents: Sequence[int], points) -> list[float]:
+    """|omega(prod_j tau_{m_j g}(a))| for each row g of a (T, q) point
+    table, the factors in exponent order."""
+    vals = sys.expect_product_table([(a, scale_table(m, points)) for m in exponents])
+    return [abs(v) for v in vals.tolist()]
+
+
 def multi_correlation(sys: SystemHandle, a, exponents: Sequence[int], g: GroupElement) -> float:
     """|omega(prod_j tau_{m_j g}(a))|, the factors in exponent order."""
-    return abs(sys.expect_product([(a, scale(m, g)) for m in exponents]))
+    point = np.array([as_element(g, sys.q)], dtype=object)
+    return multi_correlations(sys, a, exponents, point)[0]
 
 
 @dataclass(frozen=True)
@@ -339,7 +360,7 @@ def szemeredi_average_compact(
         shift, ratio = best_shift_for_density(w, lambda g: g in member_set, cands)
         shifted.append(shift_window(w, shift))
         shifts.append((w.index, shift, ratio))
-    means = window_means(lambda g: multi_correlation(sys, a, full_exps, g), shifted)
+    means = table_means(lambda pts: multi_correlations(sys, a, full_exps, pts), shifted)
     averages = list(zip((w.index for w in windows), means))
 
     tail_min = min(_tail([v for _, v in averages]))

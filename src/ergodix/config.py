@@ -5,6 +5,7 @@ sets from their serialized descriptions.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from . import folner
@@ -51,9 +52,16 @@ def _int(obj, ctx: str, minimum: Optional[int] = None) -> int:
 def _num(obj, ctx: str, minimum: Optional[float] = None) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"{ctx}: expected a number")
+    try:
+        val = float(obj)
+    except OverflowError:  # an integer beyond the float range
+        val = math.inf
+    # json also reads the NaN and Infinity literals
+    if not math.isfinite(val):
+        raise ConfigError(f"{ctx}: expected a finite number")
     if minimum is not None and obj < minimum:
         raise ConfigError(f"{ctx}: must be >= {minimum}")
-    return float(obj)
+    return val
 
 
 def _list(obj, ctx: str, nonempty: bool = False) -> list:
@@ -78,9 +86,12 @@ def _matrix(obj, ctx: str):
 
 
 def _element(obj, ctx: str, q: Optional[int] = None) -> folner.GroupElement:
-    """A group element written as an integer (q = 1) or a list of integers."""
-    coords = obj if isinstance(obj, list) else [obj]
-    return folner.as_element([_int(x, ctx) for x in coords], q)
+    """A group element written as an integer (q = 1) or a list of integers,
+    of rank q when given."""
+    coords = [_int(x, ctx) for x in (obj if isinstance(obj, list) else [obj])]
+    if q is not None and len(coords) != q:
+        raise ConfigError(f"{ctx}: expected rank {q}, got {len(coords)}")
+    return folner.as_element(coords)
 
 
 def parse_group(obj: dict) -> int:
@@ -118,7 +129,9 @@ def parse_scan(obj: dict, q: int) -> FolnerWindow:
     return folner.box_window(q, _int(obj["n"], "scan.n", 1))
 
 
-def parse_set(obj: dict) -> folner.SetPredicate:
+def parse_set(obj: dict, q: Optional[int] = None) -> folner.SetPredicate:
+    """The membership predicate of a set config; finite-set points must have
+    rank q when it is given."""
     _require_keys(obj, {"kind", "modulus", "residues", "coeffs", "points",
                         "start", "step"}, {"kind"}, "set")
     kind = obj["kind"]
@@ -134,7 +147,7 @@ def parse_set(obj: dict) -> folner.SetPredicate:
         )
     if kind == "finite":
         _require_keys(obj, {"kind", "points"}, {"kind", "points"}, "set")
-        pts = frozenset(_element(p, "set.points[]") for p in _list(obj["points"], "set.points"))
+        pts = frozenset(_element(p, "set.points[]", q) for p in _list(obj["points"], "set.points"))
         return folner.FiniteSet(pts)
     if kind == "progression":
         _require_keys(obj, {"kind", "start", "step"}, {"kind", "start", "step"}, "set")

@@ -50,6 +50,19 @@ def scale(m: int, g: GroupElement) -> GroupElement:
     return tuple(m * a for a in g)
 
 
+def _exact_dtype(points: np.ndarray, factor: int):
+    """The dtype of an integer table whose entries reach ``factor`` times the
+    table's largest coordinate: int64 inside _INT64_SAFE, else exact Python
+    ints (object)."""
+    reach = max(abs(int(points.min())), abs(int(points.max()))) if points.size else 0
+    return np.int64 if max(reach, 1) * factor < _INT64_SAFE else object
+
+
+def scale_table(m: int, points: np.ndarray) -> np.ndarray:
+    """m times each row of a (T, q) integer table, exact at any size."""
+    return points.astype(_exact_dtype(points, abs(m))) * m
+
+
 def zero(q: int) -> GroupElement:
     return (0,) * q
 
@@ -95,6 +108,13 @@ class Homomorphism:
         if len(g) != self.q:
             raise ValueError(f"element rank {len(g)} != homomorphism rank {self.q}")
         return tuple(sum(r[j] * g[j] for j in range(self.q)) for r in self.matrix)
+
+    def apply_table(self, points: np.ndarray) -> np.ndarray:
+        """The image of each row of a (T, q) integer table, exact at any size."""
+        if points.ndim != 2 or points.shape[1] != self.q:
+            raise ValueError(f"element rank {points.shape[-1]} != homomorphism rank {self.q}")
+        dtype = _exact_dtype(points, max(sum(map(abs, row)) for row in self.matrix))
+        return points.astype(dtype) @ np.array(self.matrix, dtype=dtype).T
 
     def __call__(self, g: GroupElement) -> GroupElement:
         return self.apply(g)

@@ -18,9 +18,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._parallel import fmean, fmean_complex, ordered_map, window_means, window_table
+from ._parallel import (
+    fmean,
+    fmean_complex,
+    ordered_map,
+    table_means,
+    window_means,
+    window_points,
+    window_table,
+)
 from .folner import _INT64_SAFE, FolnerWindow, GroupElement, Homomorphism, inverse_product, zero
-from .systems import SystemHandle, commutator_norm, evaluate
+from .systems import FiniteSystem, SystemHandle, commutator_norm, evaluate, evaluate_table
 
 VERDICT_DECAYING = "decaying"
 VERDICT_NON_DECAYING = "non-decaying"
@@ -85,6 +93,18 @@ class MixingStatistic:
         return tuple(v for _, v in self.per_window)
 
 
+def _evaluate_rows(sys: SystemHandle, factors) -> list[complex]:
+    """``evaluate`` at each row of the factors' aligned point tables; factor
+    j is (a_j, phi_j or None, a (T, q) integer table).  The finite backend
+    stacks the rows' translates; the quasi-local backend runs ``evaluate``
+    once per row, contracting each cluster of overlapping supports."""
+    if isinstance(sys, FiniteSystem):
+        return evaluate_table(sys, factors).tolist()
+    rows = zip(*(map(tuple, points.tolist()) for _, _, points in factors), strict=True)
+    return ordered_map(
+        lambda gs: evaluate(sys, [(a, h, g) for (a, h, _), g in zip(factors, gs)]), list(rows))
+
+
 @dataclass(frozen=True)
 class ErgodicAverage:
     """Per-window averages of omega(a tau_{phi(g)}(b)) next to the comparison
@@ -102,8 +122,8 @@ def ergodic_average(
     windows: Sequence[FolnerWindow],
 ) -> ErgodicAverage:
     target = evaluate(sys, [(a, None, zero(hom.q))]) * evaluate(sys, [(b, None, zero(hom.q))])
-    means = window_means(
-        lambda g: evaluate(sys, [(a, None, g), (b, hom, g)]), windows, complex_valued=True)
+    means = table_means(lambda pts: _evaluate_rows(sys, [(a, None, pts), (b, hom, pts)]),
+                        windows, complex_valued=True)
     per = tuple((w.index, mean) for w, mean in zip(windows, means))
     return ErgodicAverage(per_window=per, product_value=target)
 
@@ -111,11 +131,11 @@ def ergodic_average(
 def _correlation_defect_values(sys, a, b, hom, windows, square):
     target = evaluate(sys, [(a, None, zero(hom.q))]) * evaluate(sys, [(b, None, zero(hom.q))])
 
-    def integrand(g):
-        diff = abs(evaluate(sys, [(a, None, g), (b, hom, g)]) - target)
-        return diff * diff if square else diff
+    def integrand(pts):
+        diffs = [abs(v - target) for v in _evaluate_rows(sys, [(a, None, pts), (b, hom, pts)])]
+        return [d * d for d in diffs] if square else diffs
 
-    return window_means(integrand, windows)
+    return table_means(integrand, windows)
 
 
 def weak_mixing_defect(
@@ -206,7 +226,8 @@ def higher_order_defect(
     """Mean over the window of
     |omega(prod_j tau_{phi_j(g)}(a_j)) - prod_j omega(a_j)|."""
     target = spec.target(sys)
-    vals = window_means(lambda g: abs(evaluate(sys, spec.factors(g)) - target), windows)
+    vals = table_means(
+        lambda pts: [abs(v - target) for v in _evaluate_rows(sys, spec.factors(pts))], windows)
     return MixingStatistic.from_values(windows, vals, threshold)
 
 
@@ -275,10 +296,10 @@ def gamma_sequence(
 
     adjoints = [sys.obs_adjoint(a) for a in tail]
 
-    def x_factors(base: GroupElement) -> list:
+    def x_factors(base) -> list:
         return [(a, h, base) for a, h in zip(tail, spec.homs)]
 
-    def x_adj_factors(base: GroupElement) -> list:
+    def x_adj_factors(base) -> list:
         return [(aa, h, base) for aa, h in zip(reversed(adjoints), reversed(spec.homs))]
 
     gs = largest.element_array()
@@ -286,21 +307,19 @@ def gamma_sequence(
     offsets = np.array([zero(spec.q), *h_range], dtype=np.int64 if small else object)
     # x on the window (block 0) and on each lag translate of it (block 1 + j)
     sums = (offsets[:, None, :] + gs[None, :, :]).reshape(-1, spec.q)
-    points, (rows,) = window_table([], lead=sums)
-    x_vals = ordered_map(lambda g: evaluate(sys, x_factors(g)), points)
+    points, (rows,) = window_points([], lead=sums)
+    x_vals = _evaluate_rows(sys, x_factors(points))
     here, *there = rows.reshape(len(offsets), len(gs)).tolist()
 
     entries = []
     for h, lag_rows in zip(h_range, there):
-        def inner(pair):
-            i, j = pair
-            cross = evaluate(sys, x_adj_factors(points[i]) + x_factors(points[j]))
-            return (cross
-                    - kappa * x_vals[i].conjugate()
-                    - kappa.conjugate() * x_vals[j]
-                    + abs(kappa) ** 2)
-
-        vals = ordered_map(inner, list(zip(here, lag_rows)))
+        # <x(g), x(g + h)> over the window, one row per g
+        cross = _evaluate_rows(sys, x_adj_factors(points[here]) + x_factors(points[lag_rows]))
+        vals = [c
+                - kappa * x_vals[i].conjugate()
+                - kappa.conjugate() * x_vals[j]
+                + abs(kappa) ** 2
+                for c, i, j in zip(cross, here, lag_rows)]
         empirical = fmean_complex(vals, largest.size)
 
         closed = 1.0 + 0j

@@ -75,10 +75,26 @@ def apply_state(state: State, a: np.ndarray) -> complex:
     return complex(np.trace(state.density @ a))
 
 
+def apply_state_table(state: State, stack: np.ndarray) -> np.ndarray:
+    """omega of each slice of a (T, N, N) stack, as a (T,) complex array;
+    entry t equals ``apply_state(state, stack[t])`` bit for bit."""
+    if stack.shape[1:] != (state.dim, state.dim):
+        raise ValueError(f"dimension mismatch: state {state.dim}, matrix {stack.shape[1]}")
+    return np.trace(state.density @ stack, axis1=1, axis2=2)
+
+
 def omega_norm(state: State, a: np.ndarray) -> float:
     """sqrt(omega(a* a)), clamped at 0 against negative round-off."""
     val = apply_state(state, adjoint(a) @ a)
     return float(np.sqrt(max(val.real, 0.0)))
+
+
+def omega_norm_table(state: State, stack: np.ndarray) -> np.ndarray:
+    """The omega-seminorm of each slice of a (T, N, N) stack; entry t equals
+    ``omega_norm(state, stack[t])`` bit for bit."""
+    vals = apply_state_table(state, stack.conj().transpose(0, 2, 1) @ stack).real
+    # max(v, 0.0) as Python takes it: v unless 0.0 > v, so -0.0 and NaN pass
+    return np.sqrt(np.where(0.0 > vals, 0.0, vals))
 
 
 @dataclass(frozen=True)
@@ -141,12 +157,6 @@ def telescope_decompose(cs: Sequence[np.ndarray], ds: Sequence[np.ndarray]) -> n
         total += prefix @ (cs[j] - ds[j]) @ suffix[j + 1]
         prefix = prefix @ cs[j]
     return total
-
-
-def matrix_to_json(a: np.ndarray) -> list:
-    """Nested [re, im] pairs; floats round-trip bit-exactly through JSON."""
-    a = as_matrix(a)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in a]
 
 
 def matrix_from_json(data) -> np.ndarray:

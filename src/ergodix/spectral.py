@@ -18,11 +18,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._parallel import window_means
+from ._parallel import table_means
 from .compactness import (
     SzemerediCompactReport,
     increasing_exponents,
-    multi_correlation,
+    multi_correlations,
     szemeredi_average_compact,
 )
 from .folner import FolnerWindow, GroupElement, Homomorphism
@@ -59,10 +59,6 @@ class GnsSpace:
     @property
     def dim(self) -> int:
         return self.sys.dim ** 2
-
-    @property
-    def cyclic_vector(self) -> np.ndarray:
-        return _vec(self.rho_sqrt)
 
     def iota(self, a: np.ndarray) -> np.ndarray:
         return _vec(np.asarray(a, dtype=np.complex128) @ self.rho_sqrt)
@@ -228,23 +224,6 @@ def eigenoperator_factor(sys: FiniteSystem, split: KoopmanSplitting) -> CompactF
     )
 
 
-def commutant_dimension(basis: np.ndarray, n: int) -> int:
-    """Dimension of the commutant of the span (basis rows are vec'd
-    matrices); used to spot-check double-commutant equality on small cases."""
-    mats = [_unvec(r, n) for r in basis]
-    blocks = []
-    eye = np.eye(n, dtype=np.complex128)
-    for m in mats:
-        # [X, m] = 0 as a linear condition on vec(X) (row-major):
-        # vec(X m) = (I kron m^T) vec(X), vec(m X) = (m kron I) vec(X)
-        blocks.append(np.kron(eye, m.T) - np.kron(m, eye))
-    stacked = np.concatenate(blocks, axis=0)
-    s = np.linalg.svd(stacked, compute_uv=False)
-    tol = max(stacked.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > tol))
-    return n * n - rank
-
-
 @dataclass(frozen=True)
 class DichotomyVerdict:
     kind: str  # "weakly-mixing" | "has-nontrivial-compact-factor" | "not-ergodic"
@@ -347,7 +326,7 @@ def _driver_weakly_mixing(sys, a, exps, windows) -> SzemerediDriverReport:
         raise ValueError("omega(a) must be positive")
     target = mean_a ** (len(exps) + 1)
     full = (0,) + exps
-    means = window_means(lambda g: multi_correlation(sys, a, full, g), windows)
+    means = table_means(lambda pts: multi_correlations(sys, a, full, pts), windows)
     averages = list(zip((w.index for w in windows), means))
 
     spec = HigherOrderSpec(

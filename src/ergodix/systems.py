@@ -19,8 +19,9 @@ Observables are numpy matrices (finite backend) or ``LocalObservable``
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,9 +30,11 @@ from .operators import (
     State,
     adjoint,
     apply_state,
+    apply_state_table,
     as_matrix,
     identity,
     omega_norm,
+    omega_norm_table,
     operator_norm,
     product_state,
     trace_state,
@@ -39,6 +42,11 @@ from .operators import (
 
 UNITARY_TOL = 1e-10
 PHASE_TOL = 1e-8
+
+# A stack of translates holds at most this many matrix entries (256 KB of
+# complex128), so a shift table of any length is evaluated a chunk of rows at
+# a time and its memory does not grow with the table.
+_STACK_ENTRIES = 1 << 14
 
 PAULI = {
     "I": np.eye(2, dtype=np.complex128),
@@ -68,6 +76,7 @@ class FiniteSystem:
         gens = tuple(as_matrix(u) for u in self.generators)
         object.__setattr__(self, "generators", gens)
         n = self.state.dim
+        object.__setattr__(self, "_identity", identity(n))
         for j, u in enumerate(gens):
             if u.shape[0] != n:
                 raise ValueError("generator dimension does not match the state")
@@ -96,29 +105,65 @@ class FiniteSystem:
     def is_tracial(self) -> bool:
         return self.state.tracial
 
-    def unitary_for(self, g: Union[int, Sequence[int]]) -> np.ndarray:
-        """U^g, each generator power by repeated squaring (O(log |g_j|) matmuls)."""
-        g = as_element(g, self.q)
-        w = identity(self.dim)
-        for u, gj in zip(self.generators, g):
-            if gj != 0:
-                w = w @ np.linalg.matrix_power(u if gj > 0 else u.conj().T, abs(gj))
+    def _unitary_stack(self, rows: Sequence[GroupElement]) -> np.ndarray:
+        """U^g for each row g, as a (T, N, N) stack whose slice t is the
+        product ``unitary_for`` forms, bit for bit: the identity times each
+        nonzero generator power in turn."""
+        w = np.empty((len(rows), *self._identity.shape), dtype=np.complex128)
+        w[:] = self._identity
+        for j, u in enumerate(self.generators):
+            pos = [t for t, g in enumerate(rows) if g[j] > 0]
+            neg = [t for t, g in enumerate(rows) if g[j] < 0]
+            if pos:
+                w = _times_powers(w, u, pos, [rows[t][j] for t in pos])
+            if neg:
+                w = _times_powers(w, u.conj().T, neg, [-rows[t][j] for t in neg])
         return w
 
+    def unitary_for(self, g: Union[int, Sequence[int]]) -> np.ndarray:
+        """U^g, each generator power by repeated squaring (O(log |g_j|) matmuls)."""
+        return self._unitary_stack([as_element(g, self.q)])[0]
+
+    def translate_table(self, a: np.ndarray, shifts) -> np.ndarray:
+        """tau_g(a) = (U^g)* a U^g for each row g of a (T, q) shift table, as
+        a (T, N, N) stack.  Slice t equals ``translate(a, g_t)`` bit for bit:
+        every slice goes through the same matrix products, whatever the rest
+        of the table holds.  The stack has T N^2 entries; callers that reduce
+        it to numbers take the table a ``table_chunks`` slice at a time."""
+        return self._translate_rows(as_matrix(a), _shift_rows(shifts, self.q))
+
+    def _translate_rows(self, a: np.ndarray, rows: Sequence[GroupElement]) -> np.ndarray:
+        w = self._unitary_stack(rows)
+        return w.conj().transpose(0, 2, 1) @ a @ w
+
     def translate(self, a: np.ndarray, g: Union[int, Sequence[int]]) -> np.ndarray:
-        w = self.unitary_for(g)
-        return w.conj().T @ as_matrix(a) @ w
+        return self.translate_table(a, [g])[0]
 
     def expect(self, a: np.ndarray) -> complex:
         return apply_state(self.state, a)
 
+    def expect_product_table(self, factors: Sequence[tuple[np.ndarray, object]]) -> np.ndarray:
+        """omega(prod_j tau_{g_j}(a_j)) for each row of the factors' aligned
+        (T, q) shift tables, as a (T,) complex array whose entry t equals
+        ``expect_product`` at row t bit for bit."""
+        if not factors:
+            raise ValueError("empty factor list")
+        tables = [(as_matrix(a), _shift_rows(shifts, self.q)) for a, shifts in factors]
+        count = len(tables[0][1])
+        if any(len(rows) != count for _, rows in tables):
+            raise ValueError("factor shift tables differ in length")
+        out = np.empty(count, dtype=np.complex128)
+        for chunk in table_chunks(self, count):
+            prod = self._identity
+            for a, rows in tables:
+                prod = prod @ self._translate_rows(a, rows[chunk])
+            out[chunk] = apply_state_table(self.state, prod)
+        return out
+
     def expect_product(self, factors: Sequence[tuple[np.ndarray, GroupElement]]) -> complex:
         if not factors:
             raise ValueError("empty factor list")
-        prod = identity(self.dim)
-        for a, shift in factors:
-            prod = prod @ self.translate(a, shift)
-        return self.expect(prod)
+        return complex(self.expect_product_table([(a, [g]) for a, g in factors])[0])
 
     def factorizes(self, factors: Sequence[tuple[np.ndarray, GroupElement]]) -> bool:
         """Whether omega of the product is exactly the product of the factors'
@@ -130,6 +175,13 @@ class FiniteSystem:
 
     def omega_distance(self, a: np.ndarray, b: np.ndarray) -> float:
         return omega_norm(self.state, as_matrix(a) - as_matrix(b))
+
+    def omega_distance_table(self, xs, ys) -> np.ndarray:
+        """omega_distance(x, y) for each pair of rows of two stacks of
+        matrices; a single matrix on either side meets every row of the
+        other.  Entry t equals the per-pair distance bit for bit."""
+        diff = np.asarray(xs, dtype=np.complex128) - np.asarray(ys, dtype=np.complex128)
+        return omega_norm_table(self.state, diff.reshape(-1, self.dim, self.dim))
 
     def obs_adjoint(self, a: np.ndarray) -> np.ndarray:
         return adjoint(a)
@@ -148,6 +200,70 @@ class FiniteSystem:
         if np.linalg.norm(a - a.conj().T) > UNITARY_TOL:
             raise ValueError("observable is not hermitian")
         return float(np.linalg.eigvalsh(a).min())
+
+
+def _shift_rows(shifts, q: int) -> list[GroupElement]:
+    """The rows of a (T, q) integer shift table (an array or a sequence of
+    group elements) as tuples of Python ints."""
+    rows = shifts.tolist() if isinstance(shifts, np.ndarray) else shifts
+    return [as_element(g, q) for g in rows]
+
+
+def _times_powers(w: np.ndarray, base: np.ndarray, rows: list[int],
+                  exps: list[int]) -> np.ndarray:
+    """The stack with w[r] @ numpy.linalg.matrix_power(base, m) in place of
+    w[r], for each of its rows r and exponent m >= 1 (w may be updated in
+    place).
+
+    Every row gets matrix_power's own products, so each slice is bit-identical
+    to the per-matrix product.  Rows that share one exponent share one
+    matrix_power.  Otherwise the squares z_k = base^(2^k) are built once for
+    all rows and each row multiplies in its own: m = 1 is ``base`` itself,
+    m = 2 and m = 3 are matrix_power's shortcuts z_1 and z_1 @ z_0, and above
+    that the set bits of m are multiplied in from the least significant.  A
+    table of T rows up to exponent M then costs log2(M) squarings and
+    O(T log M) stacked products.
+    """
+    if len(set(exps)) == 1:
+        return _times(w, rows, np.linalg.matrix_power(base, exps[0]))
+    firsts: dict[int, list[int]] = defaultdict(list)  # z_k -> rows it starts
+    steps: dict[int, list[int]] = defaultdict(list)  # z_k -> rows it multiplies
+    for i, m in enumerate(exps):
+        if m == 3:
+            first, rest = 1, (0,)
+        else:
+            first = (m & -m).bit_length() - 1
+            rest = [k for k in range(first + 1, m.bit_length()) if m >> k & 1]
+        firsts[first].append(i)
+        for k in rest:
+            steps[k].append(i)
+    squares = [base]
+    while len(squares) <= max([*firsts, *steps]):
+        squares.append(squares[-1] @ squares[-1])
+    powers = np.empty((len(exps), *base.shape), dtype=np.complex128)
+    for k, idx in firsts.items():
+        powers[idx] = squares[k]
+    for k in sorted(steps):
+        powers = _times(powers, steps[k], squares[k])
+    return _times(w, rows, powers)
+
+
+def _times(stack: np.ndarray, rows: list[int], right: np.ndarray) -> np.ndarray:
+    """The stack with stack[r] @ right in place of stack[r] for the increasing
+    rows, ``right`` one matrix or one per row; updated in place unless the
+    rows are all of them."""
+    if len(rows) == len(stack):
+        return stack @ right
+    stack[rows] = stack[rows] @ right
+    return stack
+
+
+def table_chunks(sys, count: int) -> Iterator[slice]:
+    """Consecutive slices covering a table of ``count`` rows.  On the finite
+    backend each slice's stack of translates holds at most _STACK_ENTRIES
+    matrix entries; the quasi-local backend takes the table whole."""
+    step = max(1, _STACK_ENTRIES // sys.dim ** 2 if isinstance(sys, FiniteSystem) else count)
+    return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
 def product_system(sys: FiniteSystem) -> FiniteSystem:
@@ -395,6 +511,10 @@ class QuasiLocalSystem:
     def translate(self, obs: LocalObservable, g: Union[int, Sequence[int]]) -> LocalObservable:
         return self._check(obs)._translated(as_element(g, self.q))
 
+    def translate_table(self, obs: LocalObservable, shifts) -> list[LocalObservable]:
+        """The translate of obs by each row of a (T, q) shift table."""
+        return [self.translate(obs, g) for g in _shift_rows(shifts, self.q)]
+
     def embed(self, obs: LocalObservable, window: Sequence[GroupElement]) -> np.ndarray:
         """The matrix of obs on the ordered tensor product over ``window``."""
         self._check(obs)
@@ -430,6 +550,18 @@ class QuasiLocalSystem:
             out *= np.trace(prod) / self.d ** len(window)
         return complex(out)
 
+    def expect_product_table(
+        self, factors: Sequence[tuple[LocalObservable, object]]
+    ) -> np.ndarray:
+        """expect_product at each row of the factors' aligned (T, q) shift
+        tables, one cluster contraction per row."""
+        if not factors:
+            raise ValueError("empty factor list")
+        obs = [a for a, _ in factors]
+        rows = zip(*(_shift_rows(shifts, self.q) for _, shifts in factors), strict=True)
+        return np.array([self.expect_product(list(zip(obs, gs))) for gs in rows],
+                        dtype=np.complex128)
+
     def expect(self, obs: LocalObservable) -> complex:
         return self.expect_product([(obs, zero(self.q))])
 
@@ -457,6 +589,15 @@ class QuasiLocalSystem:
 
     def omega_distance(self, a: LocalObservable, b: LocalObservable) -> float:
         return self.omega_norm(self.combine([(1.0, a), (-1.0, b)]))
+
+    def omega_distance_table(self, xs, ys) -> np.ndarray:
+        """omega_distance(x, y) for each pair of rows of two lists of
+        observables; a single observable on either side meets every row of
+        the other."""
+        xs = [xs] * len(ys) if isinstance(xs, LocalObservable) else xs
+        ys = [ys] * len(xs) if isinstance(ys, LocalObservable) else ys
+        return np.array([self.omega_distance(x, y) for x, y in zip(xs, ys, strict=True)],
+                        dtype=np.float64)
 
     def obs_adjoint(self, obs: LocalObservable) -> LocalObservable:
         return obs.adjoint()
@@ -509,6 +650,23 @@ def evaluate(
             shift = hom.apply(as_element(g, hom.q))
         resolved.append((obs, shift))
     return sys.expect_product(resolved)
+
+
+def evaluate_table(
+    sys: SystemHandle,
+    factors: Sequence[tuple[object, Optional[Homomorphism], np.ndarray]],
+) -> np.ndarray:
+    """``evaluate`` at each row of the factors' aligned point tables: factor
+    j is (a_j, phi_j or None, a (T, q) integer table of the g_j), and entry t
+    is omega of the ordered product of tau_{phi_j(g_j[t])}(a_j)."""
+    resolved = []
+    for obs, hom, points in factors:
+        if hom is None:
+            shifts = np.zeros(points.shape, dtype=np.int64)
+        else:
+            shifts = hom.apply_table(points)
+        resolved.append((obs, shifts))
+    return sys.expect_product_table(resolved)
 
 
 def commutator_norm(

@@ -19,7 +19,6 @@ from ergodix.compactness import (
 )
 from ergodix.folner import Homomorphism, box_schedule, box_window, folner_defect, tempelman_ratio
 from ergodix.mixing import HigherOrderSpec, collision_bound, gamma_sequence, higher_order_defect, weak_mixing_defect
-from ergodix.operators import matrix_to_json
 from ergodix.sampling import ginibre, random_finite_system
 from ergodix.spectral import dichotomy_classify, eigenoperator_factor, koopman_split, szemeredi_driver
 from ergodix.systems import (
@@ -34,6 +33,7 @@ from ergodix.systems import (
     single_site,
 )
 from ergodix.vdc import check_double_average_bound, check_window_cauchy_schwarz, difference_sum_bound, linear_phase_sequence, vdc_verdict, weyl_quadratic_sequence, VectorSequence
+from test_cli import matrix_to_json
 
 ALPHA = math.sqrt(2.0) - 1.0
 

@@ -12,8 +12,14 @@ import pytest
 import ergodix
 from ergodix import spectral
 from ergodix.cli import main
-from ergodix.operators import matrix_to_json
+from ergodix.operators import as_matrix
 from ergodix.systems import cyclic_shift_matrix
+
+
+def matrix_to_json(a: np.ndarray) -> list:
+    """Nested [re, im] pairs, the config encoding of a complex matrix; floats
+    round-trip bit-exactly through JSON."""
+    return [[[float(x.real), float(x.imag)] for x in row] for row in as_matrix(a)]
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -158,6 +164,10 @@ class TestExitCodes:
         ("split", {"system": {"kind": "finite", "generators": [[[[1, 0]]]],
                               "state": {"kind": "density"}}},
          "system.state: missing keys ['entries']"),
+        ("vdc", {**VDC_CFG, "threshold": float("nan")}, "threshold: expected a finite number"),
+        ("mix", {**MIX_CFG, "threshold": float("inf")}, "threshold: expected a finite number"),
+        ("folner", {**FOLNER_CFG, "set": {"kind": "finite", "points": [[1, 2]]}},
+         "set.points[]: expected rank 1, got 2"),
     ])
     def test_invalid_value_is_input_error(self, tmp_path, capsys, command, cfg, message):
         path = write_cfg(tmp_path, "c.json", cfg)

@@ -126,18 +126,18 @@ class TestReturnSet:
         sys_h = cyclic_permutation_system(3)
         a = np.diag([1.0, 0.0, 0.0]).astype(complex)
         calls = []
-        original = FiniteSystem.translate
+        original = FiniteSystem.translate_table
 
-        def counting(self, obs, g):
-            calls.append(g)
-            return original(self, obs, g)
+        def counting(self, obs, shifts):
+            calls.extend(map(tuple, shifts.tolist()))
+            return original(self, obs, shifts)
 
-        monkeypatch.setattr(FiniteSystem, "translate", counting)
+        monkeypatch.setattr(FiniteSystem, "translate_table", counting)
         rset = return_set(sys_h, a, 0.1, (0, 1, 2), box_window(1, 30))
         assert len(rset.members) == 21
         assert len(calls) == 2 * 61
         for g, certs in rset.chain_certificates:
-            base = sys_h.omega_distance(original(sys_h, a, g), a)
+            base = sys_h.omega_distance(original(sys_h, a, [g])[0], a)
             assert [c.rhs for c in certs] == [m * base for m in (0, 1, 2)]
 
 

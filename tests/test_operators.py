@@ -10,7 +10,6 @@ from ergodix.operators import (
     apply_state,
     conjugate_lift,
     matrix_from_json,
-    matrix_to_json,
     omega_norm,
     operator_norm,
     product_state,
@@ -20,6 +19,7 @@ from ergodix.operators import (
 )
 from ergodix.sampling import ginibre, unitary_with_invariant_state
 from ergodix.systems import clock_matrix
+from test_cli import matrix_to_json
 
 RNG = np.random.default_rng(20240811)
 

@@ -8,7 +8,6 @@ from ergodix.operators import State, trace_state
 from ergodix.sampling import ginibre, haar_unitary, random_finite_system
 from ergodix.spectral import (
     KoopmanSplitting,
-    commutant_dimension,
     dichotomy_classify,
     eigenoperator_factor,
     gns_build,
@@ -28,12 +27,33 @@ from ergodix.systems import (
 RNG = np.random.default_rng(4242)
 
 
+def commutant_dimension(basis: np.ndarray, n: int) -> int:
+    """Dimension of the commutant of the span (basis rows are vec'd
+    matrices); used to spot-check double-commutant equality on small cases."""
+    blocks = []
+    eye = np.eye(n, dtype=np.complex128)
+    for m in (r.reshape(n, n) for r in basis):
+        # [X, m] = 0 as a linear condition on vec(X) (row-major):
+        # vec(X m) = (I kron m^T) vec(X), vec(m X) = (m kron I) vec(X)
+        blocks.append(np.kron(eye, m.T) - np.kron(m, eye))
+    stacked = np.concatenate(blocks, axis=0)
+    s = np.linalg.svd(stacked, compute_uv=False)
+    tol = max(stacked.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
+    rank = int(np.sum(s > tol))
+    return n * n - rank
+
+
+def cyclic_vector(gns) -> np.ndarray:
+    """Omega = iota(1), the GNS vector of the state."""
+    return gns.rho_sqrt.reshape(-1)
+
+
 class TestGnsBuild:
     def test_trace_state_m2(self):
         sys_h = FiniteSystem(generators=(clock_matrix(2),), state=trace_state(2))
         gns = gns_build(sys_h)
         assert gns.dim == 4
-        omega_vec = gns.cyclic_vector
+        omega_vec = cyclic_vector(gns)
         assert np.linalg.norm(omega_vec) == pytest.approx(1.0)
         assert np.allclose(gns.iota(np.eye(2)), omega_vec)
 
@@ -331,6 +351,6 @@ class TestSplitValidation:
                 assert split.dim_h1 == 1
             # the cyclic vector is always fixed
             gns = split.gns
-            omega_vec = gns.cyclic_vector
+            omega_vec = cyclic_vector(gns)
             for k_mat in split.koopman:
                 assert np.linalg.norm(k_mat @ omega_vec - omega_vec) < 1e-10

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ergodix.folner import Homomorphism, add, custom_window
+import ergodix.systems as systems_module
+from ergodix.compactness import _gap_witness, orbit_epsilon_structure, return_set
+from ergodix.folner import Homomorphism, add, box_window, custom_window, scale, scale_table
 from ergodix.mixing import HigherOrderSpec, higher_order_defect
 from ergodix.operators import operator_norm, trace_state
-from ergodix.sampling import ginibre, random_finite_system, random_local_observable
+from ergodix.sampling import ginibre, haar_unitary, random_finite_system, random_local_observable
 from ergodix.systems import (
     FiniteSystem,
     LocalObservable,
@@ -22,6 +26,7 @@ from ergodix.systems import (
     rotation_algebra_system,
     shift_system,
     single_site,
+    table_chunks,
 )
 
 RNG = np.random.default_rng(77)
@@ -405,3 +410,181 @@ class TestAutomorphismLaws:
                 gh = tuple(x + y for x, y in zip(g, h))
                 assert np.linalg.norm(
                     cs.translate(cs.translate(a, h), g) - cs.translate(a, gh)) < 1e-10
+
+
+# --- stacked translates -----------------------------------------------------
+
+def reference_translate(fs, a, g):
+    """The per-point formula: W* a W with W the product of matrix_power calls."""
+    w = np.eye(fs.dim, dtype=np.complex128)
+    for u, gj in zip(fs.generators, g):
+        if gj != 0:
+            w = w @ np.linalg.matrix_power(u if gj > 0 else u.conj().T, abs(gj))
+    return w.conj().T @ a @ w
+
+
+def reference_omega_norm(fs, x):
+    val = complex(np.trace(fs.state.density @ (x.conj().T @ x)))
+    return float(np.sqrt(max(val.real, 0.0)))
+
+
+def reference_expect_product(fs, factors):
+    prod = np.eye(fs.dim, dtype=np.complex128)
+    for a, g in factors:
+        prod = prod @ reference_translate(fs, a, g)
+    return complex(np.trace(fs.state.density @ prod))
+
+
+def same_bits(x, y):
+    """Equal arrays, NaN included, with equal signs of zero."""
+    x, y = np.asarray(x).reshape(-1), np.asarray(y).reshape(-1)
+    return (np.array_equal(x, y, equal_nan=True)
+            and np.array_equal(np.signbit(x.view(np.float64)), np.signbit(y.view(np.float64))))
+
+
+EXPONENTS = (0, 1, -1, 2, -2, 3, -3, 4, -4, 300, -300, 5, -7, 37)
+
+
+def table_systems():
+    haar = haar_unitary(np.random.default_rng(2024), 4)
+    return [rotation_algebra_system(3, 16), clock_shift_system(5),
+            product_system(clock_shift_system(3)),
+            FiniteSystem(generators=(haar,), state=trace_state(4))]
+
+
+class TestTranslateTable:
+    @pytest.mark.parametrize("index", range(4))
+    def test_every_slice_matches_the_per_point_formula(self, index):
+        fs = table_systems()[index]
+        rng = np.random.default_rng(index)
+        a = ginibre(rng, fs.dim)
+        rows = [(m,) * fs.q for m in EXPONENTS]
+        rows += [tuple(int(x) for x in rng.choice(EXPONENTS, size=fs.q)) for _ in range(40)]
+        table = fs.translate_table(a, np.array(rows))
+        assert table.shape == (len(rows), fs.dim, fs.dim)
+        for x, g in zip(table, rows):
+            assert same_bits(x, reference_translate(fs, a, g))
+
+    @pytest.mark.parametrize("m", [10**12 + 3, 2**62 + 1, -(2**62 + 1)])
+    def test_huge_exponents_take_exact_ints(self, m):
+        points = np.array([[1], [-1], [0], [2]])
+        shifts = scale_table(m, points)
+        assert shifts.dtype == (np.int64 if abs(m) < 2**61 else object)
+        assert shifts.tolist() == [[m], [-m], [0], [2 * m]]
+        for fs in (rotation_algebra_system(3, 16), cyclic_permutation_system(5),
+                   FiniteSystem(generators=(haar_unitary(np.random.default_rng(8), 3),),
+                                state=trace_state(3))):
+            a = ginibre(np.random.default_rng(1), fs.dim)
+            with np.errstate(all="ignore"):
+                table = fs.translate_table(a, shifts)
+                for x, (g,) in zip(table, shifts.tolist()):
+                    assert same_bits(x, reference_translate(fs, a, (g,)))
+
+    def test_chunks_match_the_unchunked_bytes(self, monkeypatch):
+        fs = rotation_algebra_system(3, 16)
+        a = ginibre(np.random.default_rng(3), 16)
+        shifts = np.arange(-300, 301).reshape(-1, 1)
+        whole = fs.expect_product_table([(a, shifts), (a, 2 * shifts)])
+        assert fs.dim ** 2 * len(shifts) > systems_module._STACK_ENTRIES
+        monkeypatch.setattr(systems_module, "_STACK_ENTRIES", 7 * fs.dim ** 2)
+        assert [len(range(20)[s]) for s in table_chunks(fs, 20)] == [7, 7, 6]
+        chunked = fs.expect_product_table([(a, shifts), (a, 2 * shifts)])
+        assert same_bits(whole, chunked)
+        net = orbit_epsilon_structure(fs, a, 0.5, box_window(1, 40))
+        monkeypatch.setattr(systems_module, "_STACK_ENTRIES", 1 << 20)
+        assert orbit_epsilon_structure(fs, a, 0.5, box_window(1, 40)).shifts == net.shifts
+
+    def test_rejects_a_shift_of_the_wrong_rank(self):
+        with pytest.raises(ValueError):
+            clock_shift_system(3).translate_table(np.eye(3), np.zeros((2, 1), dtype=np.int64))
+
+    def test_quasilocal_table_is_per_point(self):
+        sl = shift_system(2, 2)
+        obs = pauli_observable([(0, 0), (1, 0)], "ZX", q=2)
+        shifts = np.array([[0, 0], [3, -1], [0, 0]])
+        moved = sl.translate_table(obs, shifts)
+        assert [o.support for o in moved] == [sl.translate(obs, g).support
+                                              for g in map(tuple, shifts.tolist())]
+        vals = sl.expect_product_table([(obs, shifts), (obs.adjoint(), shifts[::-1])])
+        assert vals.tolist() == [sl.expect_product([(obs, g), (obs.adjoint(), h)])
+                                 for g, h in zip(map(tuple, shifts.tolist()),
+                                                 map(tuple, shifts[::-1].tolist()))]
+
+
+@st.composite
+def finite_cases(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    fs = random_finite_system(rng, q=draw(st.sampled_from([None, 1, 2])))
+    return fs, ginibre(rng, fs.dim), ginibre(rng, fs.dim), rng
+
+
+class TestStackedCounterparts:
+    @settings(max_examples=40, deadline=None)
+    @given(case=finite_cases(), size=st.integers(1, 9))
+    def test_distance_and_products_match_per_point_values(self, case, size):
+        fs, a, b, rng = case
+        shifts = rng.integers(-6, 7, size=(size, fs.q))
+        rows = list(map(tuple, shifts.tolist()))
+        xs = fs.translate_table(a, shifts)
+        dists = fs.omega_distance_table(xs, b)
+        for x, d in zip(xs, dists.tolist()):
+            assert same_bits(d, reference_omega_norm(fs, x - b))
+        back = fs.omega_distance_table(b, xs)
+        for x, d in zip(xs, back.tolist()):
+            assert same_bits(d, reference_omega_norm(fs, b - x))
+        other = shifts[::-1]
+        vals = fs.expect_product_table([(a, shifts), (b, other), (a, shifts)])
+        for v, g, h in zip(vals.tolist(), rows, map(tuple, other.tolist())):
+            assert same_bits(v, reference_expect_product(fs, [(a, g), (b, h), (a, g)]))
+        assert same_bits(fs.expect_product([(a, rows[0]), (b, rows[-1])]),
+                         reference_expect_product(fs, [(a, rows[0]), (b, rows[-1])]))
+
+
+def reference_return_set(fs, a, epsilon, exps, scan):
+    """The per-point return set: members, certificates and gap witness."""
+    members, certs = [], []
+    for g in scan.iter_elements():
+        dists = [0.0 if m == 0 else
+                 reference_omega_norm(fs, reference_translate(fs, a, scale(m, g)) - a)
+                 for m in exps]
+        if max(dists) < epsilon:
+            members.append(g)
+            base = reference_omega_norm(fs, reference_translate(fs, a, g) - a)
+            certs.append((g, tuple((m, d, m * base) for m, d in zip(exps, dists))))
+    return members, certs
+
+
+def reference_epsilon_net(fs, a, epsilon, scan):
+    picked, points = [], []
+    for g in scan.iter_elements():
+        x = reference_translate(fs, a, g)
+        if all(reference_omega_norm(fs, x - p) >= epsilon for p in points):
+            picked.append(g)
+            points.append(x)
+    return picked, points
+
+
+class TestCompactnessOnTables:
+    @settings(max_examples=30, deadline=None)
+    @given(case=finite_cases(), n=st.integers(1, 6), eps=st.floats(0.05, 2.0),
+           exps=st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    def test_return_set_matches_per_point_reference(self, case, n, eps, exps):
+        fs, a, _, _ = case
+        scan = box_window(fs.q, n)
+        rset = return_set(fs, a, eps, exps, scan)
+        members, certs = reference_return_set(fs, a, eps, tuple(exps), scan)
+        assert list(rset.members) == members
+        assert [(g, tuple((c.exponent, c.lhs, c.rhs) for c in cc))
+                for g, cc in rset.chain_certificates] == certs
+        assert rset.gap_witness == _gap_witness(members, scan)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=finite_cases(), n=st.integers(1, 6), eps=st.floats(0.05, 2.0))
+    def test_epsilon_net_matches_per_point_reference(self, case, n, eps):
+        fs, a, _, _ = case
+        scan = box_window(fs.q, n)
+        net = orbit_epsilon_structure(fs, a, eps, scan)
+        picked, points = reference_epsilon_net(fs, a, eps, scan)
+        assert list(net.shifts) == picked
+        assert all(same_bits(x, y) for x, y in zip(net.points, points))
