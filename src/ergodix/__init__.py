@@ -20,7 +20,6 @@ from .folner import (
     tempelman_ratio,
 )
 from .operators import (
-    OmegaSeminorm,
     State,
     apply_state,
     omega_norm,

@@ -7,8 +7,8 @@ van der Corput averages and lag tables) finds the distinct lattice points of
 its whole schedule with :func:`point_table`, evaluates its function once per
 point in first-seen order, and reduces each window over that table.  An
 integrand takes the whole (T, q) table and returns its T values, so a backend
-can evaluate all the points at once; :func:`pointwise` adapts a function of
-one point.
+can evaluate all the points at once; :func:`table_means` is the one window
+reduction.
 """
 
 from __future__ import annotations
@@ -150,12 +150,6 @@ def window_table(
     return list(map(tuple, table.tolist())), rows
 
 
-def pointwise(fn: Callable[[tuple[int, ...]], R]) -> Callable[[np.ndarray], list[R]]:
-    """The table integrand that runs ``fn`` once per row of the point table,
-    in order, on the row as a tuple."""
-    return lambda points: ordered_map(fn, list(map(tuple, points.tolist())))
-
-
 def table_means(
     fn: Callable[[np.ndarray], Sequence[R]], windows: Sequence, complex_valued: bool = False
 ) -> list[R]:
@@ -171,10 +165,3 @@ def table_means(
     mean = fmean_complex if complex_valued else fmean
     return [mean(map(values.__getitem__, r.tolist()), w.size) for w, r in zip(windows, rows)]
 
-
-def window_means(
-    fn: Callable[[tuple[int, ...]], R], windows: Sequence, complex_valued: bool = False
-) -> list[R]:
-    """:func:`table_means` of a function of one point, which runs once per
-    distinct element of the union of the windows, in first-seen order."""
-    return table_means(pointwise(fn), windows, complex_valued)

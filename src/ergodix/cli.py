@@ -299,11 +299,11 @@ def run_compact(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
             scaled = sys_h.obs_scale(pos, 1.0 / norm)
             rset = compactness.return_set(sys_h, scaled, eps_rs, (0,) + tuple(exponents), scan)
             bounds = []
-            for g in rset.members:
-                cb = compactness.correlation_lower_bound(sys_h, pos, exponents, eps, g)
-                bounds.append((g, cb))
-                if not cb.holds:
-                    failures.append(f"correlation lower bound failed at {g}")
+            if rset.members:
+                bounds = list(zip(rset.members, compactness.correlation_lower_bounds(
+                    sys_h, pos, exponents, eps, np.array(rset.members, dtype=object))))
+            failures += [f"correlation lower bound failed at {g}"
+                         for g, cb in bounds if not cb.holds]
             chain_ok = all(c.holds for _, cc in rset.chain_certificates for c in cc)
             if not chain_ok:
                 failures.append("a return-set chain certificate failed")

@@ -22,6 +22,7 @@ from .folner import (
     as_element,
     best_shift_for_density,
     box_window,
+    element_row,
     relative_density_witness,
     scale_table,
     shift_window,
@@ -185,12 +186,6 @@ def multi_correlations(sys: SystemHandle, a, exponents: Sequence[int], points) -
     return [abs(v) for v in vals.tolist()]
 
 
-def multi_correlation(sys: SystemHandle, a, exponents: Sequence[int], g: GroupElement) -> float:
-    """|omega(prod_j tau_{m_j g}(a))|, the factors in exponent order."""
-    point = np.array([as_element(g, sys.q)], dtype=object)
-    return multi_correlations(sys, a, exponents, point)[0]
-
-
 @dataclass(frozen=True)
 class CorrelationBound:
     value: float
@@ -198,14 +193,15 @@ class CorrelationBound:
     holds: bool
 
 
-def correlation_lower_bound(
+def correlation_lower_bounds(
     sys: SystemHandle,
     a,
     exponents: Sequence[int],
     epsilon: float,
-    g: Union[int, Sequence[int]],
-) -> CorrelationBound:
-    """|omega(prod_j tau_{m_j g}(a))| versus omega(a^{k+1}) - epsilon.
+    points,
+) -> list[CorrelationBound]:
+    """|omega(prod_j tau_{m_j g}(a))| versus omega(a^{k+1}) - epsilon for
+    each row g of a (T, q) point table.
 
     Requires a tracial state, a positive with omega(a) > 0, and epsilon below
     omega(a^{k+1}); on return-set members with the rescaled epsilon budget the
@@ -224,9 +220,20 @@ def correlation_lower_bound(
     power_mean = sys.expect(sys.obs_power(a, k_plus_1)).real
     if not (0 < epsilon < power_mean):
         raise ValueError("epsilon must lie strictly between 0 and omega(a^(k+1))")
-    value = multi_correlation(sys, a, exps, as_element(g, sys.q))
     bound = power_mean - epsilon
-    return CorrelationBound(value=value, bound=bound, holds=value > bound)
+    return [CorrelationBound(value=v, bound=bound, holds=v > bound)
+            for v in multi_correlations(sys, a, exps, points)]
+
+
+def correlation_lower_bound(
+    sys: SystemHandle,
+    a,
+    exponents: Sequence[int],
+    epsilon: float,
+    g: Union[int, Sequence[int]],
+) -> CorrelationBound:
+    return correlation_lower_bounds(sys, a, exponents, epsilon,
+                                    element_row(as_element(g, sys.q)))[0]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from ._parallel import lex_keys, ordered_map, point_table, window_means
+from ._parallel import lex_keys, ordered_map, point_table, table_means
 
 GroupElement = tuple[int, ...]
 
@@ -40,6 +40,11 @@ def as_element(g: Union[int, Sequence[int]], q: Optional[int] = None) -> GroupEl
     if q is not None and len(out) != q:
         raise ValueError(f"group element {out} has rank {len(out)}, expected {q}")
     return out
+
+
+def element_row(g: Union[int, Sequence[int]]) -> np.ndarray:
+    """g as a one-row (1, q) point table, exact at any size."""
+    return np.array([as_element(g)], dtype=object)
 
 
 def add(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -406,15 +411,13 @@ class FullSet(SetPredicate):
 Predicate = Union[SetPredicate, Callable[[GroupElement], bool]]
 
 
-def _as_contains(pred: Predicate) -> Callable[[GroupElement], bool]:
-    if isinstance(pred, SetPredicate):
-        return pred.contains
-    return pred
-
-
-def _indicator(pred: Predicate) -> Callable[[GroupElement], float]:
-    contains = _as_contains(pred)
-    return lambda g: 1.0 if contains(g) else 0.0
+def _indicator(pred: Predicate) -> Callable[[np.ndarray], list[float]]:
+    """The table integrand that is 1.0 at each row of a (T, q) point table
+    where the predicate holds, else 0.0; the predicate runs once per row, in
+    order."""
+    contains = pred.contains if isinstance(pred, SetPredicate) else pred
+    return lambda points: ordered_map(lambda g: 1.0 if contains(g) else 0.0,
+                                      list(map(tuple, points.tolist())))
 
 
 # --- density machinery -------------------------------------------------------
@@ -432,7 +435,7 @@ class DensityReport:
 def lower_density(pred: Predicate, windows: Sequence[FolnerWindow]) -> DensityReport:
     if not windows:
         raise ValueError("need at least one window")
-    ratios = window_means(_indicator(pred), windows)
+    ratios = table_means(_indicator(pred), windows)
     return DensityReport(per_n_ratios=tuple(zip((w.index for w in windows), ratios)),
                          lower_density=min(ratios))
 
@@ -467,9 +470,7 @@ def relative_density_witness(
     lo = [a + min(c) for a, c in zip(lo, zip(*cands))]
     hi = [b + max(c) for b, c in zip(hi, zip(*cands))]
     pts, (rows,) = point_table([sums], lo, hi)
-    contains = _as_contains(pred)
-    hits = ordered_map(contains, list(map(tuple, pts.tolist())))
-    hits = np.array([bool(x) for x in hits])
+    hits = np.array(_indicator(pred)(pts), dtype=bool)
     covered = hits[rows].reshape(len(gs), len(cands)).any(axis=1)
     if covered.all():
         return RelativeDensityResult(True, cands)
@@ -490,6 +491,6 @@ def best_shift_for_density(
     if not candidates:
         raise ValueError("need at least one candidate")
     cands = [as_element(c, window.q) for c in candidates]
-    ratios = window_means(_indicator(pred), [shift_window(window, c) for c in cands])
+    ratios = table_means(_indicator(pred), [shift_window(window, c) for c in cands])
     best = max(range(len(cands)), key=ratios.__getitem__)  # first maximum
     return cands[best], ratios[best]

@@ -18,17 +18,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._parallel import (
-    fmean,
-    fmean_complex,
-    ordered_map,
-    table_means,
-    window_means,
-    window_points,
-    window_table,
-)
+from ._parallel import fmean, fmean_complex, ordered_map, table_means, window_points, window_table
 from .folner import _INT64_SAFE, FolnerWindow, GroupElement, Homomorphism, inverse_product, zero
-from .systems import FiniteSystem, SystemHandle, commutator_norm, evaluate, evaluate_table
+from .systems import SystemHandle, commutator_norm_table, evaluate, evaluate_table
 
 VERDICT_DECAYING = "decaying"
 VERDICT_NON_DECAYING = "non-decaying"
@@ -93,18 +85,6 @@ class MixingStatistic:
         return tuple(v for _, v in self.per_window)
 
 
-def _evaluate_rows(sys: SystemHandle, factors) -> list[complex]:
-    """``evaluate`` at each row of the factors' aligned point tables; factor
-    j is (a_j, phi_j or None, a (T, q) integer table).  The finite backend
-    stacks the rows' translates; the quasi-local backend runs ``evaluate``
-    once per row, contracting each cluster of overlapping supports."""
-    if isinstance(sys, FiniteSystem):
-        return evaluate_table(sys, factors).tolist()
-    rows = zip(*(map(tuple, points.tolist()) for _, _, points in factors), strict=True)
-    return ordered_map(
-        lambda gs: evaluate(sys, [(a, h, g) for (a, h, _), g in zip(factors, gs)]), list(rows))
-
-
 @dataclass(frozen=True)
 class ErgodicAverage:
     """Per-window averages of omega(a tau_{phi(g)}(b)) next to the comparison
@@ -122,7 +102,7 @@ def ergodic_average(
     windows: Sequence[FolnerWindow],
 ) -> ErgodicAverage:
     target = evaluate(sys, [(a, None, zero(hom.q))]) * evaluate(sys, [(b, None, zero(hom.q))])
-    means = table_means(lambda pts: _evaluate_rows(sys, [(a, None, pts), (b, hom, pts)]),
+    means = table_means(lambda pts: evaluate_table(sys, [(a, None, pts), (b, hom, pts)]).tolist(),
                         windows, complex_valued=True)
     per = tuple((w.index, mean) for w, mean in zip(windows, means))
     return ErgodicAverage(per_window=per, product_value=target)
@@ -132,7 +112,8 @@ def _correlation_defect_values(sys, a, b, hom, windows, square):
     target = evaluate(sys, [(a, None, zero(hom.q))]) * evaluate(sys, [(b, None, zero(hom.q))])
 
     def integrand(pts):
-        diffs = [abs(v - target) for v in _evaluate_rows(sys, [(a, None, pts), (b, hom, pts)])]
+        vals = evaluate_table(sys, [(a, None, pts), (b, hom, pts)]).tolist()
+        diffs = [abs(v - target) for v in vals]
         return [d * d for d in diffs] if square else diffs
 
     return table_means(integrand, windows)
@@ -173,7 +154,7 @@ def asymptotic_abelianness(
     threshold: Optional[float] = None,
 ) -> MixingStatistic:
     """Mean over the window of the operator norm of [a, tau_{phi(g)}(b)]."""
-    vals = window_means(lambda g: commutator_norm(sys, a, b, hom, g), windows)
+    vals = table_means(lambda pts: commutator_norm_table(sys, a, b, hom, pts).tolist(), windows)
     return MixingStatistic.from_values(windows, vals, threshold)
 
 
@@ -227,7 +208,8 @@ def higher_order_defect(
     |omega(prod_j tau_{phi_j(g)}(a_j)) - prod_j omega(a_j)|."""
     target = spec.target(sys)
     vals = table_means(
-        lambda pts: [abs(v - target) for v in _evaluate_rows(sys, spec.factors(pts))], windows)
+        lambda pts: [abs(v - target) for v in evaluate_table(sys, spec.factors(pts)).tolist()],
+        windows)
     return MixingStatistic.from_values(windows, vals, threshold)
 
 
@@ -244,13 +226,14 @@ def collision_bound(
     scan.  On the finite backend every g contributes.
     """
     target = spec.target(sys)
-    total = []
-    for g in scan.iter_elements():
+    gs = scan.element_array()
+    deviating = []
+    for i, g in enumerate(map(tuple, gs.tolist())):
         shifts = [zero(spec.q)] + [h.apply(g) for h in spec.homs]
-        if sys.factorizes(list(zip(spec.observables, shifts))):
-            continue
-        total.append(abs(evaluate(sys, spec.factors(g)) - target))
-    return math.fsum(total)
+        if not sys.factorizes(list(zip(spec.observables, shifts))):
+            deviating.append(i)
+    vals = evaluate_table(sys, spec.factors(gs[deviating])).tolist()
+    return math.fsum(abs(v - target) for v in vals)
 
 
 @dataclass(frozen=True)
@@ -308,23 +291,27 @@ def gamma_sequence(
     # x on the window (block 0) and on each lag translate of it (block 1 + j)
     sums = (offsets[:, None, :] + gs[None, :, :]).reshape(-1, spec.q)
     points, (rows,) = window_points([], lead=sums)
-    x_vals = _evaluate_rows(sys, x_factors(points))
+    x_vals = evaluate_table(sys, x_factors(points)).tolist()
     here, *there = rows.reshape(len(offsets), len(gs)).tolist()
+    # omega(a_j* tau_{phi_j(h)}(a_j)) at every lag h, one column per factor
+    lags = offsets[1:]
+    closed_cols = [evaluate_table(sys, [(aa, None, lags), (a, hom, lags)]).tolist()
+                   for a, aa, hom in zip(tail, adjoints, spec.homs)]
 
     entries = []
-    for h, lag_rows in zip(h_range, there):
+    for h, lag_rows, closed_vals in zip(h_range, there, zip(*closed_cols)):
         # <x(g), x(g + h)> over the window, one row per g
-        cross = _evaluate_rows(sys, x_adj_factors(points[here]) + x_factors(points[lag_rows]))
+        cross = evaluate_table(sys, x_adj_factors(points[here]) + x_factors(points[lag_rows]))
         vals = [c
                 - kappa * x_vals[i].conjugate()
                 - kappa.conjugate() * x_vals[j]
                 + abs(kappa) ** 2
-                for c, i, j in zip(cross, here, lag_rows)]
+                for c, i, j in zip(cross.tolist(), here, lag_rows)]
         empirical = fmean_complex(vals, largest.size)
 
         closed = 1.0 + 0j
-        for a, aa, hom in zip(tail, adjoints, spec.homs):
-            closed *= evaluate(sys, [(aa, None, zero(spec.q)), (a, hom, h)])
+        for v in closed_vals:
+            closed *= v
         closed -= abs(kappa) ** 2
         entries.append(GammaEntry(h=h, empirical=empirical, closed_form=closed))
     return GammaReport(entries=tuple(entries), window_index=largest.index, kappa=kappa)

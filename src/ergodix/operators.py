@@ -68,52 +68,39 @@ def trace_state(dim: int) -> State:
     return State(np.eye(dim, dtype=np.complex128) / dim, tracial=True)
 
 
-def apply_state(state: State, a: np.ndarray) -> complex:
-    a = as_matrix(a)
-    if a.shape[0] != state.dim:
-        raise ValueError(f"dimension mismatch: state {state.dim}, matrix {a.shape[0]}")
-    return complex(np.trace(state.density @ a))
-
-
 def apply_state_table(state: State, stack: np.ndarray) -> np.ndarray:
-    """omega of each slice of a (T, N, N) stack, as a (T,) complex array;
-    entry t equals ``apply_state(state, stack[t])`` bit for bit."""
+    """omega of each slice of a (T, N, N) stack, as a (T,) complex array.
+    Each slice goes through the same products whatever the rest of the stack
+    holds, so entry t is the value of the slice alone, bit for bit."""
     if stack.shape[1:] != (state.dim, state.dim):
         raise ValueError(f"dimension mismatch: state {state.dim}, matrix {stack.shape[1]}")
     return np.trace(state.density @ stack, axis1=1, axis2=2)
 
 
-def omega_norm(state: State, a: np.ndarray) -> float:
-    """sqrt(omega(a* a)), clamped at 0 against negative round-off."""
-    val = apply_state(state, adjoint(a) @ a)
-    return float(np.sqrt(max(val.real, 0.0)))
+def apply_state(state: State, a: np.ndarray) -> complex:
+    return complex(apply_state_table(state, as_matrix(a)[None])[0])
 
 
 def omega_norm_table(state: State, stack: np.ndarray) -> np.ndarray:
-    """The omega-seminorm of each slice of a (T, N, N) stack; entry t equals
-    ``omega_norm(state, stack[t])`` bit for bit."""
+    """sqrt(omega(a* a)) for each slice a of a (T, N, N) stack, clamped at 0
+    against negative round-off."""
     vals = apply_state_table(state, stack.conj().transpose(0, 2, 1) @ stack).real
     # max(v, 0.0) as Python takes it: v unless 0.0 > v, so -0.0 and NaN pass
     return np.sqrt(np.where(0.0 > vals, 0.0, vals))
 
 
-@dataclass(frozen=True)
-class OmegaSeminorm:
-    """The seminorm a |-> sqrt(omega(a* a)) backed by a fixed state."""
+def omega_norm(state: State, a: np.ndarray) -> float:
+    return float(omega_norm_table(state, as_matrix(a)[None])[0])
 
-    state: State
 
-    def __call__(self, a: np.ndarray) -> float:
-        return omega_norm(self.state, a)
-
-    def distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        return omega_norm(self.state, as_matrix(a) - as_matrix(b))
+def operator_norm_table(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value of each slice of a (T, N, N) stack (full
+    decomposition, deterministic)."""
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
 def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value (full decomposition, deterministic)."""
-    a = as_matrix(a)
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return float(operator_norm_table(as_matrix(a)[None])[0])
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

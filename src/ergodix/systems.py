@@ -25,7 +25,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .folner import GroupElement, Homomorphism, add, as_element, zero
+from .folner import GroupElement, Homomorphism, add, as_element, element_row, zero
 from .operators import (
     State,
     adjoint,
@@ -36,6 +36,7 @@ from .operators import (
     omega_norm,
     omega_norm_table,
     operator_norm,
+    operator_norm_table,
     product_state,
     trace_state,
 )
@@ -174,7 +175,7 @@ class FiniteSystem:
         return omega_norm(self.state, a)
 
     def omega_distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        return omega_norm(self.state, as_matrix(a) - as_matrix(b))
+        return float(self.omega_distance_table(as_matrix(a), as_matrix(b))[0])
 
     def omega_distance_table(self, xs, ys) -> np.ndarray:
         """omega_distance(x, y) for each pair of rows of two stacks of
@@ -182,6 +183,17 @@ class FiniteSystem:
         other.  Entry t equals the per-pair distance bit for bit."""
         diff = np.asarray(xs, dtype=np.complex128) - np.asarray(ys, dtype=np.complex128)
         return omega_norm_table(self.state, diff.reshape(-1, self.dim, self.dim))
+
+    def commutator_norm_table(self, a: np.ndarray, b: np.ndarray, shifts) -> np.ndarray:
+        """The operator norm of [a, tau_g(b)] for each row g of a (T, q)
+        shift table, one stack of translates and one stacked decomposition
+        per chunk."""
+        a = as_matrix(a)
+        out = np.empty(len(shifts), dtype=np.float64)
+        for chunk in table_chunks(self, len(out)):
+            tb = self.translate_table(b, shifts[chunk])
+            out[chunk] = operator_norm_table(a @ tb - tb @ a)
+        return out
 
     def obs_adjoint(self, a: np.ndarray) -> np.ndarray:
         return adjoint(a)
@@ -599,6 +611,22 @@ class QuasiLocalSystem:
         return np.array([self.omega_distance(x, y) for x, y in zip(xs, ys, strict=True)],
                         dtype=np.float64)
 
+    def commutator_norm_table(self, a: LocalObservable, b: LocalObservable,
+                              shifts) -> np.ndarray:
+        """The operator norm of [a, tau_g(b)] for each row g of a (T, q)
+        shift table: exactly 0 where the supports are disjoint, else computed
+        on the smallest window containing both."""
+        a = self._check(a)
+
+        def norm(bs: LocalObservable) -> float:
+            if supports_disjoint([a.support, bs.support]):
+                return 0.0
+            window = sorted(set(a.support) | set(bs.support))
+            am, bm = self.embed(a, window), self.embed(bs, window)
+            return operator_norm(am @ bm - bm @ am)
+
+        return np.array([norm(bs) for bs in self.translate_table(b, shifts)], dtype=np.float64)
+
     def obs_adjoint(self, obs: LocalObservable) -> LocalObservable:
         return obs.adjoint()
 
@@ -630,43 +658,39 @@ SystemHandle = Union[FiniteSystem, QuasiLocalSystem]
 # unified evaluation
 # --------------------------------------------------------------------------
 
-def evaluate(
-    sys: SystemHandle,
-    factors: Sequence[tuple[object, Optional[Homomorphism], Union[int, Sequence[int]]]],
-) -> complex:
-    """omega of the ordered product of tau_{phi_j(g_j)}(a_j).
-
-    Each factor is (observable, homomorphism-or-None, group element); a None
-    homomorphism means the identity shift is zero (the fixed leading factor).
-    """
-    if not factors:
-        raise ValueError("empty factor list")
-    resolved = []
-    for obs, hom, g in factors:
-        if hom is None:
-            q = len(as_element(g)) if g is not None else 1
-            shift = zero(q)
-        else:
-            shift = hom.apply(as_element(g, hom.q))
-        resolved.append((obs, shift))
-    return sys.expect_product(resolved)
+def _shift_table(hom: Optional[Homomorphism], points: np.ndarray) -> np.ndarray:
+    """phi(g) for each row g of a (T, q) point table; a None homomorphism
+    shifts every row by zero."""
+    return np.zeros(points.shape, dtype=np.int64) if hom is None else hom.apply_table(points)
 
 
 def evaluate_table(
     sys: SystemHandle,
     factors: Sequence[tuple[object, Optional[Homomorphism], np.ndarray]],
 ) -> np.ndarray:
-    """``evaluate`` at each row of the factors' aligned point tables: factor
-    j is (a_j, phi_j or None, a (T, q) integer table of the g_j), and entry t
-    is omega of the ordered product of tau_{phi_j(g_j[t])}(a_j)."""
-    resolved = []
-    for obs, hom, points in factors:
-        if hom is None:
-            shifts = np.zeros(points.shape, dtype=np.int64)
-        else:
-            shifts = hom.apply_table(points)
-        resolved.append((obs, shifts))
-    return sys.expect_product_table(resolved)
+    """omega of the ordered product of tau_{phi_j(g_j)}(a_j) at each row of
+    the factors' aligned point tables: factor j is (a_j, phi_j or None, a
+    (T, q) integer table of the g_j), and a None homomorphism means the zero
+    shift (the fixed leading factor)."""
+    return sys.expect_product_table([(obs, _shift_table(hom, points))
+                                     for obs, hom, points in factors])
+
+
+def evaluate(
+    sys: SystemHandle,
+    factors: Sequence[tuple[object, Optional[Homomorphism], Union[int, Sequence[int]]]],
+) -> complex:
+    """``evaluate_table`` at one point: each factor is (observable,
+    homomorphism-or-None, group element)."""
+    return complex(evaluate_table(sys, [(obs, hom, element_row(g)) for obs, hom, g in factors])[0])
+
+
+def commutator_norm_table(
+    sys: SystemHandle, a, b, hom: Optional[Homomorphism], points: np.ndarray
+) -> np.ndarray:
+    """Operator norm of [a, tau_{phi(g)}(b)] at each row g of a (T, q) point
+    table."""
+    return sys.commutator_norm_table(a, b, _shift_table(hom, points))
 
 
 def commutator_norm(
@@ -676,21 +700,5 @@ def commutator_norm(
     hom: Optional[Homomorphism],
     g: Union[int, Sequence[int]],
 ) -> float:
-    """Operator norm of [a, tau_{phi(g)}(b)], computed on the smallest window
-    containing both supports."""
-    if hom is None:
-        shift = zero(len(as_element(g)))
-    else:
-        shift = hom.apply(as_element(g, hom.q))
-    if isinstance(sys, FiniteSystem):
-        bm = sys.translate(b, shift)
-        am = as_matrix(a)
-        return operator_norm(am @ bm - bm @ am)
-    bs = sys.translate(b, shift)
-    a = sys._check(a)
-    if supports_disjoint([a.support, bs.support]):
-        return 0.0
-    window = sorted(set(a.support) | set(bs.support))
-    am = sys.embed(a, window)
-    bm = sys.embed(bs, window)
-    return operator_norm(am @ bm - bm @ am)
+    """``commutator_norm_table`` at one point."""
+    return float(commutator_norm_table(sys, a, b, hom, element_row(g))[0])

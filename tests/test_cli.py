@@ -421,6 +421,26 @@ class TestCompactCommand:
         assert "scan window" in rep["szemeredi"]["note"]
 
 
+    def test_nontracial_system_is_input_error(self, tmp_path, capsys):
+        # a diagonal generator leaves the non-tracial density invariant; the
+        # return set always holds g = 0, so the correlation bound is asked for
+        gen = np.diag([1.0, -1.0]).astype(complex)
+        cfg = write_cfg(tmp_path, "c.json", {
+            "system": {"kind": "finite", "generators": [matrix_to_json(gen)],
+                       "state": {"kind": "density",
+                                 "entries": matrix_to_json(np.diag([0.7, 0.3]))}},
+            "observable": {"kind": "matrix",
+                           "entries": matrix_to_json(np.array([[1.0, 0.5], [0.5, 1.0]]))},
+            "epsilon": 0.1,
+            "exponents": [1, 2],
+            "scan": {"shape": "box", "n": 4},
+        })
+        out = tmp_path / "o"
+        assert main(["compact", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: correlation lower bound requires a tracial state"]
+
+
 class TestInvariantsCommand:
     def test_passes_and_reports(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", {"seed": 11, "scale": 0.05})

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ergodix import compactness
+from ergodix import compactness, systems
 from ergodix.compactness import (
     correlation_lower_bound,
+    correlation_lower_bounds,
     covering_candidates,
-    multi_correlation,
+    multi_correlations,
     orbit_epsilon_structure,
     return_set,
     szemeredi_average_compact,
@@ -170,6 +171,32 @@ class TestCorrelationLowerBound:
         assert res.value == pytest.approx(direct, abs=1e-12)
         assert res.bound == pytest.approx(power - 0.1)
         assert res.holds
+
+    def test_table_matches_the_per_point_values(self, monkeypatch):
+        sys_h = rotation_algebra_system(3, 16)
+        a = random_positive(np.random.default_rng(12), 16)
+        a = a / operator_norm(a)
+        exps = (0, 1, 2)
+        eps = sys_h.expect(a @ a @ a).real / 2
+        points = np.arange(-40, 41).reshape(-1, 1)
+        expected = []
+        for g in range(-40, 41):
+            prod = np.eye(16, dtype=complex)
+            for m in exps:
+                prod = prod @ sys_h.translate(a, m * g)
+            expected.append(abs(complex(np.trace(sys_h.state.density @ prod))))
+        checks = []
+        real_min_eigenvalue = FiniteSystem.obs_min_eigenvalue
+        monkeypatch.setattr(FiniteSystem, "obs_min_eigenvalue",
+                            lambda self, x: checks.append(1) or real_min_eigenvalue(self, x))
+        bounds = correlation_lower_bounds(sys_h, a, exps, eps, points)
+        # the checks run once for the whole table
+        assert len(checks) == 1
+        assert [b.value for b in bounds] == expected
+        assert all(b.bound == bounds[0].bound and b.holds == (b.value > b.bound) for b in bounds)
+        assert bounds[7] == correlation_lower_bound(sys_h, a, exps, eps, 7 - 40)
+        monkeypatch.setattr(systems, "_STACK_ENTRIES", 7 * 16 ** 2)
+        assert correlation_lower_bounds(sys_h, a, exps, eps, points) == bounds
 
     def test_rejects_nontracial_state(self):
         from ergodix.operators import State
@@ -349,6 +376,7 @@ class TestMultiCorrelation:
         sl = shift_system(1, 2)
         p = pauli_observable([0], "I")
         proj = sl.obs_scale(sl.combine([(1.0, p), (1.0, pauli_observable([0], "Z"))]), 0.5)
-        assert multi_correlation(sl, proj, (0, 1, 2), (0,)) == pytest.approx(0.5, abs=1e-15)
-        for g in (1, -1, 3):
-            assert multi_correlation(sl, proj, (0, 1, 2), (g,)) == pytest.approx(0.125, abs=1e-15)
+        vals = multi_correlations(sl, proj, (0, 1, 2), np.array([[0], [1], [-1], [3]]))
+        assert vals[0] == pytest.approx(0.5, abs=1e-15)
+        for v in vals[1:]:
+            assert v == pytest.approx(0.125, abs=1e-15)

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from ergodix.operators import (
-    OmegaSeminorm,
     State,
     adjoint,
     apply_state,
     conjugate_lift,
     matrix_from_json,
+    apply_state_table,
     omega_norm,
+    omega_norm_table,
     operator_norm,
+    operator_norm_table,
     product_state,
     telescope_decompose,
     tensor,
@@ -83,19 +85,28 @@ class TestOmegaNorm:
     def test_zero(self):
         assert omega_norm(trace_state(2), np.zeros((2, 2))) == 0.0
 
-    def test_seminorm_object(self):
-        sem = OmegaSeminorm(trace_state(2))
-        a = np.diag([1.0, 3.0])
-        assert sem(a) == omega_norm(trace_state(2), a)
-        assert sem.distance(a, a) == 0.0
-
     def test_triangle_inequality(self):
         st = trace_state(4)
-        sem = OmegaSeminorm(st)
         for _ in range(200):
             a, b, c = (ginibre(RNG, 4) for _ in range(3))
-            assert sem(a + b) <= sem(a) + sem(b) + 1e-10
-            assert sem.distance(a, c) <= sem.distance(a, b) + sem.distance(b, c) + 1e-10
+            assert omega_norm(st, a + b) <= omega_norm(st, a) + omega_norm(st, b) + 1e-10
+            assert omega_norm(st, a - c) <= omega_norm(st, a - b) + omega_norm(st, b - c) + 1e-10
+
+
+class TestStackedForms:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 29, 64])
+    def test_slices_match_the_per_matrix_formulas(self, n):
+        # a faithful non-tracial state and the trace state
+        for st in (unitary_with_invariant_state(RNG, n)[1], trace_state(n)):
+            stack = np.stack([ginibre(RNG, n) for _ in range(6)])
+            values = apply_state_table(st, stack).tolist()
+            norms = omega_norm_table(st, stack).tolist()
+            for x, v, w in zip(stack, values, norms):
+                assert v == complex(np.trace(st.density @ x))
+                val = complex(np.trace(st.density @ (x.conj().T @ x)))
+                assert w == float(np.sqrt(max(val.real, 0.0)))
+            assert operator_norm_table(stack).tolist() == [
+                float(np.linalg.svd(x, compute_uv=False)[0]) for x in stack]
 
 
 class TestOperatorNorm:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ergodix import _parallel
-from ergodix._parallel import fsum_complex, point_table, row_keys, window_means
+from ergodix._parallel import fsum_complex, point_table, row_keys, table_means
 from ergodix.folner import (
     Homomorphism,
     box_schedule,
@@ -13,7 +13,7 @@ from ergodix.folner import (
     shift_window,
 )
 from ergodix.mixing import weak_mixing_defect
-from ergodix.systems import pauli_observable, shift_system
+from ergodix.systems import QuasiLocalSystem, pauli_observable, shift_system
 
 FAR = 2 ** 62
 
@@ -74,14 +74,21 @@ def complex_integrand(g):
     return complex(math.cos(0.71 * g[0] - 0.2 * sum(g)), math.sin(0.13 * g[-1] ** 2) / 7.0)
 
 
+def per_row(fn):
+    """The table integrand that calls ``fn`` on each row, as a tuple, in order."""
+    return lambda points: [fn(g) for g in map(tuple, points.tolist())]
+
+
 class TestWindowMeans:
+    """``table_means`` of a per-row integrand."""
+
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_equals_per_window_fsum(self, monkeypatch, q):
         for windows in schedules(q):
             expected = [math.fsum(real_integrand(g) for g in w.iter_elements()) / w.size
                         for w in windows]
             for _ in batch_sizes(monkeypatch):
-                assert window_means(real_integrand, windows) == expected
+                assert table_means(per_row(real_integrand), windows) == expected
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_complex_equals_per_window_fsum(self, monkeypatch, q):
@@ -91,12 +98,13 @@ class TestWindowMeans:
                 total = fsum_complex(complex_integrand(g) for g in w.iter_elements())
                 expected.append(complex(total.real / w.size, total.imag / w.size))
             for _ in batch_sizes(monkeypatch):
-                assert window_means(complex_integrand, windows, complex_valued=True) == expected
+                assert table_means(per_row(complex_integrand), windows,
+                                   complex_valued=True) == expected
 
     def test_each_point_evaluated_once(self):
         seen = []
         big_n = 40
-        window_means(lambda g: seen.append(g) or 1.0, box_schedule(1, 1, big_n))
+        table_means(per_row(lambda g: seen.append(g) or 1.0), box_schedule(1, 1, big_n))
         assert len(seen) == 2 * big_n + 1
         assert len(set(seen)) == len(seen)
 
@@ -105,20 +113,18 @@ class TestWindowMeans:
         for windows in schedules(q):
             for _ in batch_sizes(monkeypatch):
                 seen = []
-                window_means(lambda g: seen.append(g) or 1.0, windows)
+                table_means(per_row(lambda g: seen.append(g) or 1.0), windows)
                 assert seen == first_seen(windows)
 
     def test_statistic_evaluates_once_per_point(self, monkeypatch):
-        import ergodix.mixing as mixing
-
         calls = []
-        real_evaluate = mixing.evaluate
+        real_expect_product = QuasiLocalSystem.expect_product
 
-        def counting(sys, factors):
+        def counting(self, factors):
             calls.append(1)
-            return real_evaluate(sys, factors)
+            return real_expect_product(self, factors)
 
-        monkeypatch.setattr(mixing, "evaluate", counting)
+        monkeypatch.setattr(QuasiLocalSystem, "expect_product", counting)
         sz = pauli_observable([0], "Z")
         big_n = 30
         stat = weak_mixing_defect(shift_system(1, 2), sz, sz, Homomorphism.scalar(1, 1),

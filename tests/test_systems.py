@@ -16,6 +16,7 @@ from ergodix.systems import (
     clock_matrix,
     clock_shift_system,
     commutator_norm,
+    commutator_norm_table,
     cyclic_permutation_system,
     cyclic_shift_matrix,
     evaluate,
@@ -588,3 +589,54 @@ class TestCompactnessOnTables:
         picked, points = reference_epsilon_net(fs, a, eps, scan)
         assert list(net.shifts) == picked
         assert all(same_bits(x, y) for x, y in zip(net.points, points))
+
+
+def reference_operator_norm(x):
+    return float(np.linalg.svd(x, compute_uv=False)[0])
+
+
+class TestCommutatorTable:
+    @settings(max_examples=40, deadline=None)
+    @given(case=finite_cases(), size=st.integers(1, 20), m=st.integers(-3, 3))
+    def test_finite_rows_match_the_per_point_reference(self, case, size, m):
+        fs, a, b, rng = case
+        hom = Homomorphism.scalar(fs.q, m)
+        points = rng.integers(-6, 7, size=(size, fs.q))
+        rows = list(map(tuple, points.tolist()))
+        expected = []
+        for g in rows:
+            tb = reference_translate(fs, b, hom.apply(g))
+            expected.append(reference_operator_norm(a @ tb - tb @ a))
+        whole = commutator_norm_table(fs, a, b, hom, points)
+        assert same_bits(whole, expected)
+        # three rows a chunk, so every table of four rows or more is split
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(systems_module, "_STACK_ENTRIES", 3 * fs.dim ** 2)
+            assert same_bits(commutator_norm_table(fs, a, b, hom, points), expected)
+            unmoved = reference_translate(fs, b, (0,) * fs.q)
+            assert same_bits(commutator_norm_table(fs, a, b, None, points),
+                             [reference_operator_norm(a @ unmoved - unmoved @ a)] * size)
+        assert same_bits(commutator_norm(fs, a, b, hom, rows[-1]), expected[-1])
+
+    @pytest.mark.parametrize("q,d", [(1, 2), (1, 3), (2, 2)])
+    def test_chain_rows_match_the_dense_union_window(self, q, d):
+        sl = shift_system(q, d)
+        rng = np.random.default_rng(53 + 7 * q + d)
+        hom = Homomorphism.scalar(q, 1)
+        points = rng.integers(-2, 3, size=(30, q))
+        for _ in range(6):
+            a = random_local_observable(rng, q, d, max_sites=2, span=1)
+            b = random_local_observable(rng, q, d, max_sites=2, span=1)
+            got = commutator_norm_table(sl, a, b, hom, points)
+            for v, g in zip(got.tolist(), map(tuple, points.tolist())):
+                bs = sl.translate(b, hom.apply(g))
+                window = sorted(set(a.support) | set(bs.support))
+                am, bm = sl.embed(a, window), sl.embed(bs, window)
+                dense = reference_operator_norm(am @ bm - bm @ am)
+                if set(a.support).isdisjoint(bs.support):
+                    # commuting by support: exactly zero, where the dense
+                    # product only cancels up to round-off
+                    assert v == 0.0 and dense < 1e-12
+                else:
+                    assert v == dense
+                assert v == commutator_norm(sl, a, b, hom, g)
