@@ -161,7 +161,7 @@ def table_means(
     those of a fresh per-window evaluation bit for bit.
     """
     points, rows = window_points(windows)
-    values = fn(points)
+    values = np.asarray(fn(points))
     mean = fmean_complex if complex_valued else fmean
-    return [mean(map(values.__getitem__, r.tolist()), w.size) for w, r in zip(windows, rows)]
+    return [mean(values[r].tolist(), w.size) for w, r in zip(windows, rows)]
 

@@ -55,12 +55,17 @@ def scale(m: int, g: GroupElement) -> GroupElement:
     return tuple(m * a for a in g)
 
 
-def _exact_dtype(points: np.ndarray, factor: int):
+def _reach(points: np.ndarray) -> int:
+    """The largest absolute coordinate of an integer table, 0 when it is empty."""
+    return max(abs(int(points.min())), abs(int(points.max()))) if points.size else 0
+
+
+def _exact_dtype(points: np.ndarray, factor: int, *constants: int):
     """The dtype of an integer table whose entries reach ``factor`` times the
-    table's largest coordinate: int64 inside _INT64_SAFE, else exact Python
-    ints (object)."""
-    reach = max(abs(int(points.min())), abs(int(points.max()))) if points.size else 0
-    return np.int64 if max(reach, 1) * factor < _INT64_SAFE else object
+    table's largest coordinate, in arithmetic with the given constants:
+    int64 inside _INT64_SAFE, else exact Python ints (object)."""
+    small = max(_reach(points), 1) * factor < _INT64_SAFE
+    return np.int64 if small and all(abs(c) < _INT64_SAFE for c in constants) else object
 
 
 def scale_table(m: int, points: np.ndarray) -> np.ndarray:
@@ -321,13 +326,24 @@ def shift_window(window: FolnerWindow, g: Union[int, Sequence[int]]) -> FolnerWi
 # --- membership predicates -------------------------------------------------
 
 class SetPredicate:
-    """Base for serializable membership predicates over Z^q."""
+    """Base for serializable membership predicates over Z^q.
 
-    def contains(self, g: GroupElement) -> bool:  # pragma: no cover - abstract
+    ``mask`` decides every row of a (T, q) integer table at once, exactly at
+    any coordinate size; ``contains`` is its one-row call."""
+
+    def mask(self, points: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def contains(self, g: Union[int, Sequence[int]]) -> bool:
+        return bool(self.mask(element_row(g))[0])
 
     def to_json(self) -> dict:  # pragma: no cover - abstract
         raise NotImplementedError
+
+
+def _check_rank(points: np.ndarray, rank: int) -> None:
+    if points.shape[1] != rank:
+        raise ValueError(f"element rank {points.shape[1]} != set rank {rank}")
 
 
 @dataclass(frozen=True)
@@ -344,10 +360,13 @@ class ResidueClassSet(SetPredicate):
             raise ValueError("modulus must be >= 1")
         object.__setattr__(self, "_reduced", frozenset(r % self.modulus for r in self.residues))
 
-    def contains(self, g: GroupElement) -> bool:
-        coeffs = self.coeffs if self.coeffs is not None else (1,) + (0,) * (len(g) - 1)
-        val = sum(c * x for c, x in zip(coeffs, g, strict=True))
-        return (val % self.modulus) in self._reduced
+    def mask(self, points: np.ndarray) -> np.ndarray:
+        q = points.shape[1]
+        coeffs = self.coeffs if self.coeffs is not None else (1,) + (0,) * (q - 1)
+        _check_rank(points, len(coeffs))
+        dtype = _exact_dtype(points, sum(map(abs, coeffs)), self.modulus)
+        vals = points.astype(dtype) @ np.array(coeffs, dtype=dtype)
+        return np.isin(vals % self.modulus, np.array(sorted(self._reduced), dtype=dtype))
 
     def to_json(self) -> dict:
         out = {"kind": "residue", "modulus": self.modulus, "residues": list(self.residues)}
@@ -360,8 +379,12 @@ class ResidueClassSet(SetPredicate):
 class FiniteSet(SetPredicate):
     points: frozenset[GroupElement]
 
-    def contains(self, g: GroupElement) -> bool:
-        return g in self.points
+    def mask(self, points: np.ndarray) -> np.ndarray:
+        own = [p for p in self.points if len(p) == points.shape[1]]
+        if not own:
+            return np.zeros(len(points), dtype=bool)
+        keys, own_keys = lex_keys(points, np.array(own, dtype=object))
+        return np.isin(keys, own_keys)
 
     def to_json(self) -> dict:
         return {"kind": "finite", "points": sorted(list(p) for p in self.points)}
@@ -378,22 +401,19 @@ class ProgressionSet(SetPredicate):
         if all(s == 0 for s in self.step):
             raise ValueError("progression step must be nonzero")
 
-    def contains(self, g: GroupElement) -> bool:
-        k = None
-        for gi, si, ti in zip(g, self.start, self.step, strict=True):
-            d = gi - si
-            if ti == 0:
-                if d != 0:
-                    return False
-            else:
-                if d % ti != 0:
-                    return False
-                ki = d // ti
-                if k is None:
-                    k = ki
-                elif ki != k:
-                    return False
-        return True
+    def mask(self, points: np.ndarray) -> np.ndarray:
+        """g - start must vanish on the axes where the step does, and be the
+        same multiple k of the step on every other axis."""
+        _check_rank(points, len(self.step))
+        dtype = _exact_dtype(points, 1, *self.start, *self.step)
+        d = points.astype(dtype) - np.array(self.start, dtype=dtype)
+        step = np.array(self.step, dtype=dtype)
+        moving = step != 0
+        d_moving, step_moving = d[:, moving], step[moving]
+        k = d_moving // step_moving
+        return ((d[:, ~moving] == 0).all(axis=1)
+                & (d_moving % step_moving == 0).all(axis=1)
+                & (k == k[:, :1]).all(axis=1))
 
     def to_json(self) -> dict:
         return {"kind": "progression", "start": list(self.start), "step": list(self.step)}
@@ -401,8 +421,8 @@ class ProgressionSet(SetPredicate):
 
 @dataclass(frozen=True)
 class FullSet(SetPredicate):
-    def contains(self, g: GroupElement) -> bool:
-        return True
+    def mask(self, points: np.ndarray) -> np.ndarray:
+        return np.ones(len(points), dtype=bool)
 
     def to_json(self) -> dict:
         return {"kind": "all"}
@@ -411,12 +431,14 @@ class FullSet(SetPredicate):
 Predicate = Union[SetPredicate, Callable[[GroupElement], bool]]
 
 
-def _indicator(pred: Predicate) -> Callable[[np.ndarray], list[float]]:
+def _indicator(pred: Predicate) -> Callable[[np.ndarray], Sequence[float]]:
     """The table integrand that is 1.0 at each row of a (T, q) point table
-    where the predicate holds, else 0.0; the predicate runs once per row, in
-    order."""
-    contains = pred.contains if isinstance(pred, SetPredicate) else pred
-    return lambda points: ordered_map(lambda g: 1.0 if contains(g) else 0.0,
+    where the predicate holds, else 0.0.  A SetPredicate decides the table
+    through its mask; a plain callable runs once per row, in order, on the
+    row as a tuple of ints."""
+    if isinstance(pred, SetPredicate):
+        return lambda points: pred.mask(points).astype(np.float64)
+    return lambda points: ordered_map(lambda g: 1.0 if pred(g) else 0.0,
                                       list(map(tuple, points.tolist())))
 
 

@@ -16,14 +16,16 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from ._parallel import fsum_complex, lex_keys, ordered_map, window_table
+from ._parallel import fsum_complex, lex_keys, ordered_map, window_points
 from .folner import (
     FolnerWindow,
     GroupElement,
+    _exact_dtype,
+    _reach,
     add,
-    as_element,
     box_window,
     difference_counts,
+    element_row,
     inverse_product,
 )
 
@@ -35,31 +37,37 @@ REL_SLACK = 1e-9
 @dataclass(frozen=True, eq=False)
 class VectorSequence:
     """A bounded map g -> C^dim with a declared norm bound, checked lazily on
-    every evaluation."""
+    every evaluation.  ``fn`` takes one point, as a tuple of ints."""
 
     fn: Callable[[GroupElement], np.ndarray]
     bound: float
     dim: int
 
     def __call__(self, g: Union[int, Sequence[int]]) -> np.ndarray:
-        return self.table([as_element(g)])[0]
+        return self.table(element_row(g))[0]
 
-    def table(self, points: Sequence[GroupElement]) -> np.ndarray:
-        """f at each point, as the rows of one (len(points), dim) array filled
-        in place.  The shape and the declared bound are checked as if each
-        point were evaluated in turn: the error names the first offending
-        point, whatever follows it."""
+    def table(self, points: np.ndarray) -> np.ndarray:
+        """f at each row of a (T, q) integer table, as the rows of one
+        (T, dim) array.  The shape and the declared bound are checked as if
+        each point were evaluated in turn: the error names the first
+        offending point, whatever follows it."""
+        vals = self._values(points)
+        self._check_bound(vals, points)
+        return vals
+
+    def _values(self, points: np.ndarray) -> np.ndarray:
+        """``fn`` at each row in turn, filled in place; a value of the wrong
+        shape raises once the rows before it have passed the bound check."""
         vals = np.empty((len(points), self.dim), dtype=np.complex128)
-        for i, g in enumerate(points):
+        for i, g in enumerate(map(tuple, points.tolist())):
             v = np.asarray(self.fn(g), dtype=np.complex128)
             if v.shape != (self.dim,):
                 self._check_bound(vals[:i], points)
                 raise ValueError(f"sequence value has shape {v.shape}, expected ({self.dim},)")
             vals[i] = v
-        self._check_bound(vals, points)
         return vals
 
-    def _check_bound(self, vals: np.ndarray, points: Sequence[GroupElement]) -> None:
+    def _check_bound(self, vals: np.ndarray, points: np.ndarray) -> None:
         limit = self.bound * (1.0 + BOUND_SLACK) + BOUND_SLACK
         # Screen with one vectorized norm, then decide each flagged row with
         # the norm a single evaluation takes.  Both are square roots of a sum
@@ -69,38 +77,56 @@ class VectorSequence:
         for i in np.flatnonzero(rough > limit * margin).tolist():
             norm = float(np.linalg.norm(vals[i]))
             if norm > limit:
-                raise ValueError(
-                    f"declared bound {self.bound} violated at {points[i]}: |f(g)| = {norm}")
+                raise ValueError(f"declared bound {self.bound} violated at "
+                                 f"{tuple(points[i].tolist())}: |f(g)| = {norm}")
+
+
+class _ArraySequence(VectorSequence):
+    """A built-in sequence: ``fn`` maps the whole (T, q) integer table to its
+    (T, dim) values in one array expression."""
+
+    def _values(self, points: np.ndarray) -> np.ndarray:
+        return self.fn(points)
+
+
+def _phases(alpha: float, form: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """exp(2 pi i alpha n) v for each exact integer n of ``form``: n is
+    rounded once to float64, as in ``(2j * np.pi * alpha) * n`` at a single
+    point."""
+    return np.exp((2j * np.pi * alpha) * form.astype(np.float64))[:, None] * v
 
 
 def constant_sequence(v) -> VectorSequence:
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    return VectorSequence(lambda g: v, bound=float(np.linalg.norm(v)), dim=v.size)
+    return _ArraySequence(lambda points: np.tile(v, (len(points), 1)),
+                          bound=float(np.linalg.norm(v)), dim=v.size)
 
 
 def linear_phase_sequence(alpha: float, v) -> VectorSequence:
     """f(g) = exp(2 pi i alpha sum(g)) v."""
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    return VectorSequence(
-        lambda g: np.exp(2j * np.pi * alpha * sum(g)) * v,
-        bound=float(np.linalg.norm(v)),
-        dim=v.size,
-    )
+
+    def fn(points: np.ndarray) -> np.ndarray:
+        exact = points.astype(_exact_dtype(points, points.shape[1]))
+        return _phases(alpha, exact.sum(axis=1), v)
+
+    return _ArraySequence(fn, bound=float(np.linalg.norm(v)), dim=v.size)
 
 
 def weyl_quadratic_sequence(alpha: float, v) -> VectorSequence:
     """f(g) = exp(2 pi i alpha |g|^2) v, the quadratic-phase test sequence."""
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    return VectorSequence(
-        lambda g: np.exp(2j * np.pi * alpha * sum(x * x for x in g)) * v,
-        bound=float(np.linalg.norm(v)),
-        dim=v.size,
-    )
+
+    def fn(points: np.ndarray) -> np.ndarray:
+        exact = points.astype(_exact_dtype(points, _reach(points) * points.shape[1]))
+        return _phases(alpha, (exact * exact).sum(axis=1), v)
+
+    return _ArraySequence(fn, bound=float(np.linalg.norm(v)), dim=v.size)
 
 
 def average_vector(f: VectorSequence, window: FolnerWindow) -> np.ndarray:
     """(1/|W|) sum of f over the window."""
-    return _mean_vector(f.table(list(window.iter_elements())), window.size)
+    return _mean_vector(f.table(window.element_array()), window.size)
 
 
 def _mean_vector(rows: np.ndarray, size: int) -> np.ndarray:
@@ -119,7 +145,7 @@ class InequalityCheck:
 
 def check_window_cauchy_schwarz(f: VectorSequence, window: FolnerWindow) -> InequalityCheck:
     """||sum_W f||^2 <= |W| * sum_W ||f||^2 with relative slack 1e-9."""
-    vals = f.table(list(window.iter_elements()))
+    vals = f.table(window.element_array())
     total = np.sum(vals, axis=0)
     lhs = float(np.linalg.norm(total) ** 2)
     rhs = window.size * math.fsum(float(np.linalg.norm(v) ** 2) for v in vals)
@@ -138,7 +164,7 @@ def check_double_average_bound(
     gs, hs = outer.element_array(), inner.element_array()
     # f at every g + h, outer-major, read from one table of the distinct sums
     sums = (gs[:, None, :] + hs[None, :, :]).reshape(-1, outer.q)
-    points, (rows,) = window_table([], lead=sums)
+    points, (rows,) = window_points([], lead=sums)
     vals = f.table(points)[rows].reshape(len(gs), len(hs), f.dim)
     lhs = float(np.linalg.norm(vals.reshape(-1, f.dim).sum(axis=0)) ** 2)
 
@@ -243,7 +269,7 @@ def vdc_verdict(
         support = (gs[:, None, :] + lags[None, :, :]).reshape(-1, largest.q)
     # the support leads the table: a box keeps its rows' indices, and in the
     # generic path rows[i, j] is the row of g_i + h_j
-    points, window_rows = window_table(windows, lead=support)
+    points, window_rows = window_points(windows, lead=support)
     vals = f.table(points)
     if box1:
         gamma = _gamma_box1(vals[:len(support)], radius, largest.size)
@@ -251,9 +277,12 @@ def vdc_verdict(
         rows = window_rows[0].reshape(len(gs), len(lags))
         gamma = _gamma_empirical(vals, rows, largest.size)
 
+    # np.hypot, not np.abs: np.abs of complex128 can differ from abs(complex)
+    # in the last bit, hypot does not
+    gamma_array = np.array(gamma, dtype=np.complex128)
+    abs_gamma = np.hypot(gamma_array.real, gamma_array.imag)
     # each window's lags, looked up among the estimated ones by key; the
     # overlap |W intersect (W+h)| is the lag's multiplicity in the table
-    abs_gamma = [abs(gh) for gh in gamma]
     statistic = []
     double_avg = []
     for w in windows:
@@ -261,10 +290,10 @@ def vdc_verdict(
         gamma_keys, keys = lex_keys(lags, window_lags)
         at = np.minimum(np.searchsorted(gamma_keys, keys), len(gamma_keys) - 1)
         hit = gamma_keys[at] == keys
-        idx = at[hit].tolist()
-        weighted = [c * gamma[i] for i, c in zip(idx, counts[hit].tolist())]
-        statistic.append((w.index, math.fsum(abs_gamma[i] for i in idx) / w.size))
-        double_avg.append((w.index, fsum_complex(weighted) / (w.size ** 2)))
+        idx = at[hit]
+        weighted = counts[hit] * gamma_array[idx]
+        statistic.append((w.index, math.fsum(abs_gamma[idx].tolist()) / w.size))
+        double_avg.append((w.index, fsum_complex(weighted.tolist()) / (w.size ** 2)))
 
     averages = [(w.index, float(np.linalg.norm(_mean_vector(vals[r], w.size))))
                 for w, r in zip(windows, window_rows[1:])]

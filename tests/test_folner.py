@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergodix.folner import (
@@ -452,3 +452,98 @@ class TestResidueClassSet:
                                "residues": [-1, 5], "coeffs": [1, 1]}
         # same reduced residues, different inputs: still distinct values
         assert a != ResidueClassSet(3, (2,), (1, 1))
+
+
+def reference_contains(pred, g):
+    """Per-point membership, one rule per predicate kind, written out in
+    exact tuple arithmetic: the reference each ``mask`` is checked against."""
+    if isinstance(pred, ResidueClassSet):
+        coeffs = pred.coeffs if pred.coeffs is not None else (1,) + (0,) * (len(g) - 1)
+        val = sum(c * x for c, x in zip(coeffs, g, strict=True))
+        return val % pred.modulus in {r % pred.modulus for r in pred.residues}
+    if isinstance(pred, ProgressionSet):
+        k = None
+        for gi, si, ti in zip(g, pred.start, pred.step, strict=True):
+            d = gi - si
+            if ti == 0:
+                if d != 0:
+                    return False
+            else:
+                if d % ti != 0:
+                    return False
+                if k is None:
+                    k = d // ti
+                elif d // ti != k:
+                    return False
+        return True
+    if isinstance(pred, FiniteSet):
+        return g in pred.points
+    assert isinstance(pred, FullSet)
+    return True
+
+
+# small coordinates, and ones near +-2^62 whose sums and products leave int64
+coordinates = st.one_of(st.integers(-40, 40),
+                        st.builds(lambda sign, d: sign * FAR + d,
+                                  st.sampled_from([1, -1]), st.integers(-3, 3)))
+
+
+@st.composite
+def predicates_and_tables(draw):
+    q = draw(st.integers(1, 3))
+    element = st.tuples(*[coordinates] * q)
+    rows = draw(st.lists(element, max_size=24))
+    kind = draw(st.sampled_from(["residue", "progression", "finite", "all"]))
+    if kind == "residue":
+        coeffs = draw(st.none() | st.tuples(*[st.integers(-5, 5)] * q))
+        modulus = draw(st.integers(1, 12) | st.sampled_from([FAR, 2 ** 64 + 3]))
+        pred = ResidueClassSet(modulus, tuple(draw(st.lists(st.integers(-30, 30), max_size=4))),
+                               coeffs)
+    elif kind == "progression":
+        step = draw(st.tuples(*[st.integers(-7, 7)] * q).filter(any))
+        pred = ProgressionSet(draw(element), step)
+        # members start + k * step, which random rows almost never hit
+        rows += [tuple(s + k * t for s, t in zip(pred.start, step))
+                 for k in draw(st.lists(st.integers(-10, 10), max_size=6))]
+    elif kind == "finite":
+        points = draw(st.lists(element, max_size=6))
+        # rows of another rank are never members
+        pred = FiniteSet(frozenset(points + [(0,) * (q + 1)]))
+        rows += points
+    else:
+        pred = FullSet()
+    return pred, q, draw(st.permutations(rows))
+
+
+class TestMask:
+    @settings(max_examples=200, deadline=None)
+    @given(predicates_and_tables())
+    # g - start = 2^63 + 2 is a multiple of 5, and wraps to one that is not
+    @example((ProgressionSet((-FAR,), (5,)), 1, [(FAR + 2,)]))
+    def test_mask_matches_the_per_point_rule(self, case):
+        pred, q, rows = case
+        expected = [reference_contains(pred, g) for g in rows]
+        table = np.array(rows, dtype=object).reshape(len(rows), q)
+        tables = [table]
+        if all(abs(x) < 2 ** 63 for g in rows for x in g):
+            tables.append(table.astype(np.int64))
+        for t in tables:
+            got = pred.mask(t)
+            assert got.dtype == bool and got.shape == (len(rows),)
+            assert got.tolist() == expected
+        assert [pred.contains(g) for g in rows] == expected
+
+    @pytest.mark.parametrize("pred", [ResidueClassSet(3, (0,)), ProgressionSet((1, 0), (2, 3)),
+                                      FiniteSet(frozenset({(1, 2)})), FullSet()])
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_empty_table(self, pred, dtype):
+        got = pred.mask(np.empty((0, 2), dtype=dtype))
+        assert got.dtype == bool and got.shape == (0,)
+
+    @pytest.mark.parametrize("pred", [ResidueClassSet(3, (0,), coeffs=(1, 2)),
+                                      ProgressionSet((1, 0), (2, 3))])
+    def test_rank_mismatch_raises(self, pred):
+        with pytest.raises(ValueError, match="rank"):
+            pred.mask(np.zeros((2, 3), dtype=np.int64))
+        with pytest.raises(ValueError, match="rank"):
+            pred.contains((1, 2, 3))

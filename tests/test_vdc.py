@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ergodix._parallel import fsum_complex
-from ergodix.folner import add, box_window, custom_window, inverse_product
+from ergodix.folner import add, box_window, custom_window, difference_counts, inverse_product
 from ergodix.vdc import (
     VectorSequence,
     average_vector,
@@ -288,6 +288,7 @@ class TestVdcVerdict:
         f = VectorSequence(lambda g: seen.append(g) or v, bound=1.0, dim=1)
         rep = vdc_verdict(f, windows)
         assert len(seen) == len(set(seen)) == points
+        assert all(type(x) is int for g in seen for x in g)
         assert rep.averages[-1][1] == 1.0
 
 
@@ -460,3 +461,70 @@ class TestSmoothingConsistency:
             from ergodix.folner import folner_defect
             bound = f.bound * max(folner_defect(wm, h) for h in wn.iter_elements())
             assert float(np.linalg.norm(plain - smoothed)) <= bound + 1e-9
+
+
+def per_point_formulas(alpha, v):
+    """Each built-in sequence with its value at one point, written as a
+    formula of the tuple g."""
+    return [
+        (constant_sequence(v), lambda g: v),
+        (linear_phase_sequence(alpha, v), lambda g: np.exp(2j * np.pi * alpha * sum(g)) * v),
+        (weyl_quadratic_sequence(alpha, v),
+         lambda g: np.exp(2j * np.pi * alpha * sum(x * x for x in g)) * v),
+    ]
+
+
+class TestBuiltinTables:
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    # |g|^2 q leaves the int64 guard from 2^31 on, sum(g) only at 2^62
+    @pytest.mark.parametrize("reach", [10 ** 6, 2 ** 31, 2 ** 40, 2 ** 62])
+    @pytest.mark.parametrize("alpha", [ALPHA, -0.3, np.float64(1 / 7)])
+    def test_table_is_bit_identical_to_the_per_point_formula(self, q, reach, alpha):
+        rng = np.random.default_rng([q, reach % 1009])
+        rows = rng.integers(-reach, reach, size=(150, q), endpoint=True)
+        rows[:3] = [[reach] * q, [-reach] * q, [0] * q]
+        points = list(map(tuple, rows.tolist()))
+        v = np.array([0.6 + 0.1j, -0.3j, 0.8])
+        for f, formula in per_point_formulas(alpha, v):
+            expected = np.stack([formula(g) for g in points])
+            for table in (rows, rows.astype(object)):
+                assert np.array_equal(f.table(table), expected)
+            assert np.array_equal(f(points[-1]), expected[-1])
+
+    def test_empty_table(self):
+        for f, _ in per_point_formulas(ALPHA, np.array([1.0, 1j])):
+            assert f.table(np.empty((0, 2), dtype=np.int64)).shape == (0, 2)
+
+
+def per_index_statistics(rep, windows):
+    """Each window's statistic and double average from the report's gamma
+    table, one boxed Python term per lag: ``abs(gamma_h)`` and
+    ``count * gamma_h`` with the overlap count as a Python int, summed with
+    ``math.fsum`` and ``fsum_complex``."""
+    gamma = dict(rep.gamma)
+    statistic, double_avg = [], []
+    for w in sorted(windows, key=lambda w: w.size):
+        lags, counts = difference_counts(w)
+        terms = [(gamma[h], c) for h, c in zip(map(tuple, lags.tolist()), counts.tolist())
+                 if h in gamma]
+        statistic.append((w.index, math.fsum(abs(gh) for gh, _ in terms) / w.size))
+        double_avg.append((w.index, fsum_complex([c * gh for gh, c in terms]) / w.size ** 2))
+    return tuple(statistic), tuple(double_avg)
+
+
+class TestStatisticLoop:
+    @pytest.mark.parametrize("windows", [
+        [box_window(1, n) for n in (3, 8, 20)],
+        [box_window(2, n) for n in (1, 2, 4)],
+        SCATTERED,
+        [custom_window(2, [(0, 0), (1, -2), (-3, 4), (5, 5), (2, -7)]),
+         custom_window(2, [(1, 1), (0, 3), (-2, -2)])],
+    ])
+    @pytest.mark.parametrize("h_max", [None, 3])
+    def test_equals_the_per_index_sums(self, windows, h_max):
+        for f in (weyl_quadratic_sequence(ALPHA, np.array([0.6, 0.8j])),
+                  random_sequence(23, dim=2)):
+            rep = vdc_verdict(f, windows, h_max=h_max)
+            statistic, double_avg = per_index_statistics(rep, windows)
+            assert rep.statistic == statistic
+            assert rep.double_average == double_avg
