@@ -73,7 +73,7 @@ def check_shift_invariance(rng, scale=1.0) -> InvariantResult:
 def check_density_complement(rng, scale=1.0) -> InvariantResult:
     mod = int(rng.integers(2, 7))
     res = folner.ResidueClassSet(mod, (0,))
-    comp = lambda g: not res.contains(g)
+    comp = folner.ResidueClassSet(mod, tuple(range(1, mod)))
     wins = folner.box_schedule(1, 1, int(20 * scale) + 1)
     r1 = folner.lower_density(res, wins)
     r2 = folner.lower_density(comp, wins)

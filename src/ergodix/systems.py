@@ -497,7 +497,9 @@ class QuasiLocalSystem:
     """Spin chain over Z^q: product normalized-trace state, lattice-shift
     action.  Evaluation contracts each cluster of overlapping supports on its
     own sites; sites outside a cluster cannot change its value because the
-    per-site state of the identity is exactly 1."""
+    per-site state of the identity is exactly 1.  The state is
+    shift-invariant, so a table call contracts each distinct cluster, up to
+    translation, once and shares its value among the rows that hold it."""
 
     q: int
     d: int
@@ -543,36 +545,51 @@ class QuasiLocalSystem:
         perm = [order.index(s) for s in window]
         return _leg_permute(big, self.d, perm)
 
-    def expect_product(
-        self, factors: Sequence[tuple[LocalObservable, GroupElement]]
-    ) -> complex:
-        if not factors:
-            raise ValueError("empty factor list")
-        shifted = [self.translate(obs, shift) for obs, shift in factors]
-        out = 1.0 + 0j
-        for o in shifted:
-            if o.n_sites == 0:
-                out *= o.tensor[0, 0]
-        for cluster in overlap_clusters([o.support for o in shifted]):
-            members = [shifted[i] for i in cluster]
-            window = sorted({s for o in members for s in o.support})
-            prod = self.embed(members[0], window)
-            for o in members[1:]:
-                prod = prod @ self.embed(o, window)
-            out *= np.trace(prod) / self.d ** len(window)
-        return complex(out)
+    def _contract(self, members: Sequence[LocalObservable]) -> complex:
+        """omega of the ordered product of one cluster's shifted members,
+        contracted on the sorted union of their supports."""
+        window = sorted({s for o in members for s in o.support})
+        prod = self.embed(members[0], window)
+        for o in members[1:]:
+            prod = prod @ self.embed(o, window)
+        return np.trace(prod) / self.d ** len(window)
 
     def expect_product_table(
         self, factors: Sequence[tuple[LocalObservable, object]]
     ) -> np.ndarray:
-        """expect_product at each row of the factors' aligned (T, q) shift
-        tables, one cluster contraction per row."""
+        """omega(prod_j tau_{g_j}(a_j)) for each row of the factors' aligned
+        (T, q) shift tables, as a (T,) complex array.
+
+        A row's value is its scalar factors times its clusters' values.  A
+        cluster is keyed by its members and their shifts relative to its
+        first member: a common shift keeps the sorted window's order and the
+        product state is shift-invariant, so equal keys contract to the same
+        bits, and each distinct key is contracted once per call."""
         if not factors:
             raise ValueError("empty factor list")
-        obs = [a for a, _ in factors]
+        obs = [self._check(a) for a, _ in factors]
         rows = zip(*(_shift_rows(shifts, self.q) for _, shifts in factors), strict=True)
-        return np.array([self.expect_product(list(zip(obs, gs))) for gs in rows],
-                        dtype=np.complex128)
+        values: dict[tuple, complex] = {}
+        out = []
+        for gs in rows:
+            shifted = [o._translated(g) for o, g in zip(obs, gs)]
+            val = 1.0 + 0j
+            for o in shifted:
+                if o.n_sites == 0:
+                    val *= o.tensor[0, 0]
+            for cluster in overlap_clusters([o.support for o in shifted]):
+                base = gs[cluster[0]]
+                key = tuple((i, tuple(a - b for a, b in zip(gs[i], base))) for i in cluster)
+                if key not in values:
+                    values[key] = self._contract([shifted[i] for i in cluster])
+                val *= values[key]
+            out.append(val)
+        return np.array(out, dtype=np.complex128)
+
+    def expect_product(
+        self, factors: Sequence[tuple[LocalObservable, GroupElement]]
+    ) -> complex:
+        return complex(self.expect_product_table([(a, [g]) for a, g in factors])[0])
 
     def expect(self, obs: LocalObservable) -> complex:
         return self.expect_product([(obs, zero(self.q))])

@@ -118,13 +118,13 @@ class TestWindowMeans:
 
     def test_statistic_evaluates_once_per_point(self, monkeypatch):
         calls = []
-        real_expect_product = QuasiLocalSystem.expect_product
+        real_table = QuasiLocalSystem.expect_product_table
 
         def counting(self, factors):
-            calls.append(1)
-            return real_expect_product(self, factors)
+            calls.extend(range(len(factors[0][1])))  # one entry per row
+            return real_table(self, factors)
 
-        monkeypatch.setattr(QuasiLocalSystem, "expect_product", counting)
+        monkeypatch.setattr(QuasiLocalSystem, "expect_product_table", counting)
         sz = pauli_observable([0], "Z")
         big_n = 30
         stat = weak_mixing_defect(shift_system(1, 2), sz, sz, Homomorphism.scalar(1, 1),

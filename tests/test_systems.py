@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ergodix.systems as systems_module
@@ -13,6 +13,7 @@ from ergodix.systems import (
     FiniteSystem,
     LocalObservable,
     PAULI,
+    QuasiLocalSystem,
     clock_matrix,
     clock_shift_system,
     commutator_norm,
@@ -640,3 +641,119 @@ class TestCommutatorTable:
                 else:
                     assert v == dense
                 assert v == commutator_norm(sl, a, b, hom, g)
+
+
+# --- chain tables -----------------------------------------------------------
+
+def per_row_expect_product(sl, factors):
+    """One row contracted on its own: scalars in factor order, then each
+    cluster embedded on its sorted window, multiplied and traced."""
+    shifted = [sl.translate(o, g) for o, g in factors]
+    out = 1.0 + 0j
+    for o in shifted:
+        if o.n_sites == 0:
+            out *= o.tensor[0, 0]
+    for cluster in overlap_clusters([o.support for o in shifted]):
+        members = [shifted[i] for i in cluster]
+        window = sorted({s for o in members for s in o.support})
+        prod = sl.embed(members[0], window)
+        for o in members[1:]:
+            prod = prod @ sl.embed(o, window)
+        out *= np.trace(prod) / sl.d ** len(window)
+    return complex(out)
+
+
+@st.composite
+def chain_tables(draw, q, max_factors=3, reach=2, spread=9):
+    """1..max_factors random local observables on the d = 2 chain over Z^q
+    with one scalar factor put among them, and an aligned shift table whose
+    rows are a few relative patterns, each at several base points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    obs = [random_local_observable(rng, q, 2, max_sites=2, span=1)
+           for _ in range(draw(st.integers(1, max_factors)))]
+    obs.insert(draw(st.integers(0, len(obs))), LocalObservable((), np.array([[0.5 - 0.25j]]), 2))
+    patterns = rng.integers(-reach, reach + 1, size=(draw(st.integers(1, 3)), 1, len(obs), q))
+    bases = rng.integers(-spread, spread + 1, size=(1, draw(st.integers(1, 6)), 1, q))
+    rows = (patterns + bases).reshape(-1, len(obs), q)
+    rows = rows[rng.permutation(len(rows))]
+    return obs, [rows[:, j] for j in range(len(obs))]
+
+
+def ring_system(length=8):
+    """The periodic ring of ``length`` two-level sites as a finite system:
+    M_{2^length} with the trace state, generated by the unitary that moves
+    every site's leg one place along the ring."""
+    dim = 2 ** length
+    moved = np.moveaxis(np.arange(dim).reshape((2,) * length), -1, 0).reshape(-1)
+    u = np.zeros((dim, dim), dtype=np.complex128)
+    u[moved, np.arange(dim)] = 1.0
+    return FiniteSystem(generators=(u,), state=trace_state(dim))
+
+
+class TestChainTable:
+    @pytest.mark.parametrize("q", [1, 2])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_rows_equal_the_per_row_contraction(self, q, data):
+        sl = shift_system(q, 2)
+        obs, tables = data.draw(chain_tables(q))
+        vals = sl.expect_product_table(list(zip(obs, tables)))
+        assert vals.tolist() == [
+            per_row_expect_product(sl, list(zip(obs, gs)))
+            for gs in zip(*(map(tuple, t.tolist()) for t in tables))]
+
+    def test_translates_of_one_cluster_embed_once_per_member(self, monkeypatch):
+        sl = shift_system(1, 2)
+        embeds = []
+        embed = QuasiLocalSystem.embed
+
+        def counting(self, obs, window):
+            embeds.append(obs)
+            return embed(self, obs, window)
+
+        monkeypatch.setattr(QuasiLocalSystem, "embed", counting)
+        a, b = pauli_observable([0, 1], "ZX"), pauli_observable([0, 1], "XY")
+        unit = LocalObservable((), np.array([[2.0 + 0j]]), 2)
+        shifts = np.arange(-20, 20).reshape(-1, 1)
+        vals = sl.expect_product_table([(a, shifts), (unit, shifts), (b, shifts + 1)])
+        assert len(embeds) == 2
+        assert np.all(vals == vals[0])
+        assert vals[0] == per_row_expect_product(sl, [(a, (0,)), (unit, (0,)), (b, (1,))])
+
+    def test_rejects_empty_and_misaligned_tables(self):
+        sl = shift_system(1, 2)
+        z = pauli_observable([0], "Z")
+        with pytest.raises(ValueError):
+            sl.expect_product_table([])
+        with pytest.raises(ValueError):
+            sl.expect_product([])
+        with pytest.raises(ValueError):
+            sl.expect_product_table([(z, np.zeros((3, 1), dtype=np.int64)),
+                                     (z, np.zeros((2, 1), dtype=np.int64))])
+
+    def test_ring_moves_each_site_one_place(self):
+        ring, sl = ring_system(), shift_system(1, 2)
+        sites = [(s,) for s in range(8)]
+        z0 = sl.embed(pauli_observable([0], "Z"), sites)
+        z1 = sl.embed(pauli_observable([1], "Z"), sites)
+        assert np.array_equal(ring.translate(z0, 1), z1)
+
+    @settings(max_examples=24, deadline=None)
+    @given(data=st.data())
+    def test_finite_ring_matches_the_chain_below_its_length(self, data):
+        # a ring of 8 sites agrees with the chain whenever every row's
+        # shifted supports fit in fewer than 8 consecutive sites
+        ring, sl = ring_system(), shift_system(1, 2)
+        obs, tables = data.draw(chain_tables(1, reach=5, spread=3))
+        rows = np.stack(tables, axis=1)[:4]
+        spans = [{s[0] + int(g[0]) for o, g in zip(obs, row) for s in o.support} for row in rows]
+        keep = [max(s) - min(s) < 8 for s in spans]
+        assume(any(keep))
+        tables = [rows[keep, j] for j in range(len(obs))]
+        sites = [(s,) for s in range(8)]
+        # each observable is lifted onto the ring one site to the right of
+        # its own support, which lies in [-1, 1]
+        mats = [sl.embed(sl.translate(o, 1), sites) for o in obs]
+        got = ring.expect_product_table([(m, t - 1) for m, t in zip(mats, tables)])
+        want = sl.expect_product_table(list(zip(obs, tables)))
+        assert np.max(np.abs(got - want)) < 1e-12
