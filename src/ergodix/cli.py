@@ -27,6 +27,7 @@ from .config import (
     _list,
     _num,
     _require_keys,
+    _variant,
     parse_candidates,
     parse_group,
     parse_hom,
@@ -38,9 +39,6 @@ from .config import (
 )
 from .invariants import run_all
 from .report import write_csv, write_json
-
-SUBCOMMANDS = ("folner", "mix", "higher", "vdc", "compact", "split",
-               "szemeredi", "invariants")
 
 
 def _load_config(path: str) -> dict:
@@ -63,8 +61,6 @@ def _window_rows(pairs):
 # --------------------------------------------------------------------------
 
 def run_folner(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
-    _require_keys(cfg, {"group", "windows", "shifts", "set", "candidates", "seed"},
-                  {"group", "windows"}, "config")
     q = parse_group(cfg["group"])
     windows = parse_windows(cfg["windows"], q)
     shifts = [_element(s, "shifts[]", q)
@@ -122,9 +118,6 @@ _STATS = {
 
 
 def run_mix(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
-    _require_keys(cfg, {"system", "windows", "observables", "hom", "statistics",
-                        "threshold", "seed"},
-                  {"system", "windows", "observables", "hom"}, "config")
     sys_h = parse_system(cfg["system"])
     q = sys_h.q
     windows = parse_windows(cfg["windows"], q)
@@ -169,9 +162,6 @@ def run_mix(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
 
 
 def run_higher(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
-    _require_keys(cfg, {"system", "windows", "observables", "homs", "threshold",
-                        "gamma", "seed"},
-                  {"system", "windows", "observables", "homs"}, "config")
     sys_h = parse_system(cfg["system"])
     q = sys_h.q
     windows = parse_windows(cfg["windows"], q)
@@ -213,23 +203,20 @@ def run_higher(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
 
 
 def _build_sequence(obj: dict) -> vdc.VectorSequence:
-    _require_keys(obj, {"kind", "alpha", "vector"}, {"kind"}, "sequence")
+    # every kind takes alpha and vector; a constant sequence ignores alpha
+    kind = _variant(obj, "sequence", {name: (set(), {"alpha", "vector"}) for name in
+                                      ("constant", "linear-phase", "weyl-quadratic")})
     vec = np.array([_complex(x, "sequence.vector[]") for x in
                     _list(obj.get("vector", [[1.0, 0.0]]), "sequence.vector", nonempty=True)])
-    kind = obj["kind"]
     if kind == "constant":
         return vdc.constant_sequence(vec)
     alpha = _num(obj.get("alpha", np.sqrt(2.0) - 1.0), "sequence.alpha")
     if kind == "linear-phase":
         return vdc.linear_phase_sequence(alpha, vec)
-    if kind == "weyl-quadratic":
-        return vdc.weyl_quadratic_sequence(alpha, vec)
-    raise ConfigError(f"sequence.kind: unknown kind {kind!r}")
+    return vdc.weyl_quadratic_sequence(alpha, vec)
 
 
 def run_vdc(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
-    _require_keys(cfg, {"sequence", "windows", "h_max", "threshold", "seed"},
-                  {"sequence", "windows"}, "config")
     f = _build_sequence(cfg["sequence"])
     windows = parse_windows(cfg["windows"], 1)
     h_max = _int(cfg["h_max"], "h_max", 0) if "h_max" in cfg else None
@@ -259,9 +246,6 @@ def run_vdc(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
 
 
 def run_compact(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
-    _require_keys(cfg, {"system", "observable", "epsilon", "exponents", "scan",
-                        "windows", "candidates", "positive_observable", "seed"},
-                  {"system", "observable", "epsilon", "exponents", "scan"}, "config")
     sys_h = parse_system(cfg["system"])
     q = sys_h.q
     a = parse_observable(cfg["observable"], sys_h)
@@ -342,7 +326,6 @@ def run_compact(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
 
 
 def run_split(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
-    _require_keys(cfg, {"system", "seed"}, {"system"}, "config")
     sys_h = parse_system(cfg["system"])
     verdict = spectral.dichotomy_classify(sys_h)
     report = verdict.to_json()
@@ -353,9 +336,6 @@ def run_split(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
 
 
 def run_szemeredi(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
-    _require_keys(cfg, {"system", "observable", "exponents", "windows",
-                        "candidates", "seed"},
-                  {"system", "observable", "exponents", "windows"}, "config")
     sys_h = parse_system(cfg["system"])
     q = sys_h.q
     a = parse_observable(cfg["observable"], sys_h)
@@ -380,15 +360,12 @@ def run_szemeredi(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
 
 
 def run_invariants(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
-    _require_keys(cfg, {"seed", "scale"}, set(), "config")
-    if seed is None:
-        seed = cfg.get("seed")
     if seed is None:
         raise ConfigError("invariants: a seed is mandatory (config key or --seed)")
     scale = _num(cfg.get("scale", 1.0), "scale", 0)
-    results = run_all(int(seed), scale)
+    results = run_all(seed, scale)
     report = {
-        "seed": int(seed),
+        "seed": seed,
         "scale": scale,
         "results": [{"name": r.name, "passed": r.passed, "detail": r.detail}
                     for r in results],
@@ -399,15 +376,19 @@ def run_invariants(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     return report, failures
 
 
-HANDLERS = {
-    "folner": run_folner,
-    "mix": run_mix,
-    "higher": run_higher,
-    "vdc": run_vdc,
-    "compact": run_compact,
-    "split": run_split,
-    "szemeredi": run_szemeredi,
-    "invariants": run_invariants,
+# subcommand -> (handler, required config keys, optional config keys); every
+# subcommand also takes an optional "seed", an integer >= 0 that --seed overrides
+COMMANDS = {
+    "folner": (run_folner, {"group", "windows"}, {"shifts", "set", "candidates"}),
+    "mix": (run_mix, {"system", "windows", "observables", "hom"}, {"statistics", "threshold"}),
+    "higher": (run_higher, {"system", "windows", "observables", "homs"}, {"threshold", "gamma"}),
+    "vdc": (run_vdc, {"sequence", "windows"}, {"h_max", "threshold"}),
+    "compact": (run_compact, {"system", "observable", "epsilon", "exponents", "scan"},
+                {"windows", "candidates", "positive_observable"}),
+    "split": (run_split, {"system"}, set()),
+    "szemeredi": (run_szemeredi, {"system", "observable", "exponents", "windows"},
+                  {"candidates"}),
+    "invariants": (run_invariants, set(), {"scale"}),
 }
 
 
@@ -416,7 +397,7 @@ def main(argv=None) -> int:
         prog="ergodix",
         description="Desk-scale ergodic averaging experiments over Z^q.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", required=True, help="output directory")
@@ -426,15 +407,23 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None,
                        help="seed for randomized suites (overrides config)")
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
-        return 2
+    for flag, value, least in (("--threads", args.threads, 1), ("--seed", args.seed, 0)):
+        if value is not None and value < least:
+            print(f"error: {flag} must be >= {least}, got {value}", file=sys.stderr)
+            return 2
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a path under one
+        print(f"error: --out {out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    handler, required, optional = COMMANDS[args.command]
     try:
         cfg = _load_config(args.config)
-        _, failures = HANDLERS[args.command](cfg, out, args.seed)
+        _require_keys(cfg, required | optional | {"seed"}, required, "config")
+        seed = _int(cfg["seed"], "seed", 0) if "seed" in cfg else None
+        _, failures = handler(cfg, out, seed if args.seed is None else args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -41,6 +41,18 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], ctx: str) ->
         raise ConfigError(f"{ctx}: missing keys {sorted(missing)}")
 
 
+def _variant(obj, ctx: str, variants: dict, field: str = "kind") -> str:
+    """Check ``obj`` against a table of variant -> (required keys, optional
+    keys) selected by ``obj[field]``, and return the variant."""
+    _require_keys(obj, {field}.union(*(r | o for r, o in variants.values())), {field}, ctx)
+    value = obj[field]
+    if not isinstance(value, str) or value not in variants:
+        raise ConfigError(f"{ctx}.{field}: unknown {field} {value!r}")
+    required, optional = variants[value]
+    _require_keys(obj, {field} | required | optional, {field} | required, ctx)
+    return value
+
+
 def _int(obj, ctx: str, minimum: Optional[int] = None) -> int:
     if not isinstance(obj, int) or isinstance(obj, bool):
         raise ConfigError(f"{ctx}: expected an integer")
@@ -100,44 +112,32 @@ def parse_group(obj: dict) -> int:
 
 
 def parse_windows(obj: dict, q: int) -> list[FolnerWindow]:
-    _require_keys(obj, {"shape", "n", "n_min", "n_max", "stride", "elements"},
-                  {"shape"}, "windows")
-    shape = obj["shape"]
-    if shape == "box":
-        if "elements" in obj:
-            raise ConfigError("windows: box shape does not take elements")
-        if "n" in obj:
-            return [folner.box_window(q, _int(obj["n"], "windows.n", 1))]
-        n_min = _int(obj.get("n_min", 1), "windows.n_min", 1)
-        n_max = _int(obj.get("n_max", n_min), "windows.n_max", n_min)
-        stride = _int(obj.get("stride", 1), "windows.stride", 1)
-        return folner.box_schedule(q, n_min, n_max, stride)
+    shape = _variant(obj, "windows", {"box": (set(), {"n", "n_min", "n_max", "stride"}),
+                                      "custom": ({"elements"}, set())}, "shape")
     if shape == "custom":
-        if "elements" not in obj:
-            raise ConfigError("windows: custom shape needs elements")
-        if any(k in obj for k in ("n", "n_min", "n_max", "stride")):
-            raise ConfigError("windows: custom shape does not take box bounds")
         elements = _list(obj["elements"], "windows.elements")
         return [folner.custom_window(q, [_element(e, "windows.elements[]") for e in elements])]
-    raise ConfigError(f"windows.shape: unknown shape {shape!r}")
+    if "n" in obj:
+        return [folner.box_window(q, _int(obj["n"], "windows.n", 1))]
+    n_min = _int(obj.get("n_min", 1), "windows.n_min", 1)
+    n_max = _int(obj.get("n_max", n_min), "windows.n_max", n_min)
+    stride = _int(obj.get("stride", 1), "windows.stride", 1)
+    return folner.box_schedule(q, n_min, n_max, stride)
 
 
 def parse_scan(obj: dict, q: int) -> FolnerWindow:
-    _require_keys(obj, {"shape", "n"}, {"shape", "n"}, "scan")
-    if obj["shape"] != "box":
-        raise ConfigError("scan.shape must be 'box'")
+    _variant(obj, "scan", {"box": ({"n"}, set())}, "shape")
     return folner.box_window(q, _int(obj["n"], "scan.n", 1))
 
 
 def parse_set(obj: dict, q: Optional[int] = None) -> folner.SetPredicate:
     """The membership predicate of a set config; finite-set points must have
     rank q when it is given."""
-    _require_keys(obj, {"kind", "modulus", "residues", "coeffs", "points",
-                        "start", "step"}, {"kind"}, "set")
-    kind = obj["kind"]
+    kind = _variant(obj, "set", {"residue": ({"modulus", "residues"}, {"coeffs"}),
+                                 "finite": ({"points"}, set()),
+                                 "progression": ({"start", "step"}, set()),
+                                 "all": (set(), set())})
     if kind == "residue":
-        _require_keys(obj, {"kind", "modulus", "residues", "coeffs"},
-                      {"kind", "modulus", "residues"}, "set")
         coeffs = (tuple(_int(c, "set.coeffs[]") for c in _list(obj["coeffs"], "set.coeffs"))
                   if "coeffs" in obj else None)
         return folner.ResidueClassSet(
@@ -146,72 +146,57 @@ def parse_set(obj: dict, q: Optional[int] = None) -> folner.SetPredicate:
             coeffs,
         )
     if kind == "finite":
-        _require_keys(obj, {"kind", "points"}, {"kind", "points"}, "set")
         pts = frozenset(_element(p, "set.points[]", q) for p in _list(obj["points"], "set.points"))
         return folner.FiniteSet(pts)
     if kind == "progression":
-        _require_keys(obj, {"kind", "start", "step"}, {"kind", "start", "step"}, "set")
         return folner.ProgressionSet(
             _element(obj["start"], "set.start"), _element(obj["step"], "set.step"))
-    if kind == "all":
-        _require_keys(obj, {"kind"}, {"kind"}, "set")
-        return folner.FullSet()
-    raise ConfigError(f"set.kind: unknown kind {kind!r}")
+    return folner.FullSet()
 
 
 def parse_system(obj: dict):
-    _require_keys(obj, {"kind", "p", "Q", "q", "d", "dim", "generators", "state"},
-                  {"kind"}, "system")
-    kind = obj["kind"]
+    kind = _variant(obj, "system", {"rotation": ({"p", "Q"}, set()),
+                                    "clock-shift": ({"Q"}, {"p"}),
+                                    "cyclic": ({"dim"}, set()),
+                                    "shift": ({"q", "d"}, set()),
+                                    "finite": ({"generators"}, {"state"})})
     if kind == "rotation":
-        _require_keys(obj, {"kind", "p", "Q"}, {"kind", "p", "Q"}, "system")
         return rotation_algebra_system(_int(obj["p"], "system.p"),
                                        _int(obj["Q"], "system.Q", 2))
     if kind == "clock-shift":
-        _require_keys(obj, {"kind", "p", "Q"}, {"kind", "Q"}, "system")
         return clock_shift_system(_int(obj["Q"], "system.Q", 2),
                                   _int(obj.get("p", 1), "system.p"))
     if kind == "cyclic":
-        _require_keys(obj, {"kind", "dim"}, {"kind", "dim"}, "system")
         return cyclic_permutation_system(_int(obj["dim"], "system.dim", 2))
     if kind == "shift":
-        _require_keys(obj, {"kind", "q", "d"}, {"kind", "q", "d"}, "system")
         return shift_system(_int(obj["q"], "system.q", 1),
                             _int(obj["d"], "system.d", 2))
-    if kind == "finite":
-        _require_keys(obj, {"kind", "generators", "state"},
-                      {"kind", "generators"}, "system")
-        gens = tuple(_matrix(g, "system.generators[]")
-                     for g in _list(obj["generators"], "system.generators"))
-        if not gens:
-            raise ConfigError("system.generators: need at least one generator")
-        state_obj = obj.get("state", {"kind": "trace"})
-        _require_keys(state_obj, {"kind", "entries"}, {"kind"}, "system.state")
-        if state_obj["kind"] == "trace":
-            state = trace_state(gens[0].shape[0])
-        elif state_obj["kind"] == "density":
-            _require_keys(state_obj, {"kind", "entries"}, {"kind", "entries"}, "system.state")
-            state = State(_matrix(state_obj["entries"], "system.state.entries"))
-        else:
-            raise ConfigError("system.state.kind must be 'trace' or 'density'")
-        return FiniteSystem(generators=gens, state=state)
-    raise ConfigError(f"system.kind: unknown kind {kind!r}")
+    gens = tuple(_matrix(g, "system.generators[]")
+                 for g in _list(obj["generators"], "system.generators"))
+    if not gens:
+        raise ConfigError("system.generators: need at least one generator")
+    state_obj = obj.get("state", {"kind": "trace"})
+    # a trace state accepts, and ignores, entries
+    if _variant(state_obj, "system.state", {"trace": (set(), {"entries"}),
+                                            "density": ({"entries"}, set())}) == "trace":
+        state = trace_state(gens[0].shape[0])
+    else:
+        state = State(_matrix(state_obj["entries"], "system.state.entries"))
+    return FiniteSystem(generators=gens, state=state)
 
 
 _NAMED = {"U", "V", "U*", "V*"}
 
 
 def parse_observable(obj: dict, sys) -> object:
-    _require_keys(obj, {"kind", "sites", "label", "entries", "name"},
-                  {"kind"}, "observable")
-    kind = obj["kind"]
+    kind = _variant(obj, "observable", {"pauli": ({"sites", "label"}, set()),
+                                        "matrix": ({"entries"}, {"sites"}),
+                                        "named": ({"name"}, set())})
     if kind == "pauli":
         if not isinstance(sys, QuasiLocalSystem):
             raise ConfigError("pauli observables need a shift system")
         if sys.d != 2:
             raise ConfigError("pauli observables need site dimension 2")
-        _require_keys(obj, {"kind", "sites", "label"}, {"kind", "sites", "label"},
-                      "observable")
         label = obj["label"]
         if not isinstance(label, str) or not set(label.upper()) <= set(PAULI):
             raise ConfigError(f"observable.label: letters must be among {sorted(PAULI)}")
@@ -219,8 +204,6 @@ def parse_observable(obj: dict, sys) -> object:
                  for s in _list(obj["sites"], "observable.sites")]
         return pauli_observable(sites, label, q=sys.q)
     if kind == "matrix":
-        _require_keys(obj, {"kind", "entries", "sites"}, {"kind", "entries"},
-                      "observable")
         mat = _matrix(obj["entries"], "observable.entries")
         if isinstance(sys, QuasiLocalSystem):
             supp = tuple(_element(s, "observable.sites[]", sys.q)
@@ -229,33 +212,26 @@ def parse_observable(obj: dict, sys) -> object:
         if mat.shape[0] != sys.dim:
             raise ConfigError("observable dimension does not match the system")
         return mat
-    if kind == "named":
-        _require_keys(obj, {"kind", "name"}, {"kind", "name"}, "observable")
-        name = obj["name"]
-        if name not in _NAMED:
-            raise ConfigError(f"observable.name must be one of {sorted(_NAMED)}")
-        if not isinstance(sys, FiniteSystem):
-            raise ConfigError("named observables need a finite system")
-        dim = sys.dim
-        base = clock_matrix(dim) if name.startswith("U") else cyclic_shift_matrix(dim)
-        return base.conj().T if name.endswith("*") else base
-    raise ConfigError(f"observable.kind: unknown kind {kind!r}")
+    name = obj["name"]
+    if not isinstance(name, str) or name not in _NAMED:
+        raise ConfigError(f"observable.name must be one of {sorted(_NAMED)}")
+    if not isinstance(sys, FiniteSystem):
+        raise ConfigError("named observables need a finite system")
+    dim = sys.dim
+    base = clock_matrix(dim) if name.startswith("U") else cyclic_shift_matrix(dim)
+    return base.conj().T if name.endswith("*") else base
 
 
 def parse_hom(obj: dict, q: int) -> Homomorphism:
-    _require_keys(obj, {"kind", "m", "entries"}, {"kind"}, "hom")
-    if obj["kind"] == "scalar":
-        _require_keys(obj, {"kind", "m"}, {"kind", "m"}, "hom")
+    kind = _variant(obj, "hom", {"scalar": ({"m"}, set()), "matrix": ({"entries"}, set())})
+    if kind == "scalar":
         return Homomorphism.scalar(q, _int(obj["m"], "hom.m"))
-    if obj["kind"] == "matrix":
-        _require_keys(obj, {"kind", "entries"}, {"kind", "entries"}, "hom")
-        rows = _list(obj["entries"], "hom.entries")
-        h = Homomorphism.from_matrix(
-            [[_int(x, "hom.entries[][]") for x in _list(row, "hom.entries[]")] for row in rows])
-        if h.q != q:
-            raise ConfigError("hom.entries: rank does not match the group")
-        return h
-    raise ConfigError("hom.kind must be 'scalar' or 'matrix'")
+    rows = _list(obj["entries"], "hom.entries")
+    h = Homomorphism.from_matrix(
+        [[_int(x, "hom.entries[][]") for x in _list(row, "hom.entries[]")] for row in rows])
+    if h.q != q:
+        raise ConfigError("hom.entries: rank does not match the group")
+    return h
 
 
 def parse_candidates(obj, q: int) -> list:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import os
@@ -101,6 +102,21 @@ class TestExitCodes:
                      "--threads", threads]) == 2
         assert "--threads" in capsys.readouterr().err
 
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "c.json", {"scale": 0.05})
+        assert main(["invariants", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_unusable_out_is_input_error(self, tmp_path, capsys, out):
+        # --out names an existing file, or a path under one
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        cfg = write_cfg(tmp_path, "c.json", FOLNER_CFG)
+        assert main(["folner", "--config", cfg, "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: --out {tmp_path / out}: ")
+
     @pytest.mark.parametrize("command,cfg,message", [
         ("split", {"system": {"kind": "finite",
                               "generators": [matrix_to_json(np.diag([2.0, 1.0]))]}},
@@ -168,6 +184,23 @@ class TestExitCodes:
         ("mix", {**MIX_CFG, "threshold": float("inf")}, "threshold: expected a finite number"),
         ("folner", {**FOLNER_CFG, "set": {"kind": "finite", "points": [[1, 2]]}},
          "set.points[]: expected rank 1, got 2"),
+        ("mix", {**MIX_CFG, "system": {"kind": "rotation", "p": 1, "Q": 3},
+                 "observables": {"a": {"kind": "named", "name": ["U"]},
+                                 "b": {"kind": "named", "name": "V"}}},
+         "observable.name must be one of ['U', 'U*', 'V', 'V*']"),
+        ("compact", {"system": {"kind": "rotation", "p": 1, "Q": 5},
+                     "observable": {"kind": "named", "name": {}},
+                     "epsilon": 0.1, "exponents": [1], "scan": {"shape": "box", "n": 5}},
+         "observable.name must be one of ['U', 'U*', 'V', 'V*']"),
+        ("invariants", {"seed": [1]}, "seed: expected an integer"),
+        ("invariants", {"seed": {}}, "seed: expected an integer"),
+        ("invariants", {"seed": 1.5}, "seed: expected an integer"),
+        ("invariants", {"seed": True}, "seed: expected an integer"),
+        ("invariants", {"seed": "x"}, "seed: expected an integer"),
+        ("invariants", {"seed": -1}, "seed: must be >= 0"),
+        ("folner", {**FOLNER_CFG, "seed": "x"}, "seed: expected an integer"),
+        ("split", {"system": {"kind": "clock-shift", "Q": 3}, "seed": [1]},
+         "seed: expected an integer"),
     ])
     def test_invalid_value_is_input_error(self, tmp_path, capsys, command, cfg, message):
         path = write_cfg(tmp_path, "c.json", cfg)
@@ -193,6 +226,118 @@ class TestExitCodes:
         passing = write_cfg(tmp_path, "pass.json", MIX_CFG)
         assert main(["mix", "--config", passing, "--out", str(out)]) == 0
         assert not (out / "failures.json").exists()
+
+
+# One small valid config per subcommand (mix on both backends), between them
+# reaching every parser.  The sweep drops each key and replaces each leaf in
+# turn with every hostile value; sizes are never dropped (a default may be
+# larger) or enlarged, so no mutant runs long.
+SWEEP_BASES = {
+    "folner": ("folner", {
+        "group": {"q": 1},
+        "windows": {"shape": "box", "n_min": 1, "n_max": 2, "stride": 1},
+        "shifts": [[1]],
+        "set": {"kind": "residue", "modulus": 2, "residues": [0], "coeffs": [1]},
+        "candidates": [[0], [1]]}),
+    "mix-chain": ("mix", {
+        "system": {"kind": "shift", "q": 1, "d": 2},
+        "windows": {"shape": "box", "n": 1},
+        "observables": {"a": {"kind": "pauli", "sites": [0], "label": "Z"},
+                        "b": {"kind": "pauli", "sites": [[0]], "label": "X"}},
+        "hom": {"kind": "matrix", "entries": [[1]]},
+        "statistics": ["square"],
+        "threshold": 0.5}),
+    "mix-finite": ("mix", {
+        "system": {"kind": "clock-shift", "Q": 2, "p": 1},
+        "windows": {"shape": "box", "n": 1},
+        "observables": {"a": {"kind": "named", "name": "U"},
+                        "b": {"kind": "named", "name": "V*"}},
+        "hom": {"kind": "scalar", "m": 1},
+        "statistics": ["ergodic-average"]}),
+    "higher": ("higher", {
+        "system": {"kind": "rotation", "p": 1, "Q": 2},
+        "windows": {"shape": "box", "n": 1},
+        "observables": [{"kind": "named", "name": "U"}] * 3,
+        "homs": [{"kind": "scalar", "m": 1}, {"kind": "scalar", "m": 2}],
+        "threshold": 0.5,
+        "gamma": {"h_max": 1}}),
+    "vdc": ("vdc", {
+        "sequence": {"kind": "weyl-quadratic", "alpha": 0.25, "vector": [[1.0, 0.0]]},
+        "windows": {"shape": "custom", "elements": [0, 1]},
+        "h_max": 1,
+        "threshold": 0.5}),
+    "compact": ("compact", {
+        "system": {"kind": "cyclic", "dim": 2},
+        "observable": {"kind": "named", "name": "V"},
+        "epsilon": 0.1,
+        "exponents": [1],
+        "scan": {"shape": "box", "n": 1}}),
+    "split": ("split", {
+        "system": {"kind": "finite", "generators": [[[[1.0, 0.0]]]],
+                   "state": {"kind": "density", "entries": [[[1.0, 0.0]]]}},
+        "seed": 0}),
+    "szemeredi": ("szemeredi", {
+        "system": {"kind": "shift", "q": 1, "d": 2},
+        "observable": {"kind": "matrix", "sites": [0],
+                       "entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+        "exponents": [1],
+        "windows": {"shape": "box", "n": 1},
+        "candidates": [[0]]}),
+    "invariants": ("invariants", {"seed": 1, "scale": 0.01}),
+}
+HOSTILE = (None, "x", [], {}, True, 1.5, -1, float("nan"))
+SIZES = {"n", "Q", "dim", "scale"}
+DROP = object()
+
+
+def mutations(node, path=()):
+    """(path, value) for every key to drop and every leaf to replace under
+    ``node``, in a fixed order; ``value`` is DROP for a dropped key."""
+    if not isinstance(node, (dict, list)):
+        for value in HOSTILE:
+            if not (path[-1] in SIZES and isinstance(value, (int, float)) and value > node):
+                yield path, value
+        return
+    for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+        if isinstance(node, dict) and key not in SIZES:
+            yield path + (key,), DROP
+        yield from mutations(child, path + (key,))
+
+
+def mutated(cfg, path, value):
+    cfg = copy.deepcopy(cfg)
+    *outer, last = path
+    node = cfg
+    for key in outer:
+        node = node[key]
+    if value is DROP:
+        del node[last]
+    else:
+        node[last] = value
+    return cfg
+
+
+class TestMutationSweep:
+    @pytest.mark.parametrize("base", SWEEP_BASES)
+    def test_every_mutant_keeps_the_exit_code_contract(self, tmp_path, capsys, base):
+        command, cfg = SWEEP_BASES[base]
+        path, out = tmp_path / "c.json", str(tmp_path / "o")
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main([command, "--config", str(path), "--out", out]) == 0
+        capsys.readouterr()
+        broken = []
+        for where, value in mutations(cfg):
+            path.write_text(json.dumps(mutated(cfg, where, value)), encoding="utf-8")
+            try:
+                code = main([command, "--config", str(path), "--out", out])
+            except Exception as exc:  # an escaped exception is a traceback
+                code = repr(exc)
+            err = capsys.readouterr().err
+            if (code not in (0, 1, 2) or "Traceback" in err
+                    or sum("error:" in line for line in err.splitlines()) > 1):
+                label = "drop" if value is DROP else repr(value)
+                broken.append(f"{'.'.join(map(str, where))} <- {label}: {code} {err!r}")
+        assert not broken, "\n".join(broken)
 
 
 class TestFolnerCommand:
