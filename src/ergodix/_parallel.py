@@ -1,14 +1,14 @@
-"""Deterministic evaluation and correctly rounded reductions.
+"""Point tables and correctly rounded reductions.
 
-Work items are mapped in order and reduced with correctly rounded sums, so
-every result is independent of evaluation order.  Every window statistic
-(mixing defects, densities, best shifts, relative-denseness witnesses and
-van der Corput averages and lag tables) finds the distinct lattice points of
-its whole schedule with :func:`point_table`, evaluates its function once per
-point in first-seen order, and reduces each window over that table.  An
-integrand takes the whole (T, q) table and returns its T values, so a backend
-can evaluate all the points at once; :func:`table_means` is the one window
-reduction.
+Every window statistic (mixing defects, densities, best shifts,
+relative-denseness witnesses and van der Corput averages and lag tables)
+finds the distinct lattice points of its whole schedule with
+:func:`point_table` and hands them to its integrand once, as the rows of a
+(T, q) integer table in first-seen order.  The integrand returns their T
+values, so a backend, a predicate or a sequence decides all the points at
+once.  Each window is reduced over that table with correctly rounded sums,
+so every result is independent of evaluation order; :func:`table_means` is
+the one window reduction.
 """
 
 from __future__ import annotations
@@ -140,14 +140,6 @@ def window_points(
     if lead is not None:
         blocks = itertools.chain([lead], blocks)
     return point_table(blocks, lo, hi)
-
-
-def window_table(
-    windows: Sequence, lead: Optional[np.ndarray] = None
-) -> tuple[list[tuple[int, ...]], list[np.ndarray]]:
-    """:func:`window_points` with the points as tuples."""
-    table, rows = window_points(windows, lead)
-    return list(map(tuple, table.tolist())), rows
 
 
 def table_means(

@@ -203,9 +203,9 @@ def run_higher(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
 
 
 def _build_sequence(obj: dict) -> vdc.VectorSequence:
-    # every kind takes alpha and vector; a constant sequence ignores alpha
-    kind = _variant(obj, "sequence", {name: (set(), {"alpha", "vector"}) for name in
-                                      ("constant", "linear-phase", "weyl-quadratic")})
+    kind = _variant(obj, "sequence", {"constant": (set(), {"vector"}),
+                                      "linear-phase": (set(), {"alpha", "vector"}),
+                                      "weyl-quadratic": (set(), {"alpha", "vector"})})
     vec = np.array([_complex(x, "sequence.vector[]") for x in
                     _list(obj.get("vector", [[1.0, 0.0]]), "sequence.vector", nonempty=True)])
     if kind == "constant":

@@ -17,6 +17,7 @@ import numpy as np
 
 from ._parallel import table_means
 from .folner import (
+    FiniteSet,
     FolnerWindow,
     GroupElement,
     as_element,
@@ -300,11 +301,11 @@ def _covering_grid(probe: ReturnSet) -> list[GroupElement]:
     """The smallest grid {0..r-1}^q whose translates meet the probe's members
     from every point of a core of its scan."""
     scan = probe.scan_window
-    members = set(probe.members)
+    members = FiniteSet(frozenset(probe.members))
     for r in range(1, scan.index):
         cands = [tuple(c) for c in itertools.product(range(r), repeat=scan.q)]
         core = box_window(scan.q, scan.index - r)
-        if relative_density_witness(lambda g: g in members, core, cands).accepted:
+        if relative_density_witness(members, core, cands).accepted:
             return cands
     raise ValueError("could not find a covering candidate grid; "
                      "pass candidates explicitly")
@@ -358,13 +359,13 @@ def szemeredi_average_compact(
     if not members:
         raise ValueError(
             "return set empty on the scan window; enlarge the window schedule")
-    member_set = set(members)
-    witness = relative_density_witness(lambda g: g in member_set, _core_scan(scan, cands), cands)
+    member_set = FiniteSet(frozenset(members))
+    witness = relative_density_witness(member_set, _core_scan(scan, cands), cands)
 
     shifts = []
     shifted = []
     for w in windows:
-        shift, ratio = best_shift_for_density(w, lambda g: g in member_set, cands)
+        shift, ratio = best_shift_for_density(w, member_set, cands)
         shifted.append(shift_window(w, shift))
         shifts.append((w.index, shift, ratio))
     means = table_means(lambda pts: multi_correlations(sys, a, full_exps, pts), shifted)

@@ -117,7 +117,8 @@ def parse_windows(obj: dict, q: int) -> list[FolnerWindow]:
     if shape == "custom":
         elements = _list(obj["elements"], "windows.elements")
         return [folner.custom_window(q, [_element(e, "windows.elements[]") for e in elements])]
-    if "n" in obj:
+    if "n" in obj:  # one box, not a schedule
+        _require_keys(obj, {"shape", "n"}, set(), "windows")
         return [folner.box_window(q, _int(obj["n"], "windows.n", 1))]
     n_min = _int(obj.get("n_min", 1), "windows.n_min", 1)
     n_max = _int(obj.get("n_max", n_min), "windows.n_max", n_min)
@@ -176,8 +177,7 @@ def parse_system(obj: dict):
     if not gens:
         raise ConfigError("system.generators: need at least one generator")
     state_obj = obj.get("state", {"kind": "trace"})
-    # a trace state accepts, and ignores, entries
-    if _variant(state_obj, "system.state", {"trace": (set(), {"entries"}),
+    if _variant(state_obj, "system.state", {"trace": (set(), set()),
                                             "density": ({"entries"}, set())}) == "trace":
         state = trace_state(gens[0].shape[0])
     else:

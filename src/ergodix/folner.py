@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from ._parallel import lex_keys, ordered_map, point_table, table_means
+from ._parallel import lex_keys, point_table, table_means
 
 GroupElement = tuple[int, ...]
 
@@ -428,18 +428,9 @@ class FullSet(SetPredicate):
         return {"kind": "all"}
 
 
-Predicate = Union[SetPredicate, Callable[[GroupElement], bool]]
-
-
-def _indicator(pred: Predicate) -> Callable[[np.ndarray], Sequence[float]]:
-    """The table integrand that is 1.0 at each row of a (T, q) point table
-    where the predicate holds, else 0.0.  A SetPredicate decides the table
-    through its mask; a plain callable runs once per row, in order, on the
-    row as a tuple of ints."""
-    if isinstance(pred, SetPredicate):
-        return lambda points: pred.mask(points).astype(np.float64)
-    return lambda points: ordered_map(lambda g: 1.0 if pred(g) else 0.0,
-                                      list(map(tuple, points.tolist())))
+def _indicator(pred: SetPredicate) -> Callable[[np.ndarray], np.ndarray]:
+    """The table integrand that is 1.0 at each row where ``pred`` holds, else 0.0."""
+    return lambda points: pred.mask(points).astype(np.float64)
 
 
 # --- density machinery -------------------------------------------------------
@@ -454,7 +445,7 @@ class DensityReport:
     lower_density: float
 
 
-def lower_density(pred: Predicate, windows: Sequence[FolnerWindow]) -> DensityReport:
+def lower_density(pred: SetPredicate, windows: Sequence[FolnerWindow]) -> DensityReport:
     if not windows:
         raise ValueError("need at least one window")
     ratios = table_means(_indicator(pred), windows)
@@ -470,7 +461,7 @@ class RelativeDensityResult:
 
 
 def relative_density_witness(
-    pred: Predicate,
+    pred: SetPredicate,
     scan: FolnerWindow,
     candidates: Sequence[Union[int, Sequence[int]]],
 ) -> RelativeDensityResult:
@@ -478,7 +469,8 @@ def relative_density_witness(
     every g in the scan must have E intersect {g+g_1,...,g+g_r} nonempty.
     On failure the first failing g (in lexicographic scan order) is reported.
 
-    The predicate runs once per distinct point g + g_j, in first-seen order.
+    ``pred.mask`` decides the distinct points g + g_j in one table, in
+    first-seen order.
     """
     if not candidates:
         raise ValueError("need at least one candidate")
@@ -492,7 +484,7 @@ def relative_density_witness(
     lo = [a + min(c) for a, c in zip(lo, zip(*cands))]
     hi = [b + max(c) for b, c in zip(hi, zip(*cands))]
     pts, (rows,) = point_table([sums], lo, hi)
-    hits = np.array(_indicator(pred)(pts), dtype=bool)
+    hits = pred.mask(pts)
     covered = hits[rows].reshape(len(gs), len(cands)).any(axis=1)
     if covered.all():
         return RelativeDensityResult(True, cands)
@@ -502,7 +494,7 @@ def relative_density_witness(
 
 def best_shift_for_density(
     window: FolnerWindow,
-    pred: Predicate,
+    pred: SetPredicate,
     candidates: Sequence[Union[int, Sequence[int]]],
 ) -> tuple[GroupElement, float]:
     """Among the candidate shifts, pick the one maximizing |(W+g_j) intersect E|.

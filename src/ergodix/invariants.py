@@ -324,12 +324,35 @@ def check_gamma_consistency(rng, scale=1.0) -> InvariantResult:
 
 # --- van der Corput ----------------------------------------------------------
 
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer of each entry of a uint64 array; array
+    arithmetic wraps mod 2^64 without warnings."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _uniforms(seed: int, points: np.ndarray, count: int) -> np.ndarray:
+    """``count`` uniforms in (0, 1] for each row of a (T, q) integer table,
+    a pure function of (seed, row): the row's coordinates mod 2^64 are hashed
+    into the seed, and the k-th uniform is the top 53 bits of the k-th
+    SplitMix64 output from that state."""
+    gamma = np.uint64(0x9E3779B97F4A7C15)
+    state = np.full(len(points), seed, dtype=np.uint64)
+    for col in (points.astype(object) % (1 << 64)).astype(np.uint64).T:
+        state = _mix64((state ^ col) + gamma)
+    steps = np.arange(1, count + 1, dtype=np.uint64) * gamma
+    return ((_mix64(state[:, None] + steps) >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
+
+
 def _random_sequence(rng, dim: int) -> vdc.VectorSequence:
+    """Complex normal vectors by Box-Muller on the uniforms of each row; each
+    entry has modulus sqrt(-2 ln u) <= sqrt(106 ln 2) < 8.6, inside the bound."""
     seed = int(rng.integers(0, 2 ** 32))
 
-    def fn(g, dim=dim, seed=seed):
-        local = np.random.default_rng((hash(g) ^ seed) % (2 ** 32))
-        return local.standard_normal(dim) + 1j * local.standard_normal(dim)
+    def fn(points):
+        u = _uniforms(seed, points, 2 * dim)
+        return np.sqrt(-2.0 * np.log(u[:, :dim])) * np.exp(2j * np.pi * u[:, dim:])
 
     return vdc.VectorSequence(fn, bound=20.0 * math.sqrt(dim), dim=dim)
 
@@ -350,16 +373,10 @@ def check_vdc_inequalities(rng, scale=1.0) -> InvariantResult:
 def check_difference_sum(rng, scale=1.0) -> InvariantResult:
     for _ in range(int(200 * scale)):
         n = int(rng.integers(1, 9))
-        table = {}
         seed = int(rng.integers(0, 2 ** 32))
-
-        def gamma(h, table=table, seed=seed):
-            if h not in table:
-                local = np.random.default_rng((hash(h) ^ seed) % (2 ** 32))
-                table[h] = float(local.uniform(0.0, 3.0))
-            return table[h]
-
-        if not vdc.difference_sum_bound(gamma, folner.box_window(1, n)).holds:
+        res = vdc.difference_sum_bound(lambda lags: 3.0 * _uniforms(seed, lags, 1)[:, 0],
+                                       folner.box_window(1, n))
+        if not res.holds:
             return _result("vdc/difference-sum-bound", False, f"n={n}")
     return _result("vdc/difference-sum-bound", True)
 
@@ -374,11 +391,8 @@ def check_smoothing_consistency(rng, scale=1.0) -> InvariantResult:
         n = int(rng.integers(1, 4))
         wm, wn = folner.box_window(1, m), folner.box_window(1, n)
         plain = vdc.average_vector(f, wm)
-        total = np.zeros(dim, dtype=complex)
-        for g in wm.iter_elements():
-            for h in wn.iter_elements():
-                total += f(folner.add(g, h))
-        smoothed = total / (wm.size * wn.size)
+        sums = wm.element_array()[:, None, :] + wn.element_array()[None, :, :]
+        smoothed = f.table(sums.reshape(-1, 1)).sum(axis=0) / (wm.size * wn.size)
         lhs = float(np.linalg.norm(plain - smoothed))
         bound = f.bound * max(folner.folner_defect(wm, h) for h in wn.iter_elements())
         if lhs > bound + 1e-9:

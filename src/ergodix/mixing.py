@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._parallel import fmean, fmean_complex, ordered_map, table_means, window_points, window_table
+from ._parallel import fmean, fmean_complex, table_means, window_points
 from .folner import _INT64_SAFE, FolnerWindow, GroupElement, Homomorphism, inverse_product, zero
 from .systems import SystemHandle, commutator_norm_table, evaluate, evaluate_table
 
@@ -336,13 +336,16 @@ def density_limit_check(
     threshold: float = 0.05,
 ) -> DensityLimitReport:
     """Finite-horizon comparison of mean decay versus superlevel-set density
-    decay for a bounded nonnegative f on the lattice."""
+    decay for a bounded nonnegative f on the lattice.  ``f`` takes the (T, q)
+    table of the schedule's distinct points once and returns their T values."""
     if not windows:
         raise ValueError("need at least one window")
     if not eps_grid or any(e <= 0 for e in eps_grid):
         raise ValueError("eps grid must be positive")
-    points, rows = window_table(windows)
-    values = np.array(ordered_map(f, points), dtype=np.float64)
+    points, rows = window_points(windows)
+    values = np.asarray(f(points), dtype=np.float64)
+    if values.shape != (len(points),):
+        raise ValueError(f"f returned shape {values.shape}, expected ({len(points)},)")
     if not (np.isfinite(values) & (values >= 0)).all():
         raise ValueError("f must be finite and nonnegative")
     window_vals = [values[r] for r in rows]

@@ -22,11 +22,9 @@ from .folner import (
     GroupElement,
     _exact_dtype,
     _reach,
-    add,
     box_window,
     difference_counts,
     element_row,
-    inverse_product,
 )
 
 BOUND_SLACK = 1e-12
@@ -36,10 +34,11 @@ REL_SLACK = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class VectorSequence:
-    """A bounded map g -> C^dim with a declared norm bound, checked lazily on
-    every evaluation.  ``fn`` takes one point, as a tuple of ints."""
+    """A bounded map g -> C^dim with a declared norm bound, checked on every
+    evaluation.  ``fn`` takes a (T, q) integer table of points and returns
+    their values as the rows of a (T, dim) array."""
 
-    fn: Callable[[GroupElement], np.ndarray]
+    fn: Callable[[np.ndarray], np.ndarray]
     bound: float
     dim: int
 
@@ -48,26 +47,12 @@ class VectorSequence:
 
     def table(self, points: np.ndarray) -> np.ndarray:
         """f at each row of a (T, q) integer table, as the rows of one
-        (T, dim) array.  The shape and the declared bound are checked as if
-        each point were evaluated in turn: the error names the first
-        offending point, whatever follows it."""
-        vals = self._values(points)
-        self._check_bound(vals, points)
-        return vals
-
-    def _values(self, points: np.ndarray) -> np.ndarray:
-        """``fn`` at each row in turn, filled in place; a value of the wrong
-        shape raises once the rows before it have passed the bound check."""
-        vals = np.empty((len(points), self.dim), dtype=np.complex128)
-        for i, g in enumerate(map(tuple, points.tolist())):
-            v = np.asarray(self.fn(g), dtype=np.complex128)
-            if v.shape != (self.dim,):
-                self._check_bound(vals[:i], points)
-                raise ValueError(f"sequence value has shape {v.shape}, expected ({self.dim},)")
-            vals[i] = v
-        return vals
-
-    def _check_bound(self, vals: np.ndarray, points: np.ndarray) -> None:
+        (T, dim) array.  Values of the wrong shape raise; otherwise the
+        error names the first row whose value breaks the declared bound."""
+        vals = np.asarray(self.fn(points), dtype=np.complex128)
+        if vals.shape != (len(points), self.dim):
+            raise ValueError(f"sequence values have shape {vals.shape}, "
+                             f"expected ({len(points)}, {self.dim})")
         limit = self.bound * (1.0 + BOUND_SLACK) + BOUND_SLACK
         # Screen with one vectorized norm, then decide each flagged row with
         # the norm a single evaluation takes.  Both are square roots of a sum
@@ -79,14 +64,7 @@ class VectorSequence:
             if norm > limit:
                 raise ValueError(f"declared bound {self.bound} violated at "
                                  f"{tuple(points[i].tolist())}: |f(g)| = {norm}")
-
-
-class _ArraySequence(VectorSequence):
-    """A built-in sequence: ``fn`` maps the whole (T, q) integer table to its
-    (T, dim) values in one array expression."""
-
-    def _values(self, points: np.ndarray) -> np.ndarray:
-        return self.fn(points)
+        return vals
 
 
 def _phases(alpha: float, form: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -98,7 +76,7 @@ def _phases(alpha: float, form: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def constant_sequence(v) -> VectorSequence:
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    return _ArraySequence(lambda points: np.tile(v, (len(points), 1)),
+    return VectorSequence(lambda points: np.tile(v, (len(points), 1)),
                           bound=float(np.linalg.norm(v)), dim=v.size)
 
 
@@ -110,7 +88,7 @@ def linear_phase_sequence(alpha: float, v) -> VectorSequence:
         exact = points.astype(_exact_dtype(points, points.shape[1]))
         return _phases(alpha, exact.sum(axis=1), v)
 
-    return _ArraySequence(fn, bound=float(np.linalg.norm(v)), dim=v.size)
+    return VectorSequence(fn, bound=float(np.linalg.norm(v)), dim=v.size)
 
 
 def weyl_quadratic_sequence(alpha: float, v) -> VectorSequence:
@@ -121,7 +99,7 @@ def weyl_quadratic_sequence(alpha: float, v) -> VectorSequence:
         exact = points.astype(_exact_dtype(points, _reach(points) * points.shape[1]))
         return _phases(alpha, (exact * exact).sum(axis=1), v)
 
-    return _ArraySequence(fn, bound=float(np.linalg.norm(v)), dim=v.size)
+    return VectorSequence(fn, bound=float(np.linalg.norm(v)), dim=v.size)
 
 
 def average_vector(f: VectorSequence, window: FolnerWindow) -> np.ndarray:
@@ -180,15 +158,16 @@ def check_double_average_bound(
 
 
 def difference_sum_bound(
-    gamma: Callable[[GroupElement], float], window: FolnerWindow
+    gamma: Callable[[np.ndarray], Sequence[float]], window: FolnerWindow
 ) -> InequalityCheck:
     """For nonnegative gamma: sum_{h1,h2 in W} gamma(h2-h1) <=
-    |W| * sum over the difference set of gamma."""
-    pts = list(window.iter_elements())
-    lhs = math.fsum(
-        gamma(add(tuple(-x for x in h1), h2)) for h1 in pts for h2 in pts)
-    diff = inverse_product(window)
-    rhs = window.size * math.fsum(gamma(h) for h in diff.iter_elements())
+    |W| * sum over the difference set of gamma.  ``gamma`` takes the (k, q)
+    table of lags of W^-1 W and returns their k values; the left side sums
+    each lag once, weighted by its |W intersect (W+h)| pairs."""
+    lags, counts = difference_counts(window)
+    vals = np.asarray(gamma(lags), dtype=np.float64)
+    lhs = math.fsum((counts * vals).tolist())
+    rhs = window.size * math.fsum(vals.tolist())
     return InequalityCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + REL_SLACK * abs(rhs))
 
 

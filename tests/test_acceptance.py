@@ -82,9 +82,12 @@ def test_criterion_02_vdc_inequalities_randomized():
         def seq(dim):
             seed = int(rng.integers(0, 2 ** 31))
 
-            def fn(g, dim=dim, seed=seed):
-                local = np.random.default_rng((hash(g) ^ seed) % 2 ** 32)
-                return local.standard_normal(dim) + 1j * local.standard_normal(dim)
+            def fn(points, dim=dim, seed=seed):
+                vals = []
+                for g in map(tuple, points.tolist()):
+                    local = np.random.default_rng((hash(g) ^ seed) % 2 ** 32)
+                    vals.append(local.standard_normal(dim) + 1j * local.standard_normal(dim))
+                return np.array(vals).reshape(len(points), dim)
 
             return VectorSequence(fn, bound=20.0 * math.sqrt(dim), dim=dim)
 
@@ -100,13 +103,10 @@ def test_criterion_02_vdc_inequalities_randomized():
         for _ in range(1000):
             n = int(rng.integers(1, 9))
             seed = int(rng.integers(0, 2 ** 31))
-            table = {}
 
-            def gamma(h, table=table, seed=seed):
-                if h not in table:
-                    local = np.random.default_rng((hash(h) ^ seed) % 2 ** 32)
-                    table[h] = float(local.uniform(0.0, 3.0))
-                return table[h]
+            def gamma(lags, seed=seed):
+                return np.array([np.random.default_rng((hash(h) ^ seed) % 2 ** 32).uniform(0.0, 3.0)
+                                 for h in map(tuple, lags.tolist())])
 
             assert difference_sum_bound(gamma, box_window(1, n)).holds
 

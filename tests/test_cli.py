@@ -201,6 +201,14 @@ class TestExitCodes:
         ("folner", {**FOLNER_CFG, "seed": "x"}, "seed: expected an integer"),
         ("split", {"system": {"kind": "clock-shift", "Q": 3}, "seed": [1]},
          "seed: expected an integer"),
+        # keys that one variant takes and another ignored
+        ("folner", {**FOLNER_CFG, "windows": {"shape": "box", "n": 2, "n_min": "x"}},
+         "windows: unknown keys ['n_min']"),
+        ("vdc", {**VDC_CFG, "sequence": {"kind": "constant", "alpha": "x"}},
+         "sequence: unknown keys ['alpha']"),
+        ("split", {"system": {"kind": "finite", "generators": [[[[1, 0]]]],
+                              "state": {"kind": "trace", "entries": "junk"}}},
+         "system.state: unknown keys ['entries']"),
     ])
     def test_invalid_value_is_input_error(self, tmp_path, capsys, command, cfg, message):
         path = write_cfg(tmp_path, "c.json", cfg)

@@ -13,6 +13,7 @@ from ergodix.folner import (
     HomSet,
     ProgressionSet,
     ResidueClassSet,
+    SetPredicate,
     add,
     as_element,
     best_shift_for_density,
@@ -28,6 +29,27 @@ from ergodix.folner import (
     tempelman_ratio,
 )
 from test_parallel import FAR, batch_sizes, schedules
+
+
+class PointRule(SetPredicate):
+    """A membership rule of one point, a tuple of ints: ``mask`` decides its
+    table row by row, in order, and records the rows it was handed."""
+
+    def __init__(self, rule):
+        self.rule, self.seen = rule, []
+
+    def mask(self, points):
+        rows = list(map(tuple, points.tolist()))
+        self.seen.extend(rows)
+        return np.array([bool(self.rule(g)) for g in rows], dtype=bool)
+
+
+class Complement(SetPredicate):
+    def __init__(self, pred):
+        self.pred = pred
+
+    def mask(self, points):
+        return ~self.pred.mask(points)
 
 
 def brute_inverse_product(points):
@@ -244,7 +266,7 @@ class TestLowerDensity:
         assert rep.lower_density == 1.0
 
     def test_squares_thin(self):
-        squares = lambda g: g[0] >= 0 and math.isqrt(g[0]) ** 2 == g[0]
+        squares = PointRule(lambda g: g[0] >= 0 and math.isqrt(g[0]) ** 2 == g[0])
         wins = box_schedule(1, 1, 200)
         rep = lower_density(squares, wins)
         ratios = [r for _, r in rep.per_n_ratios]
@@ -257,7 +279,7 @@ class TestLowerDensity:
 
     def test_complement_sums_to_one(self):
         pred = ResidueClassSet(3, (0, 1))
-        comp = lambda g: not pred.contains(g)
+        comp = Complement(pred)
         wins = box_schedule(1, 1, 20)
         r1 = lower_density(pred, wins)
         r2 = lower_density(comp, wins)
@@ -266,11 +288,10 @@ class TestLowerDensity:
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_each_point_tested_once(self, q):
-        seen = []
         big_n = 12
-        rep = lower_density(lambda g: seen.append(g) or g[0] % 3 == 0,
-                            box_schedule(q, 1, big_n))
-        assert len(seen) == len(set(seen)) == (2 * big_n + 1) ** q
+        pred = PointRule(lambda g: g[0] % 3 == 0)
+        rep = lower_density(pred, box_schedule(q, 1, big_n))
+        assert len(pred.seen) == len(set(pred.seen)) == (2 * big_n + 1) ** q
         assert rep.per_n_ratios[-1][1] == 9 / 25  # multiples of 3 in -12..12
 
     @pytest.mark.parametrize("q", [1, 2])
@@ -312,13 +333,46 @@ class TestRelativeDensityWitness:
                    if not any(pred.contains(add(g, c)) for c in cands)]
         assert len(failing) > 1
         for _ in batch_sizes(monkeypatch):
-            calls = []
-            res = relative_density_witness(lambda g: calls.append(g) or pred.contains(g),
-                                           scan, cands)
+            recorded = PointRule(pred.contains)
+            res = relative_density_witness(recorded, scan, cands)
             assert not res.accepted
             assert res.failing_point == failing[0]
-            assert calls == list(dict.fromkeys(
+            assert recorded.seen == list(dict.fromkeys(
                 add(g, c) for g in scan.iter_elements() for c in cands))
+
+
+class TestFiniteSetDensities:
+    """The three density functions on a FiniteSet against a brute-force
+    ``g in S`` count."""
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("fill", [0.2, 0.9])
+    def test_match_brute_force_membership(self, q, fill):
+        rng = np.random.default_rng([q, int(10 * fill)])
+        grid = box_window(q, 14, center=(-3,) * q)
+        members = {g for g in grid.iter_elements() if rng.random() < fill}
+        pred = FiniteSet(frozenset(members))
+
+        def ratio(w):
+            return sum(1 for g in w.iter_elements() if g in members) / w.size
+
+        windows = [box_window(q, n, center=(-3, 2)[:q]) for n in (1, 4, 7)]
+        windows.append(custom_window(q, [(-9, -11)[:q], (0, 1)[:q], (-2, -2)[:q]]))
+        rep = lower_density(pred, windows)
+        assert rep.per_n_ratios == tuple((w.index, ratio(w)) for w in windows)
+
+        cands = [(-2, 1)[:q], (1, -3)[:q], (0, 0)[:q], (3, 3)[:q]]
+        for w in windows:
+            ratios = [ratio(shift_window(w, c)) for c in cands]
+            best = ratios.index(max(ratios))
+            assert best_shift_for_density(w, pred, cands) == (cands[best], ratios[best])
+
+        scan = box_window(q, 6, center=(-4, 1)[:q])
+        failing = [g for g in scan.iter_elements()
+                   if not any(add(g, c) in members for c in cands)]
+        res = relative_density_witness(pred, scan, cands)
+        assert res.accepted == (not failing)
+        assert res.failing_point == (failing[0] if failing else None)
 
 
 class TestAsElement:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from ergodix.systems import (
     rotation_algebra_system,
     shift_system,
 )
+from test_parallel import per_row
 
 M1 = Homomorphism.scalar(1, 1)
 M2 = Homomorphism.scalar(1, 2)
@@ -346,7 +348,7 @@ class TestGammaSequence:
 
 class TestDensityLimit:
     def test_zero_function(self):
-        rep = density_limit_check(lambda g: 0.0, box_schedule(1, 1, 10), [0.5])
+        rep = density_limit_check(lambda pts: np.zeros(len(pts)), box_schedule(1, 1, 10), [0.5])
         assert rep.average_verdict == rep.density_verdict == "zero"
         assert rep.agree
 
@@ -355,21 +357,21 @@ class TestDensityLimit:
             x = g[0]
             return 1.0 if x >= 0 and math.isqrt(x) ** 2 == x else 0.0
 
-        rep = density_limit_check(f, box_schedule(1, 10, 200, 10), [1.0])
+        rep = density_limit_check(per_row(f), box_schedule(1, 10, 200, 10), [1.0])
         assert rep.average_verdict == "zero"
         assert rep.density_verdict == "zero"
         assert rep.agree
 
     def test_constant_function(self):
-        rep = density_limit_check(lambda g: 1.0, box_schedule(1, 1, 10), [0.5])
+        rep = density_limit_check(lambda pts: np.ones(len(pts)), box_schedule(1, 1, 10), [0.5])
         assert rep.average_verdict == rep.density_verdict == "nonzero"
         assert rep.agree
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            density_limit_check(lambda g: -1.0, box_schedule(1, 1, 3), [0.5])
+            density_limit_check(lambda pts: -np.ones(len(pts)), box_schedule(1, 1, 3), [0.5])
         with pytest.raises(ValueError, match="nonnegative"):
-            density_limit_check(lambda g: -1e-3 if g == (20,) else 0.0,
+            density_limit_check(lambda pts: np.where(pts[:, 0] == 20, -1e-3, 0.0),
                                 box_schedule(1, 1, 20), [0.5])
 
     def test_each_point_evaluated_once(self):
@@ -379,15 +381,22 @@ class TestDensityLimit:
             seen.append(g)
             return 1.0 / (1 + abs(g[0]))
 
-        rep = density_limit_check(f, box_schedule(1, 1, 20), [0.1, 0.2, 0.5])
+        rep = density_limit_check(per_row(f), box_schedule(1, 1, 20), [0.1, 0.2, 0.5])
         assert len(seen) == len(set(seen)) == 41
         assert len(rep.level_densities) == 3
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="f must be finite and nonnegative"):
-            density_limit_check(lambda g: bad if g == (3,) else 0.0,
+            density_limit_check(lambda pts: np.where(pts[:, 0] == 3, bad, 0.0),
                                 box_schedule(1, 1, 5), [0.5])
+
+    @pytest.mark.parametrize("shape", [(40,), (42,), (41, 1), ()])
+    def test_wrong_length_rejected(self, shape):
+        # the schedule's distinct points are the 41 points -20..20
+        with pytest.raises(ValueError, match=re.escape(
+                f"f returned shape {shape}, expected (41,)")):
+            density_limit_check(lambda pts: np.zeros(shape), box_schedule(1, 1, 20), [0.5])
 
     def test_one_point_table_per_call(self, monkeypatch):
         import ergodix._parallel as par
@@ -395,7 +404,7 @@ class TestDensityLimit:
         built = []
         real = par.point_table
         monkeypatch.setattr(par, "point_table", lambda *a: built.append(1) or real(*a))
-        density_limit_check(lambda g: 1.0 / (1 + abs(g[0])), box_schedule(1, 1, 20),
+        density_limit_check(lambda pts: 1.0 / (1 + np.abs(pts[:, 0])), box_schedule(1, 1, 20),
                             [0.1, 0.2, 0.5])
         assert len(built) == 1
 
@@ -405,7 +414,7 @@ class TestDensityLimit:
 
         windows = [box_window(1, 4), shift_window(box_window(1, 9), 5), box_window(1, 30)]
         eps_grid = [0.25, 1.0, 2.5]
-        rep = density_limit_check(f, windows, eps_grid)
+        rep = density_limit_check(per_row(f), windows, eps_grid)
         pts = [list(w.iter_elements()) for w in windows]
         assert rep.averages == tuple(
             (w.index, math.fsum(map(f, p)) / w.size) for w, p in zip(windows, pts))

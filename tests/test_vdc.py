@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ergodix._parallel import fsum_complex
+from ergodix.invariants import _random_sequence
 from ergodix.folner import add, box_window, custom_window, difference_counts, inverse_product
 from ergodix.vdc import (
     VectorSequence,
@@ -18,8 +19,18 @@ from ergodix.vdc import (
     vdc_verdict,
     weyl_quadratic_sequence,
 )
+from test_parallel import per_row
 
 ALPHA = math.sqrt(2.0) - 1.0
+
+
+def per_point(fn, bound: float = 1.0, dim: int = 1) -> VectorSequence:
+    """The sequence whose table calls the one-point formula ``fn`` on each
+    row, as a tuple of ints, in order."""
+    rows = per_row(fn)
+    return VectorSequence(
+        lambda pts: np.array(rows(pts), dtype=np.complex128).reshape(len(pts), dim),
+        bound=bound, dim=dim)
 
 
 def random_sequence(seed: int, dim: int, bound: float = 50.0) -> VectorSequence:
@@ -27,19 +38,22 @@ def random_sequence(seed: int, dim: int, bound: float = 50.0) -> VectorSequence:
         local = np.random.default_rng((hash(g) ^ seed) % 2 ** 32)
         return local.standard_normal(dim) + 1j * local.standard_normal(dim)
 
-    return VectorSequence(fn, bound=bound, dim=dim)
+    return per_point(fn, bound=bound, dim=dim)
 
 
 class TestVectorSequence:
     def test_bound_checked_lazily(self):
-        f = VectorSequence(lambda g: np.array([10.0 + 0j]), bound=1.0, dim=1)
+        f = VectorSequence(lambda pts: np.full((len(pts), 1), 10.0 + 0j), bound=1.0, dim=1)
         with pytest.raises(ValueError):
             f((0,))
 
     def test_shape_checked(self):
-        f = VectorSequence(lambda g: np.zeros(3, dtype=complex), bound=1.0, dim=2)
-        with pytest.raises(ValueError):
+        f = VectorSequence(lambda pts: np.zeros((len(pts), 3), dtype=complex), bound=1.0, dim=2)
+        with pytest.raises(ValueError, match=re.escape("shape (1, 3), expected (1, 2)")):
             f((0,))
+        f = VectorSequence(lambda pts: np.zeros(2, dtype=complex), bound=1.0, dim=2)
+        with pytest.raises(ValueError, match=re.escape("shape (2,), expected (3, 2)")):
+            f.table(np.zeros((3, 1), dtype=np.int64))
 
 
 class TestAverageVector:
@@ -50,7 +64,8 @@ class TestAverageVector:
 
     def test_alternating_signs(self):
         v = np.array([1.0 + 0j])
-        f = VectorSequence(lambda g: ((-1.0) ** g[0]) * v, bound=1.0, dim=1)
+        f = VectorSequence(lambda pts: np.where(pts[:, :1] % 2 == 0, 1.0, -1.0) * v,
+                           bound=1.0, dim=1)
         for n in (1, 4, 9):
             got = average_vector(f, box_window(1, n))
             # oracle: alternating sum over {-n..n} is +-1
@@ -61,7 +76,8 @@ class TestAverageVector:
     def test_half_integer_phase_matches_alternating(self):
         v = np.array([1.0 + 0j])
         f = linear_phase_sequence(0.5, v)
-        g = VectorSequence(lambda x: ((-1.0) ** x[0]) * v, bound=1.0, dim=1)
+        g = VectorSequence(lambda pts: np.where(pts[:, :1] % 2 == 0, 1.0, -1.0) * v,
+                           bound=1.0, dim=1)
         for n in (1, 3, 6):
             w = box_window(1, n)
             assert np.allclose(average_vector(f, w), average_vector(g, w), atol=1e-12)
@@ -83,12 +99,8 @@ class TestWindowCauchySchwarz:
         n = 3
         size = 2 * n + 1
 
-        def fn(g):
-            out = np.zeros(size, dtype=complex)
-            out[g[0] + n] = 1.0
-            return out
-
-        f = VectorSequence(fn, bound=1.0, dim=size)
+        f = VectorSequence(lambda pts: np.eye(size, dtype=complex)[pts[:, 0] + n],
+                           bound=1.0, dim=size)
         res = check_window_cauchy_schwarz(f, box_window(1, n))
         assert res.lhs == pytest.approx(size)       # Pythagoras
         assert res.rhs == pytest.approx(size ** 2)
@@ -159,10 +171,19 @@ class TestDoubleAverageTable:
     def test_sequence_called_once_per_distinct_sum(self):
         seen = []
         v = np.array([1.0 + 0j])
-        f = VectorSequence(lambda g: seen.append(g) or v, bound=1.0, dim=1)
+        f = per_point(lambda g: seen.append(g) or v)
         check_double_average_bound(f, box_window(2, 1), box_window(2, 2))
         # the sums of the two boxes fill the radius-3 box
         assert sorted(seen) == list(box_window(2, 3).iter_elements())
+
+
+def random_gamma(seed: int):
+    """A lag table integrand with a uniform value in [0, 3) at each lag, a
+    function of (seed, lag)."""
+    def value(h):
+        return np.random.default_rng((hash(h) ^ seed) % 2 ** 32).uniform(0.0, 3.0)
+
+    return lambda lags: np.array([value(h) for h in map(tuple, lags.tolist())])
 
 
 class TestDifferenceSumBound:
@@ -170,25 +191,36 @@ class TestDifferenceSumBound:
         rng = np.random.default_rng(300)
         for _ in range(200):
             n = int(rng.integers(1, 9))
-            seed = int(rng.integers(0, 2 ** 31))
-            table = {}
-
-            def gamma(h):
-                if h not in table:
-                    local = np.random.default_rng((hash(h) ^ seed) % 2 ** 32)
-                    table[h] = float(local.uniform(0.0, 3.0))
-                return table[h]
-
-            res = difference_sum_bound(gamma, box_window(1, n))
+            res = difference_sum_bound(random_gamma(int(rng.integers(0, 2 ** 31))),
+                                       box_window(1, n))
             assert res.holds
 
     def test_exact_counts(self):
         # gamma identically 1: lhs = |W|^2, rhs = |W| * |W^-1 W|
         n = 3
-        res = difference_sum_bound(lambda h: 1.0, box_window(1, n))
+        res = difference_sum_bound(lambda lags: np.ones(len(lags)), box_window(1, n))
         size = 2 * n + 1
         assert res.lhs == pytest.approx(size ** 2)
         assert res.rhs == pytest.approx(size * (4 * n + 1))
+
+
+    @pytest.mark.parametrize("window", [
+        box_window(1, 6, center=-11),
+        box_window(2, 3, center=(4, -9)),
+        custom_window(1, [-9, -4, 0, 1, 3, 11, 12, 30]),
+        custom_window(2, [(0, 0), (1, 3), (-2, 5), (4, -1), (7, 7), (-6, -1)]),
+    ])
+    def test_lag_grouped_sum_matches_the_pair_sum(self, window):
+        gamma = random_gamma(7)
+        pts = list(window.iter_elements())
+        pairs = [add(tuple(-x for x in a), b) for a in pts for b in pts]
+        lhs = math.fsum(gamma(np.array(pairs)).tolist())
+        diff = np.array(sorted(set(pairs)))
+        rhs = window.size * math.fsum(gamma(diff).tolist())
+        res = difference_sum_bound(gamma, window)
+        assert res.lhs == pytest.approx(lhs, rel=1e-12, abs=0)
+        assert res.rhs == pytest.approx(rhs, rel=1e-12, abs=0)
+        assert res.holds
 
 
 class TestVdcVerdict:
@@ -248,7 +280,7 @@ class TestVdcVerdict:
     def test_plane_window_report(self):
         # two-dimensional boxes go through the generic lag path
         f = VectorSequence(
-            lambda g: np.array([np.exp(2j * np.pi * ALPHA * (g[0] ** 2 + g[1] ** 2))]),
+            lambda pts: np.exp(2j * np.pi * ALPHA * (pts ** 2).sum(axis=1).astype(float))[:, None],
             bound=1.0, dim=1)
         rep = vdc_verdict(f, [box_window(2, 2), box_window(2, 4)])
         gamma = dict(rep.gamma)
@@ -285,7 +317,7 @@ class TestVdcVerdict:
     def test_each_point_evaluated_once(self, windows, points):
         seen = []
         v = np.array([1.0 + 0j])
-        f = VectorSequence(lambda g: seen.append(g) or v, bound=1.0, dim=1)
+        f = per_point(lambda g: seen.append(g) or v)
         rep = vdc_verdict(f, windows)
         assert len(seen) == len(set(seen)) == points
         assert all(type(x) is int for g in seen for x in g)
@@ -296,22 +328,16 @@ class TestVdcVerdict:
     def test_first_offending_point_is_reported(self, window):
         v = np.array([1.0 + 0j])
 
-        def bad_at(points, value):
-            return VectorSequence(lambda g: value if g[0] in points else v, bound=1.0, dim=1)
-
         # the table reaches -3 first: the box support is in tuple order, and
         # the custom window's g + h sums run g-major from g = -5
         with pytest.raises(ValueError, match=re.escape(
                 "declared bound 1.0 violated at (-3,): |f(g)| = 2.0")):
-            vdc_verdict(bad_at((7, -3), 2 * v), [window])
-        # a bound violation ahead of a shape error is the one reported
-        f = VectorSequence(lambda g: np.zeros(2) if g[0] == 7 else 2 * v if g[0] == -3 else v,
-                           bound=1.0, dim=1)
-        with pytest.raises(ValueError, match=re.escape("violated at (-3,)")):
-            vdc_verdict(f, [window])
+            vdc_verdict(per_point(lambda g: 2 * v if g[0] in (7, -3) else v), [window])
+        # the 31 points -15..15 of the lag support, each with a value of length 2
         with pytest.raises(ValueError, match=re.escape(
-                "sequence value has shape (2,), expected (1,)")):
-            vdc_verdict(bad_at((-3,), np.zeros(2)), [window])
+                "sequence values have shape (31, 2), expected (31, 1)")):
+            vdc_verdict(VectorSequence(lambda pts: np.zeros((len(pts), 2)), bound=1.0, dim=1),
+                        [window])
 
 
 def reference_vdc(f, windows, h_max=None):
@@ -442,6 +468,38 @@ class TestBoxLagPath:
             assert g1 == pytest.approx(g2, abs=1e-12)
         assert rep_box.statistic[0][1] == pytest.approx(rep_custom.statistic[0][1],
                                                         abs=1e-12)
+
+
+class TestInvariantSequence:
+    """The battery's random sequence is a counter hash of (seed, point)."""
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 4, 8])
+    def test_rows_are_a_function_of_seed_and_point(self, q, dim):
+        f = _random_sequence(np.random.default_rng(dim), dim)
+        rows = np.random.default_rng(q).integers(-40, 40, size=(300, q), endpoint=True)
+        vals = f.table(rows)
+        perm = np.random.default_rng(5).permutation(len(rows))
+        assert np.array_equal(f.table(rows[perm]), vals[perm])
+        assert np.array_equal(f.table(rows[7:19]), vals[7:19])
+        assert np.array_equal(f.table(rows.astype(object)), vals)
+        assert np.array_equal(f(tuple(rows[3].tolist())), vals[3])
+        other = _random_sequence(np.random.default_rng(dim + 100), dim)
+        assert not np.array_equal(other.table(rows), vals)
+        assert (np.linalg.norm(vals, axis=1) < f.bound).all()
+        # the real and imaginary parts are standard normal
+        parts = np.concatenate([vals.real.ravel(), vals.imag.ravel()])
+        assert abs(parts.mean()) < 0.15 and abs(parts.std() - 1.0) < 0.15
+
+    def test_points_beyond_int64(self):
+        # coordinates enter the hash mod 2^64, so x and x + 2^64 share values
+        f = _random_sequence(np.random.default_rng(3), 2)
+        rows = np.array([[2 ** 70 + 9], [-(2 ** 70) - 9], [5], [5 + 2 ** 64]], dtype=object)
+        vals = f.table(rows)
+        assert np.array_equal(vals[2], vals[3])
+        assert not np.array_equal(vals[0], vals[1])
+        # each entry has modulus sqrt(-2 ln u) for a uniform u >= 2^-53
+        assert (np.abs(vals) <= math.sqrt(-2.0 * math.log(2.0 ** -53))).all()
 
 
 class TestSmoothingConsistency:
