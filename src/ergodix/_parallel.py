@@ -1,14 +1,15 @@
 """Point tables and correctly rounded reductions.
 
-Every window statistic (mixing defects, densities, best shifts,
-relative-denseness witnesses and van der Corput averages and lag tables)
-finds the distinct lattice points of its whole schedule with
+Every window statistic (mixing defects, multi-correlation averages, van der
+Corput averages and lag tables, and the densities of windows that are not
+boxes) finds the distinct lattice points of its whole schedule with
 :func:`point_table` and hands them to its integrand once, as the rows of a
 (T, q) integer table in first-seen order.  The integrand returns their T
 values, so a backend, a predicate or a sequence decides all the points at
 once.  Each window is reduced over that table with correctly rounded sums,
 so every result is independent of evaluation order; :func:`table_means` is
-the one window reduction.
+the one window reduction.  Box-window densities, best shifts and witnesses
+count on one predicate mask over a bounding box in :mod:`ergodix.folner`.
 """
 
 from __future__ import annotations
@@ -35,9 +36,11 @@ def ordered_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
 
 
 def fsum_complex(values: Iterable[complex]) -> complex:
-    """Correctly rounded complex sum (order-independent by exactness)."""
-    vals = list(values)
-    return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
+    """Correctly rounded complex sum (order-independent by exactness) of an
+    array or an iterable of complex numbers."""
+    vals = np.asarray(values if isinstance(values, np.ndarray) else list(values),
+                      dtype=np.complex128)
+    return complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
 
 
 def fmean(values: Iterable[float], size: int) -> float:
@@ -154,6 +157,7 @@ def table_means(
     """
     points, rows = window_points(windows)
     values = np.asarray(fn(points))
-    mean = fmean_complex if complex_valued else fmean
-    return [mean(values[r].tolist(), w.size) for w, r in zip(windows, rows)]
+    if complex_valued:
+        return [fmean_complex(values[r], w.size) for w, r in zip(windows, rows)]
+    return [fmean(values[r].tolist(), w.size) for w, r in zip(windows, rows)]
 

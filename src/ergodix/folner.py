@@ -13,9 +13,10 @@ supports) runs on integer arrays whose rows are ordered by scalar keys.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -222,12 +223,10 @@ class FolnerWindow:
         int64 when the coordinates are small enough for sums and differences,
         else exact Python ints (dtype object)."""
         lo, hi = self.bounds()
-        dtype = np.int64 if all(-_INT64_SAFE < x < _INT64_SAFE for x in lo + hi) else object
-        if self.shape == "custom":
-            return np.array(sorted(self.points), dtype=dtype).reshape(self.size, self.q)
-        axes = [np.arange(a, b + 1, dtype=dtype) for a, b in zip(lo, hi)]
-        grid = np.meshgrid(*axes, indexing="ij")
-        return np.stack(grid, axis=-1).reshape(self.size, self.q)
+        if self.shape == "box":
+            return _box_rows(lo, hi)
+        dtype = _coordinate_dtype(lo, hi)
+        return np.array(sorted(self.points), dtype=dtype).reshape(self.size, self.q)
 
     def __contains__(self, g: GroupElement) -> bool:
         if self.shape == "box":
@@ -245,6 +244,20 @@ class FolnerWindow:
             return count
         shifted = {add(p, g) for p in self.points}
         return len(self.points & shifted)
+
+
+def _coordinate_dtype(lo: Sequence[int], hi: Sequence[int]):
+    """int64 for points inside the box [lo, hi] when sums and differences of
+    their coordinates fit it, else exact Python ints (object)."""
+    return np.int64 if all(-_INT64_SAFE < x < _INT64_SAFE for x in (*lo, *hi)) else object
+
+
+def _box_rows(lo: Sequence[int], hi: Sequence[int]) -> np.ndarray:
+    """The points of the box [lo, hi] in lexicographic order, as the rows of
+    an integer array (dtype as :func:`_coordinate_dtype`)."""
+    axes = [np.arange(a, b + 1, dtype=_coordinate_dtype(lo, hi)) for a, b in zip(lo, hi)]
+    grid = np.meshgrid(*axes, indexing="ij")
+    return np.stack(grid, axis=-1).reshape(-1, len(lo))
 
 
 def box_window(q: int, n: int, center: Union[int, Sequence[int], None] = None) -> FolnerWindow:
@@ -428,12 +441,55 @@ class FullSet(SetPredicate):
         return {"kind": "all"}
 
 
-def _indicator(pred: SetPredicate) -> Callable[[np.ndarray], np.ndarray]:
-    """The table integrand that is 1.0 at each row where ``pred`` holds, else 0.0."""
-    return lambda points: pred.mask(points).astype(np.float64)
-
-
 # --- density machinery -------------------------------------------------------
+
+def _grid_mask(
+    pred: SetPredicate, lo: Sequence[int], hi: Sequence[int], budget: int
+) -> Optional[np.ndarray]:
+    """``pred.mask`` at every point of the box [lo, hi], shaped as the box;
+    None when the box holds more than ``budget`` points (the rows a point
+    table would gather), so that the table is the smaller read."""
+    shape = [b - a + 1 for a, b in zip(lo, hi)]
+    if math.prod(shape) > budget:
+        return None
+    return pred.mask(_box_rows(lo, hi)).reshape(shape)
+
+
+def _box_counts(pred: SetPredicate, windows: Sequence[FolnerWindow]) -> Optional[list[int]]:
+    """|W intersect E| for each window when all are boxes: one mask over
+    their joint bounding box, its int64 summed-area table, and
+    inclusion-exclusion over each box's 2^q corners.  None for other windows,
+    or when the bounding box holds more points than the windows together."""
+    if any(w.shape != "box" for w in windows):
+        return None
+    corners = [w.bounds() for w in windows]
+    lo = [min(c) for c in zip(*(a for a, _ in corners))]
+    hi = [max(c) for c in zip(*(b for _, b in corners))]
+    mask = _grid_mask(pred, lo, hi, sum(w.size for w in windows))
+    if mask is None:
+        return None
+    # table[i] counts the members at grid indices below i on every axis
+    table = np.pad(mask.astype(np.int64), [(1, 0)] * mask.ndim)
+    for axis in range(mask.ndim):
+        np.cumsum(table, axis=axis, out=table)
+    start = np.array([[x - o for x, o in zip(a, lo)] for a, _ in corners])
+    stop = np.array([[x - o + 1 for x, o in zip(b, lo)] for _, b in corners])
+    counts = np.zeros(len(windows), dtype=np.int64)
+    for corner in itertools.product((False, True), repeat=mask.ndim):
+        sign = (-1) ** (mask.ndim - sum(corner))
+        counts += sign * table[tuple(np.where(corner, stop, start).T)]
+    return counts.tolist()
+
+
+def _densities(pred: SetPredicate, windows: Sequence[FolnerWindow]) -> list[float]:
+    """|W intersect E| / |W| for each window, from :func:`_box_counts` or else
+    the mean of the 0.0/1.0 indicator over a point table: the same bits,
+    because the correctly rounded sum of the indicator is the count."""
+    counts = _box_counts(pred, windows)
+    if counts is None:
+        return table_means(lambda points: pred.mask(points).astype(np.float64), windows)
+    return [c / w.size for c, w in zip(counts, windows)]
+
 
 @dataclass(frozen=True)
 class DensityReport:
@@ -448,7 +504,7 @@ class DensityReport:
 def lower_density(pred: SetPredicate, windows: Sequence[FolnerWindow]) -> DensityReport:
     if not windows:
         raise ValueError("need at least one window")
-    ratios = table_means(_indicator(pred), windows)
+    ratios = _densities(pred, windows)
     return DensityReport(per_n_ratios=tuple(zip((w.index for w in windows), ratios)),
                          lower_density=min(ratios))
 
@@ -460,6 +516,27 @@ class RelativeDensityResult:
     failing_point: Optional[GroupElement] = None
 
 
+def _covered(pred: SetPredicate, scan: FolnerWindow, cands: Sequence[GroupElement]) -> np.ndarray:
+    """For each g of the scan in lexicographic order, whether some g + g_j is in E."""
+    low, high = [min(c) for c in zip(*cands)], [max(c) for c in zip(*cands)]
+    lo, hi = scan.bounds()
+    lo, hi = [a + m for a, m in zip(lo, low)], [b + m for b, m in zip(hi, high)]
+    grid = _grid_mask(pred, lo, hi, scan.size * len(cands)) if scan.shape == "box" else None
+    if grid is not None:
+        # g + g_j runs over the grid's slice at offset g_j - low
+        side = 2 * scan.index + 1
+        covered = np.zeros((side,) * scan.q, dtype=bool)
+        for c in cands:
+            covered |= grid[tuple(slice(x - m, x - m + side) for x, m in zip(c, low))]
+        return covered.reshape(-1)
+    gs = scan.element_array()
+    offsets = np.array(cands, dtype=_coordinate_dtype(low, high))
+    # row (i, j) of the sums is g_i + g_j, scan-major
+    sums = (gs[:, None, :] + offsets[None, :, :]).reshape(-1, scan.q)
+    pts, (rows,) = point_table([sums], lo, hi)
+    return pred.mask(pts)[rows].reshape(len(gs), len(cands)).any(axis=1)
+
+
 def relative_density_witness(
     pred: SetPredicate,
     scan: FolnerWindow,
@@ -469,26 +546,17 @@ def relative_density_witness(
     every g in the scan must have E intersect {g+g_1,...,g+g_r} nonempty.
     On failure the first failing g (in lexicographic scan order) is reported.
 
-    ``pred.mask`` decides the distinct points g + g_j in one table, in
-    first-seen order.
+    A box scan reads one ``pred.mask`` over the bounding box of the g + g_j,
+    unless that box holds more than |scan| * r points; then, as for any other
+    scan, the mask decides the distinct points g + g_j in one point table.
     """
     if not candidates:
         raise ValueError("need at least one candidate")
     cands = tuple(as_element(c, scan.q) for c in candidates)
-    gs = scan.element_array()
-    small = all(-_INT64_SAFE < x < _INT64_SAFE for c in cands for x in c)
-    offsets = np.array(cands, dtype=np.int64 if small else object)
-    # row (i, j) of the sums is g_i + g_j, scan-major
-    sums = (gs[:, None, :] + offsets[None, :, :]).reshape(-1, scan.q)
-    lo, hi = scan.bounds()
-    lo = [a + min(c) for a, c in zip(lo, zip(*cands))]
-    hi = [b + max(c) for b, c in zip(hi, zip(*cands))]
-    pts, (rows,) = point_table([sums], lo, hi)
-    hits = pred.mask(pts)
-    covered = hits[rows].reshape(len(gs), len(cands)).any(axis=1)
+    covered = _covered(pred, scan, cands)
     if covered.all():
         return RelativeDensityResult(True, cands)
-    failing = tuple(gs[int(np.argmin(covered))].tolist())
+    failing = tuple(scan.element_array()[int(np.argmin(covered))].tolist())
     return RelativeDensityResult(False, cands, failing_point=failing)
 
 
@@ -505,6 +573,6 @@ def best_shift_for_density(
     if not candidates:
         raise ValueError("need at least one candidate")
     cands = [as_element(c, window.q) for c in candidates]
-    ratios = table_means(_indicator(pred), [shift_window(window, c) for c in cands])
+    ratios = _densities(pred, [shift_window(window, c) for c in cands])
     best = max(range(len(cands)), key=ratios.__getitem__)  # first maximum
     return cands[best], ratios[best]

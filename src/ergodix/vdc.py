@@ -109,8 +109,7 @@ def average_vector(f: VectorSequence, window: FolnerWindow) -> np.ndarray:
 
 def _mean_vector(rows: np.ndarray, size: int) -> np.ndarray:
     """Componentwise correctly rounded sum of the rows, divided by size."""
-    total = np.array([complex(math.fsum(col.real.tolist()), math.fsum(col.imag.tolist()))
-                      for col in rows.T], dtype=np.complex128)
+    total = np.array([fsum_complex(col) for col in rows.T], dtype=np.complex128)
     return total / size
 
 
@@ -272,7 +271,7 @@ def vdc_verdict(
         idx = at[hit]
         weighted = counts[hit] * gamma_array[idx]
         statistic.append((w.index, math.fsum(abs_gamma[idx].tolist()) / w.size))
-        double_avg.append((w.index, fsum_complex(weighted.tolist()) / (w.size ** 2)))
+        double_avg.append((w.index, fsum_complex(weighted) / (w.size ** 2)))
 
     averages = [(w.index, float(np.linalg.norm(_mean_vector(vals[r], w.size))))
                 for w, r in zip(windows, window_rows[1:])]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ergodix
-from ergodix import spectral
+from ergodix import _parallel, folner, spectral
 from ergodix.cli import main
 from ergodix.operators import as_matrix
 from ergodix.systems import cyclic_shift_matrix
@@ -365,6 +365,30 @@ class TestFolnerCommand:
         assert rep["schema"] == "ergodix/1"
         assert rep["witness"]["accepted"] is True
         assert rep["witness"]["best_ratio"] >= 1 / 3
+
+    def test_box_densities_build_no_point_table(self, tmp_path, monkeypatch):
+        """Densities, the best shift and the witness on nested q = 2 boxes
+        count on one summed-area grid each; none gathers a point table."""
+        built = []
+        real = _parallel.point_table
+
+        def counting(*args):
+            built.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(_parallel, "point_table", counting)
+        monkeypatch.setattr(folner, "point_table", counting)
+        cfg = write_cfg(tmp_path, "c.json", {
+            "group": {"q": 2},
+            "windows": {"shape": "box", "n_min": 1, "n_max": 80, "stride": 1},
+            "shifts": [[1, 0], [0, 1], [2, 3]],
+            "set": {"kind": "residue", "modulus": 3, "residues": [0], "coeffs": [1, 2]},
+            "candidates": [[0, 0], [1, 0], [2, 0]],
+        })
+        out = tmp_path / "o"
+        assert main(["folner", "--config", cfg, "--out", str(out)]) == 0
+        assert read_json(out / "folner.json")["witness"]["accepted"] is True
+        assert built == []
 
 
 class TestMixCommand:

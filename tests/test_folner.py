@@ -1,5 +1,7 @@
+import itertools
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from ergodix.folner import (
     ProgressionSet,
     ResidueClassSet,
     SetPredicate,
+    _box_counts,
     add,
     as_element,
     best_shift_for_density,
@@ -28,6 +31,7 @@ from ergodix.folner import (
     shift_window,
     tempelman_ratio,
 )
+from ergodix._parallel import table_means
 from test_parallel import FAR, batch_sizes, schedules
 
 
@@ -324,11 +328,29 @@ class TestRelativeDensityWitness:
         assert res.accepted
 
     @pytest.mark.parametrize("center", [(1, -2), (FAR, -FAR)])
-    def test_first_failing_point_is_brute_force(self, monkeypatch, center):
+    def test_first_failing_point_is_brute_force(self, center):
         # x + 2y = 4 mod 7 is the one residue whose three shifts miss {0, 3}
         pred = ResidueClassSet(7, (0, 3), coeffs=(1, 2))
         scan = box_window(2, 6, center=center)
         cands = [(0, 0), (1, 0), (0, 1)]
+        failing = [g for g in scan.iter_elements()
+                   if not any(pred.contains(add(g, c)) for c in cands)]
+        assert len(failing) > 1
+        recorded = PointRule(pred.contains)
+        res = relative_density_witness(recorded, scan, cands)
+        assert not res.accepted
+        assert res.failing_point == failing[0]
+        # one mask over the bounding box of the g + g_j, in lexicographic order
+        lo, hi = scan.bounds()
+        assert recorded.seen == list(itertools.product(
+            *(range(a, b + 2) for a, b in zip(lo, hi))))
+
+    @pytest.mark.parametrize("center", [(1, -2), (FAR, -FAR)])
+    def test_far_candidates_read_a_point_table(self, monkeypatch, center):
+        # 10^6 is 1 mod 7, so these shifts miss the same points as (1, 0), (0, 1)
+        pred = ResidueClassSet(7, (0, 3), coeffs=(1, 2))
+        scan = box_window(2, 6, center=center)
+        cands = [(0, 0), (10 ** 6, 0), (0, 10 ** 6)]
         failing = [g for g in scan.iter_elements()
                    if not any(pred.contains(add(g, c)) for c in cands)]
         assert len(failing) > 1
@@ -373,6 +395,109 @@ class TestFiniteSetDensities:
         res = relative_density_witness(pred, scan, cands)
         assert res.accepted == (not failing)
         assert res.failing_point == (failing[0] if failing else None)
+
+
+def indicator_means(pred, windows):
+    """The densities as the mean of the 0.0/1.0 indicator over a point table."""
+    return table_means(lambda pts: pred.mask(pts).astype(np.float64), windows)
+
+
+def four_predicates(q):
+    """One predicate of each built-in kind in Z^q."""
+    rng = np.random.default_rng(q)
+    members = frozenset(g for g in box_window(q, 9, center=(-2,) * q).iter_elements()
+                        if rng.random() < 0.4)
+    return [ResidueClassSet(5, (1, 3, 7), coeffs=(2, -1, 3)[:q]),
+            ProgressionSet(start=(1, -2, 0)[:q], step=(3, 0, -2)[:q] if q > 1 else (3,)),
+            FiniteSet(members),
+            FullSet()]
+
+
+def box_schedules(q):
+    """Box schedules whose joint bounding box holds at most their total size:
+    nested, strided, shifted to negative centres or beyond int64 sums, and
+    the candidate-shifted copies of one box."""
+    shifted = [box_window(q, n, center=(-n - 3, 2 * n, -1)[:q]) for n in (2, 4, 6, 8)]
+    moved = [shift_window(box_window(q, 5, center=(-4,) * q), c[:q])
+             for c in [(0, 0, 0), (1, -1, 2), (-2, 0, 1), (1, -1, 2)]]
+    return [box_schedule(q, 1, 6), box_schedule(q, 1, 13, stride=4), shifted,
+            [shift_window(w, (-7,) * q) for w in box_schedule(q, 2, 8, stride=3)],
+            [shift_window(box_window(q, 3), (c,) * q) for c in (0, 1, -1)], moved,
+            [shift_window(w, (FAR - 3,) + (-FAR,) * (q - 1)) for w in box_schedule(q, 1, 3)]]
+
+
+class TestBoxCounts:
+    """The summed-area grid against the indicator mean over a point table."""
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_grid_equals_table(self, q):
+        for pred in four_predicates(q):
+            for windows in box_schedules(q):
+                counts = _box_counts(pred, windows)
+                assert counts is not None
+                expected = indicator_means(pred, windows)
+                assert [c / w.size for c, w in zip(counts, windows)] == expected
+                rep = lower_density(pred, windows)
+                assert [r for _, r in rep.per_n_ratios] == expected
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_table_path_keeps_its_values(self, q):
+        """Custom windows and scattered boxes read the point table; every
+        schedule's densities stay those of the table."""
+        _, _, custom, _, disjoint, far, mixed = schedules(q)
+        for pred in four_predicates(q):
+            for windows in (custom, disjoint, far, mixed):
+                assert _box_counts(pred, windows) is None
+            for windows in schedules(q):
+                rep = lower_density(pred, windows)
+                assert [r for _, r in rep.per_n_ratios] == indicator_means(pred, windows)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_best_shift_equals_table(self, q):
+        cands = [(2, -1, 0), (-3, 0, 4), (0, 0, 0), (2, -1, 0), (1, 1, -1)]
+        cands = [c[:q] for c in cands]
+        for pred in four_predicates(q):
+            for w in (box_window(q, 4), box_window(q, 7, center=(-5, 3, -9)[:q])):
+                ratios = indicator_means(pred, [shift_window(w, c) for c in cands])
+                best = ratios.index(max(ratios))  # the first maximum
+                assert best_shift_for_density(w, pred, cands) == (cands[best], ratios[best])
+
+    def test_best_shift_far_candidates(self):
+        pred = ResidueClassSet(3, (0,), coeffs=(1, 2))
+        w = box_window(2, 5)
+        cands = [(0, 0), (10 ** 6, 0), (1, 10 ** 6)]  # 10^6 is 1 mod 3: a tie
+        assert _box_counts(pred, [shift_window(w, c) for c in cands]) is None
+        ratios = indicator_means(pred, [shift_window(w, c) for c in cands])
+        assert ratios == [41 / 121, 40 / 121, 41 / 121]
+        assert best_shift_for_density(w, pred, cands) == ((0, 0), 41 / 121)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_witness_equals_brute_force(self, q):
+        for pred in four_predicates(q):
+            for cands in ([(0, 0, 0)], [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                          [(-2, 1, 0), (3, 3, -1)], [(0, 0, 0), (10 ** 6, -1, 2)]):
+                cands = [c[:q] for c in cands]
+                for scan in (box_window(q, 3), box_window(q, 5, center=(-4, 6, 1)[:q])):
+                    sums = [add(g, c) for g in scan.iter_elements() for c in cands]
+                    hits = pred.mask(np.array(sums, dtype=object))
+                    members = {g for g, hit in zip(sums, hits) if hit}
+                    failing = [g for g in scan.iter_elements()
+                               if not any(add(g, c) in members for c in cands)]
+                    res = relative_density_witness(pred, scan, cands)
+                    assert res.accepted == (not failing)
+                    assert res.failing_point == (failing[0] if failing else None)
+
+    def test_scale(self):
+        """Nested q = 2 boxes to n = 320 count on one 641 x 641 grid; a point
+        table of them gathers about 44 million rows."""
+        pred = ResidueClassSet(3, (0,), (1, 2))
+        windows = box_schedule(2, 1, 320)
+        start = time.perf_counter()
+        rep = lower_density(pred, windows)
+        assert time.perf_counter() - start < 1.0
+        axis = np.arange(-320, 321)
+        count = int(((axis[:, None] + 2 * axis[None, :]) % 3 == 0).sum())
+        assert rep.per_n_ratios[-1] == (320, count / 641 ** 2)
 
 
 class TestAsElement:
