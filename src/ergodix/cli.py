@@ -227,7 +227,7 @@ def run_vdc(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
               [(n, 2 * n + 1, s, a) for (n, s), (_, a) in
                zip(rep.statistic, rep.averages)])
     report = {
-        "gamma": [[list(h), g.real, g.imag] for h, g in rep.gamma],
+        "gamma": [[h, g.real, g.imag] for h, g in rep.gamma],
         "gamma_window_index": rep.gamma_window_index,
         "gamma_statistic": [[n, v] for n, v in rep.statistic],
         "gamma_double_average": [[n, v.real, v.imag] for n, v in rep.double_average],

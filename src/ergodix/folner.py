@@ -16,6 +16,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -392,11 +393,17 @@ class ResidueClassSet(SetPredicate):
 class FiniteSet(SetPredicate):
     points: frozenset[GroupElement]
 
+    @cached_property
+    def _members(self) -> dict[int, np.ndarray]:
+        """Each rank's members as one object table, built once per set."""
+        return {rank: np.array([p for p in self.points if len(p) == rank], dtype=object)
+                for rank in {len(p) for p in self.points}}
+
     def mask(self, points: np.ndarray) -> np.ndarray:
-        own = [p for p in self.points if len(p) == points.shape[1]]
-        if not own:
+        own = self._members.get(points.shape[1])
+        if own is None:
             return np.zeros(len(points), dtype=bool)
-        keys, own_keys = lex_keys(points, np.array(own, dtype=object))
+        keys, own_keys = lex_keys(points, own)
         return np.isin(keys, own_keys)
 
     def to_json(self) -> dict:

@@ -712,6 +712,19 @@ class TestMask:
             assert got.tolist() == expected
         assert [pred.contains(g) for g in rows] == expected
 
+    def test_finite_set_builds_its_member_tables_once(self):
+        pred = FiniteSet(frozenset({(1, 2), (3, 4), (5,)}))
+        pairs = np.array([[1, 2], [0, 0], [3, 4]], dtype=np.int64)
+        singles = np.array([[5], [6]], dtype=object)
+        assert pred.mask(pairs).tolist() == [True, False, True]
+        members = dict(pred._members)
+        for _ in range(3):
+            assert pred.mask(pairs).tolist() == [True, False, True]
+            assert pred.mask(singles).tolist() == [True, False]
+            assert not pred.mask(np.zeros((2, 3), dtype=np.int64)).any()
+        assert pred._members.keys() == members.keys() == {1, 2}
+        assert all(pred._members[rank] is members[rank] for rank in members)
+
     @pytest.mark.parametrize("pred", [ResidueClassSet(3, (0,)), ProgressionSet((1, 0), (2, 3)),
                                       FiniteSet(frozenset({(1, 2)})), FullSet()])
     @pytest.mark.parametrize("dtype", [np.int64, object])
