@@ -183,9 +183,13 @@ def run_higher(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     failures: list[str] = []
     if "gamma" in cfg:
         _require_keys(cfg["gamma"], {"h_max"}, set(), "gamma")
-        h_max = _int(cfg["gamma"].get("h_max", 2 * windows[-1].index), "gamma.h_max", 0)
-        lags = [h for h in folner.inverse_product(windows[-1]).iter_elements()
-                if max(abs(x) for x in h) <= h_max]
+        # every lag of W^-1 W on gamma_sequence's largest window, or those within h_max
+        lags = None
+        if "h_max" in cfg["gamma"]:
+            h_max = _int(cfg["gamma"]["h_max"], "gamma.h_max", 0)
+            largest = max(windows, key=lambda w: w.size)
+            lags = [h for h in folner.inverse_product(largest).iter_elements()
+                    if max(abs(x) for x in h) <= h_max]
         gam = mixing.gamma_sequence(sys_h, spec, windows, h_range=lags)
         write_csv(out / "higher_gamma.csv",
                   ["h", "empirical_re", "empirical_im", "closed_re", "closed_im",

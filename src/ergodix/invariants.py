@@ -1,9 +1,11 @@
 """Randomized property battery.
 
-Each check draws from a seeded generator and returns a pass/fail record; the
-CLI ``invariants`` subcommand runs the full battery and fails the run when any
-record fails.  Trial counts scale with a single knob so the battery can run
-quickly in CI and exhaustively on demand.
+Each check draws from a seeded generator and returns ``(passed, detail)``,
+where a failing sub-law names itself in ``detail``; ``run_all`` records each
+outcome under the check's name in ``ALL_CHECKS``.  The CLI ``invariants``
+subcommand runs the full battery and fails the run when any record fails.
+Trial counts scale with a single knob so the battery can run quickly in CI
+and exhaustively on demand.
 """
 
 from __future__ import annotations
@@ -24,13 +26,9 @@ class InvariantResult:
     detail: str = ""
 
 
-def _result(name: str, passed: bool, detail: str = "") -> InvariantResult:
-    return InvariantResult(name=name, passed=bool(passed), detail=detail)
-
-
 # --- lattice ---------------------------------------------------------------
 
-def check_box_defect_law(rng, scale=1.0) -> InvariantResult:
+def check_box_defect_law(rng, scale=1.0) -> tuple[bool, str]:
     ok = True
     detail = ""
     for n in range(1, int(30 * scale) + 2):
@@ -44,18 +42,18 @@ def check_box_defect_law(rng, scale=1.0) -> InvariantResult:
         if prev is not None and d > prev:
             ok, detail = False, f"defect not monotone for g={g} at n={n}"
         prev = d
-    return _result("folner/box-defect-law", ok, detail)
+    return ok, detail
 
 
-def check_tempelman_bound(rng, scale=1.0) -> InvariantResult:
+def check_tempelman_bound(rng, scale=1.0) -> tuple[bool, str]:
     for q in (1, 2):
         for n in range(1, int(20 * scale) + 2):
             if folner.tempelman_ratio(folner.box_window(q, n)) > 2 ** q:
-                return _result("folner/tempelman-bound", False, f"q={q} n={n}")
-    return _result("folner/tempelman-bound", True)
+                return False, f"q={q} n={n}"
+    return True, ""
 
 
-def check_shift_invariance(rng, scale=1.0) -> InvariantResult:
+def check_shift_invariance(rng, scale=1.0) -> tuple[bool, str]:
     for _ in range(int(20 * scale)):
         q = int(rng.integers(1, 3))
         n = int(rng.integers(1, 6))
@@ -64,13 +62,13 @@ def check_shift_invariance(rng, scale=1.0) -> InvariantResult:
         h = tuple(int(x) for x in rng.integers(-5, 6, size=q))
         shifted = folner.shift_window(w, h)
         if shifted.size != w.size:
-            return _result("folner/shift-preserves-size", False, f"{q},{n}")
+            return False, f"shift-preserves-size: {q},{n}"
         if folner.folner_defect(shifted, g) != folner.folner_defect(w, g):
-            return _result("folner/shift-preserves-defect", False, f"{q},{n},{g},{h}")
-    return _result("folner/shift-invariance", True)
+            return False, f"shift-preserves-defect: {q},{n},{g},{h}"
+    return True, ""
 
 
-def check_density_complement(rng, scale=1.0) -> InvariantResult:
+def check_density_complement(rng, scale=1.0) -> tuple[bool, str]:
     mod = int(rng.integers(2, 7))
     res = folner.ResidueClassSet(mod, (0,))
     comp = folner.ResidueClassSet(mod, tuple(range(1, mod)))
@@ -79,11 +77,11 @@ def check_density_complement(rng, scale=1.0) -> InvariantResult:
     r2 = folner.lower_density(comp, wins)
     for (n1, a), (n2, b) in zip(r1.per_n_ratios, r2.per_n_ratios):
         if abs(a + b - 1.0) > 1e-12:
-            return _result("folner/density-complement", False, f"n={n1}")
-    return _result("folner/density-complement", True)
+            return False, f"n={n1}"
+    return True, ""
 
 
-def check_best_shift_bound(rng, scale=1.0) -> InvariantResult:
+def check_best_shift_bound(rng, scale=1.0) -> tuple[bool, str]:
     for _ in range(int(10 * scale)):
         mod = int(rng.integers(2, 6))
         cands = [(j,) for j in range(mod)]
@@ -93,13 +91,13 @@ def check_best_shift_bound(rng, scale=1.0) -> InvariantResult:
         wit = folner.relative_density_witness(pred, folner.box_window(1, n + mod), cands)
         _, ratio = folner.best_shift_for_density(w, pred, cands)
         if wit.accepted and ratio < 1 / len(cands) - 1e-12:
-            return _result("folner/best-shift-bound", False, f"mod={mod} n={n}")
-    return _result("folner/best-shift-bound", True)
+            return False, f"mod={mod} n={n}"
+    return True, ""
 
 
 # --- operators ---------------------------------------------------------------
 
-def check_cauchy_schwarz(rng, scale=1.0) -> InvariantResult:
+def check_cauchy_schwarz(rng, scale=1.0) -> tuple[bool, str]:
     for _ in range(int(1000 * scale)):
         n = int(rng.integers(2, 6))
         st = operators.trace_state(n) if rng.integers(0, 2) else \
@@ -109,11 +107,11 @@ def check_cauchy_schwarz(rng, scale=1.0) -> InvariantResult:
         lhs = abs(operators.apply_state(st, operators.adjoint(a) @ b))
         rhs = operators.omega_norm(st, a) * operators.omega_norm(st, b)
         if lhs > rhs + 1e-10 * (1 + rhs):
-            return _result("operators/cauchy-schwarz", False, f"n={n}")
-    return _result("operators/cauchy-schwarz", True)
+            return False, f"n={n}"
+    return True, ""
 
 
-def check_tracial_bound(rng, scale=1.0) -> InvariantResult:
+def check_tracial_bound(rng, scale=1.0) -> tuple[bool, str]:
     for _ in range(int(300 * scale)):
         n = int(rng.integers(2, 6))
         st = operators.trace_state(n)
@@ -122,22 +120,22 @@ def check_tracial_bound(rng, scale=1.0) -> InvariantResult:
         rhs = (operators.operator_norm(a) * operators.omega_norm(st, b)
                * operators.operator_norm(c))
         if lhs > rhs + 1e-10 * (1 + rhs):
-            return _result("operators/tracial-bound", False, f"n={n}")
-    return _result("operators/tracial-bound", True)
+            return False, f"n={n}"
+    return True, ""
 
 
-def check_seminorm_dominated(rng, scale=1.0) -> InvariantResult:
+def check_seminorm_dominated(rng, scale=1.0) -> tuple[bool, str]:
     for _ in range(int(300 * scale)):
         n = int(rng.integers(2, 6))
         st = operators.trace_state(n) if rng.integers(0, 2) else \
             sampling.unitary_with_invariant_state(rng, n)[1]
         a = sampling.ginibre(rng, n)
         if operators.omega_norm(st, a) > operators.operator_norm(a) + 1e-10:
-            return _result("operators/seminorm-dominated", False, f"n={n}")
-    return _result("operators/seminorm-dominated", True)
+            return False, f"n={n}"
+    return True, ""
 
 
-def check_state_positivity(rng, scale=1.0) -> InvariantResult:
+def check_state_positivity(rng, scale=1.0) -> tuple[bool, str]:
     for _ in range(int(300 * scale)):
         n = int(rng.integers(2, 6))
         st = operators.trace_state(n) if rng.integers(0, 2) else \
@@ -145,32 +143,32 @@ def check_state_positivity(rng, scale=1.0) -> InvariantResult:
         a = sampling.ginibre(rng, n)
         val = operators.apply_state(st, operators.adjoint(a) @ a)
         if val.real < -1e-12 or abs(val.imag) > 1e-10:
-            return _result("operators/state-positivity", False, f"n={n}")
-    return _result("operators/state-positivity", True)
+            return False, f"n={n}"
+    return True, ""
 
 
-def check_adjoint_antihomomorphism(rng, scale=1.0) -> InvariantResult:
+def check_adjoint_antihomomorphism(rng, scale=1.0) -> tuple[bool, str]:
     for _ in range(int(100 * scale)):
         n = int(rng.integers(2, 6))
         a, b = sampling.ginibre(rng, n), sampling.ginibre(rng, n)
         if np.linalg.norm(operators.adjoint(a @ b)
                           - operators.adjoint(b) @ operators.adjoint(a)) > 1e-12:
-            return _result("operators/adjoint-antihomomorphism", False, f"n={n}")
-    return _result("operators/adjoint-antihomomorphism", True)
+            return False, f"n={n}"
+    return True, ""
 
 
-def check_tensor_norm(rng, scale=1.0) -> InvariantResult:
+def check_tensor_norm(rng, scale=1.0) -> tuple[bool, str]:
     for _ in range(int(50 * scale)):
         n, m = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         a, b = sampling.ginibre(rng, n), sampling.ginibre(rng, m)
         lhs = operators.operator_norm(operators.tensor(a, b))
         rhs = operators.operator_norm(a) * operators.operator_norm(b)
         if abs(lhs - rhs) > 1e-10 * (1 + rhs):
-            return _result("operators/tensor-norm-multiplicative", False, f"{n}x{m}")
-    return _result("operators/tensor-norm-multiplicative", True)
+            return False, f"{n}x{m}"
+    return True, ""
 
 
-def check_conjugate_state(rng, scale=1.0) -> InvariantResult:
+def check_conjugate_state(rng, scale=1.0) -> tuple[bool, str]:
     for _ in range(int(100 * scale)):
         n = int(rng.integers(2, 5))
         st = operators.trace_state(n) if rng.integers(0, 2) else \
@@ -181,11 +179,11 @@ def check_conjugate_state(rng, scale=1.0) -> InvariantResult:
             doubled, operators.tensor(a, operators.conjugate_lift(a)))
         rhs = abs(operators.apply_state(st, a)) ** 2
         if abs(lhs - rhs) > 1e-10:
-            return _result("operators/conjugate-doubling", False, f"n={n}")
-    return _result("operators/conjugate-doubling", True)
+            return False, f"n={n}"
+    return True, ""
 
 
-def check_telescope_identity(rng, scale=1.0) -> InvariantResult:
+def check_telescope_identity(rng, scale=1.0) -> tuple[bool, str]:
     for _ in range(int(100 * scale)):
         n = int(rng.integers(2, 5))
         k = int(rng.integers(1, 5))
@@ -199,13 +197,13 @@ def check_telescope_identity(rng, scale=1.0) -> InvariantResult:
         for d in ds:
             prod_d = prod_d @ d
         if np.linalg.norm(lhs - (prod_c - prod_d)) > 1e-10:
-            return _result("operators/telescope-identity", False, f"n={n},k={k}")
-    return _result("operators/telescope-identity", True)
+            return False, f"n={n},k={k}"
+    return True, ""
 
 
 # --- systems -----------------------------------------------------------------
 
-def check_automorphism_laws(rng, scale=1.0) -> InvariantResult:
+def check_automorphism_laws(rng, scale=1.0) -> tuple[bool, str]:
     for _ in range(int(30 * scale)):
         fs = sampling.random_finite_system(rng)
         a, b = sampling.ginibre(rng, fs.dim), sampling.ginibre(rng, fs.dim)
@@ -213,22 +211,22 @@ def check_automorphism_laws(rng, scale=1.0) -> InvariantResult:
         h = tuple(int(x) for x in rng.integers(-4, 5, size=fs.q))
         ta, tb = fs.translate(a, g), fs.translate(b, g)
         if np.linalg.norm(fs.translate(a @ b, g) - ta @ tb) > 1e-10:
-            return _result("systems/automorphism-product", False, "")
+            return False, "automorphism-product"
         if np.linalg.norm(fs.translate(a.conj().T, g) - ta.conj().T) > 1e-10:
-            return _result("systems/automorphism-star", False, "")
+            return False, "automorphism-star"
         gh = tuple(x + y for x, y in zip(g, h))
         if np.linalg.norm(fs.translate(fs.translate(a, h), g) - fs.translate(a, gh)) > 1e-10:
-            return _result("systems/group-law", False, f"{g},{h}")
+            return False, f"group-law: {g},{h}"
         if abs(operators.operator_norm(ta) - operators.operator_norm(a)) > 1e-10:
-            return _result("systems/norm-invariance", False, "")
+            return False, "norm-invariance"
         if abs(fs.omega_norm(ta) - fs.omega_norm(a)) > 1e-10:
-            return _result("systems/omega-norm-invariance", False, "")
+            return False, "omega-norm-invariance"
         if abs(fs.expect(ta) - fs.expect(a)) > 1e-10:
-            return _result("systems/state-invariance", False, "")
-    return _result("systems/automorphism-laws", True)
+            return False, "state-invariance"
+    return True, ""
 
 
-def check_window_independence(rng, scale=1.0) -> InvariantResult:
+def check_window_independence(rng, scale=1.0) -> tuple[bool, str]:
     sl = systems.shift_system(1, 2)
     for _ in range(int(30 * scale)):
         obs = sampling.random_local_observable(rng, 1, 2)
@@ -240,11 +238,11 @@ def check_window_independence(rng, scale=1.0) -> InvariantResult:
         mat = sl.embed(obs, window)
         padded = complex(np.trace(mat)) / (2 ** len(window))
         if abs(base - padded) > 1e-12:
-            return _result("systems/window-independence", False, str(obs.support))
-    return _result("systems/window-independence", True)
+            return False, str(obs.support)
+    return True, ""
 
 
-def check_product_system_law(rng, scale=1.0) -> InvariantResult:
+def check_product_system_law(rng, scale=1.0) -> tuple[bool, str]:
     for _ in range(int(100 * scale)):
         fs = sampling.random_finite_system(rng)
         doubled = systems.product_system(fs)
@@ -256,30 +254,30 @@ def check_product_system_law(rng, scale=1.0) -> InvariantResult:
         ])
         rhs = abs(fs.expect_product([(a, (0,) * fs.q), (b, g)])) ** 2
         if abs(lhs - rhs) > 1e-10:
-            return _result("systems/product-system-law", False, f"g={g}")
-    return _result("systems/product-system-law", True)
+            return False, f"g={g}"
+    return True, ""
 
 
-def check_rotation_orbit(rng, scale=1.0) -> InvariantResult:
+def check_rotation_orbit(rng, scale=1.0) -> tuple[bool, str]:
     big_q = int(rng.choice([2, 3, 5, 7]))
     sys5 = systems.rotation_algebra_system(1, big_q)
     v = systems.cyclic_shift_matrix(big_q)
     orbit = [sys5.translate(v, n) for n in range(big_q)]
     for i in range(big_q):
         if abs(sys5.omega_norm(orbit[i]) - 1.0) > 1e-10:
-            return _result("systems/rotation-orbit-radius", False, f"n={i}")
+            return False, f"rotation-orbit-radius: n={i}"
         for j in range(i + 1, big_q):
             if sys5.omega_distance(orbit[i], orbit[j]) < 1e-6:
-                return _result("systems/rotation-orbit-distinct", False, f"{i},{j}")
+                return False, f"rotation-orbit-distinct: {i},{j}"
     again = sys5.translate(v, big_q)
     if np.linalg.norm(again - v) > 1e-10:
-        return _result("systems/rotation-orbit-period", False, "")
-    return _result("systems/rotation-orbit", True)
+        return False, "rotation-orbit-period"
+    return True, ""
 
 
 # --- mixing ------------------------------------------------------------------
 
-def check_square_equivalence(rng, scale=1.0) -> InvariantResult:
+def check_square_equivalence(rng, scale=1.0) -> tuple[bool, str]:
     hom = folner.Homomorphism.scalar(1, 1)
     wins = folner.box_schedule(1, 1, int(25 * scale) + 10)
     cases = []
@@ -293,12 +291,11 @@ def check_square_equivalence(rng, scale=1.0) -> InvariantResult:
         w1 = mixing.weak_mixing_defect(sys_h, a, b, hom, wins)
         w2 = mixing.square_defect(sys_h, a, b, hom, wins)
         if w1.verdict != w2.verdict:
-            return _result("mixing/square-equivalence", False,
-                           f"{w1.verdict} vs {w2.verdict}")
-    return _result("mixing/square-equivalence", True)
+            return False, f"{w1.verdict} vs {w2.verdict}"
+    return True, ""
 
 
-def check_folner_independence(rng, scale=1.0) -> InvariantResult:
+def check_folner_independence(rng, scale=1.0) -> tuple[bool, str]:
     sl = systems.shift_system(1, 2)
     sz = systems.pauli_observable([0], "Z")
     hom = folner.Homomorphism.scalar(1, 1)
@@ -306,10 +303,10 @@ def check_folner_independence(rng, scale=1.0) -> InvariantResult:
     shifted = [folner.shift_window(w, int(rng.integers(-3, 4))) for w in wins]
     v1 = mixing.weak_mixing_defect(sl, sz, sz, hom, wins).verdict
     v2 = mixing.weak_mixing_defect(sl, sz, sz, hom, shifted).verdict
-    return _result("mixing/folner-independence", v1 == v2, f"{v1} vs {v2}")
+    return v1 == v2, f"{v1} vs {v2}"
 
 
-def check_gamma_consistency(rng, scale=1.0) -> InvariantResult:
+def check_gamma_consistency(rng, scale=1.0) -> tuple[bool, str]:
     for _ in range(int(10 * scale)):
         fs = sampling.random_finite_system(rng, q=1)
         a = sampling.ginibre(rng, fs.dim)
@@ -318,8 +315,8 @@ def check_gamma_consistency(rng, scale=1.0) -> InvariantResult:
             homs=(folner.Homomorphism.scalar(1, int(rng.integers(1, 4))),))
         rep = mixing.gamma_sequence(fs, spec, folner.box_schedule(1, 2, 5))
         if max(e.difference for e in rep.entries) > 1e-9:
-            return _result("mixing/gamma-consistency", False, "")
-    return _result("mixing/gamma-consistency", True)
+            return False, ""
+    return True, ""
 
 
 # --- van der Corput ----------------------------------------------------------
@@ -357,31 +354,31 @@ def _random_sequence(rng, dim: int) -> vdc.VectorSequence:
     return vdc.VectorSequence(fn, bound=20.0 * math.sqrt(dim), dim=dim)
 
 
-def check_vdc_inequalities(rng, scale=1.0) -> InvariantResult:
+def check_vdc_inequalities(rng, scale=1.0) -> tuple[bool, str]:
     for _ in range(int(200 * scale)):
         dim = int(rng.integers(1, 9))
         f = _random_sequence(rng, dim)
         w1 = folner.box_window(1, int(rng.integers(1, 9)))
         w2 = folner.box_window(1, int(rng.integers(1, 9)))
         if not vdc.check_window_cauchy_schwarz(f, w1).holds:
-            return _result("vdc/window-cauchy-schwarz", False, "")
+            return False, "window-cauchy-schwarz"
         if not vdc.check_double_average_bound(f, w1, w2).holds:
-            return _result("vdc/double-average-bound", False, "")
-    return _result("vdc/inequalities", True)
+            return False, "double-average-bound"
+    return True, ""
 
 
-def check_difference_sum(rng, scale=1.0) -> InvariantResult:
+def check_difference_sum(rng, scale=1.0) -> tuple[bool, str]:
     for _ in range(int(200 * scale)):
         n = int(rng.integers(1, 9))
         seed = int(rng.integers(0, 2 ** 32))
         res = vdc.difference_sum_bound(lambda lags: 3.0 * _uniforms(seed, lags, 1)[:, 0],
                                        folner.box_window(1, n))
         if not res.holds:
-            return _result("vdc/difference-sum-bound", False, f"n={n}")
-    return _result("vdc/difference-sum-bound", True)
+            return False, f"n={n}"
+    return True, ""
 
 
-def check_smoothing_consistency(rng, scale=1.0) -> InvariantResult:
+def check_smoothing_consistency(rng, scale=1.0) -> tuple[bool, str]:
     """Replacing f by its window-smoothed version moves the average by at most
     the bound times the worst translate defect."""
     for _ in range(int(20 * scale)):
@@ -396,13 +393,13 @@ def check_smoothing_consistency(rng, scale=1.0) -> InvariantResult:
         lhs = float(np.linalg.norm(plain - smoothed))
         bound = f.bound * max(folner.folner_defect(wm, h) for h in wn.iter_elements())
         if lhs > bound + 1e-9:
-            return _result("vdc/smoothing-consistency", False, f"m={m},n={n}")
-    return _result("vdc/smoothing-consistency", True)
+            return False, f"m={m},n={n}"
+    return True, ""
 
 
 # --- compactness ---------------------------------------------------------
 
-def check_isometry(rng, scale=1.0) -> InvariantResult:
+def check_isometry(rng, scale=1.0) -> tuple[bool, str]:
     for _ in range(int(30 * scale)):
         fs = sampling.random_finite_system(rng)
         a, b = sampling.ginibre(rng, fs.dim), sampling.ginibre(rng, fs.dim)
@@ -410,11 +407,11 @@ def check_isometry(rng, scale=1.0) -> InvariantResult:
         lhs = fs.omega_distance(fs.translate(a, g), fs.translate(b, g))
         rhs = fs.omega_distance(a, b)
         if abs(lhs - rhs) > 1e-10:
-            return _result("compactness/isometry", False, f"g={g}")
-    return _result("compactness/isometry", True)
+            return False, f"g={g}"
+    return True, ""
 
 
-def check_separated_monotone(rng, scale=1.0) -> InvariantResult:
+def check_separated_monotone(rng, scale=1.0) -> tuple[bool, str]:
     sys5 = systems.rotation_algebra_system(1, 5)
     v = systems.cyclic_shift_matrix(5)
     scan = folner.box_window(1, 10)
@@ -422,10 +419,10 @@ def check_separated_monotone(rng, scale=1.0) -> InvariantResult:
     counts = [compactness.orbit_epsilon_structure(sys5, v, e, scan).count
               for e in eps_values]
     ok = all(c1 >= c2 for c1, c2 in zip(counts, counts[1:]))
-    return _result("compactness/separated-monotone", ok, str(counts))
+    return ok, str(counts)
 
 
-def check_chain_inequality(rng, scale=1.0) -> InvariantResult:
+def check_chain_inequality(rng, scale=1.0) -> tuple[bool, str]:
     for _ in range(int(20 * scale)):
         fs = sampling.random_finite_system(rng, q=1)
         a = sampling.ginibre(rng, fs.dim)
@@ -434,11 +431,11 @@ def check_chain_inequality(rng, scale=1.0) -> InvariantResult:
         for m in range(1, 7):
             lhs = fs.omega_distance(fs.translate(a, folner.scale(m, g)), a)
             if lhs > m * base + 1e-9 * (1 + m * base):
-                return _result("compactness/chain-inequality", False, f"m={m}")
-    return _result("compactness/chain-inequality", True)
+                return False, f"m={m}"
+    return True, ""
 
 
-def check_perturbed_product(rng, scale=1.0) -> InvariantResult:
+def check_perturbed_product(rng, scale=1.0) -> tuple[bool, str]:
     """Perturbing each factor of a power b^{k+1} by < eps/(k+1) in the
     omega-seminorm (with all factors norm-bounded by 1) moves |omega(prod)| by
     less than eps."""
@@ -464,13 +461,13 @@ def check_perturbed_product(rng, scale=1.0) -> InvariantResult:
         target = operators.apply_state(st, np.linalg.matrix_power(b, k + 1))
         got = operators.apply_state(st, prod_c)
         if abs(got - target) >= eps:
-            return _result("compactness/perturbed-product", False, f"k={k}")
-    return _result("compactness/perturbed-product", True)
+            return False, f"k={k}"
+    return True, ""
 
 
 # --- spectral ---------------------------------------------------------------
 
-def check_koopman_unitarity(rng, scale=1.0) -> InvariantResult:
+def check_koopman_unitarity(rng, scale=1.0) -> tuple[bool, str]:
     for _ in range(int(10 * scale)):
         fs = sampling.random_finite_system(rng)
         gns = spectral.gns_build(fs)
@@ -479,23 +476,23 @@ def check_koopman_unitarity(rng, scale=1.0) -> InvariantResult:
             x = rng.standard_normal(gns.dim) + 1j * rng.standard_normal(gns.dim)
             y = rng.standard_normal(gns.dim) + 1j * rng.standard_normal(gns.dim)
             if abs(np.vdot(k @ x, k @ y) - np.vdot(x, y)) > 1e-10 * (1 + abs(np.vdot(x, y))):
-                return _result("spectral/koopman-unitarity", False, f"j={j}")
-    return _result("spectral/koopman-unitarity", True)
+                return False, f"j={j}"
+    return True, ""
 
 
-def check_eigenoperator_count(rng, scale=1.0) -> InvariantResult:
+def check_eigenoperator_count(rng, scale=1.0) -> tuple[bool, str]:
     for big_q in (2, 3):
         cs = systems.clock_shift_system(big_q)
         split = spectral.koopman_split(cs)
         if split.dim_h0 != big_q ** 2:
-            return _result("spectral/eigenoperator-count", False, f"Q={big_q}")
+            return False, f"Q={big_q}"
         fac = spectral.eigenoperator_factor(cs, split)
         if len(fac.generators) != big_q ** 2:
-            return _result("spectral/eigenoperator-count", False, f"Q={big_q}")
-    return _result("spectral/eigenoperator-count", True)
+            return False, f"Q={big_q}"
+    return True, ""
 
 
-def check_factor_invariance(rng, scale=1.0) -> InvariantResult:
+def check_factor_invariance(rng, scale=1.0) -> tuple[bool, str]:
     cs = systems.clock_shift_system(3)
     split = spectral.koopman_split(cs)
     fac = spectral.eigenoperator_factor(cs, split)
@@ -508,11 +505,11 @@ def check_factor_invariance(rng, scale=1.0) -> InvariantResult:
             coeffs = basis.conj() @ moved
             residual = np.linalg.norm(moved - basis.T @ coeffs)
             if residual > 1e-10:
-                return _result("spectral/factor-invariance", False, f"g={g}")
-    return _result("spectral/factor-invariance", True)
+                return False, f"g={g}"
+    return True, ""
 
 
-def check_eigenoperator_orbit(rng, scale=1.0) -> InvariantResult:
+def check_eigenoperator_orbit(rng, scale=1.0) -> tuple[bool, str]:
     cs = systems.clock_shift_system(5)
     split = spectral.koopman_split(cs)
     fac = spectral.eigenoperator_factor(cs, split)
@@ -520,8 +517,8 @@ def check_eigenoperator_orbit(rng, scale=1.0) -> InvariantResult:
     for op in fac.generators[: int(5 * scale) + 1]:
         cert = compactness.orbit_epsilon_structure(cs, op, 0.05, scan)
         if cert.count > 5:
-            return _result("spectral/eigenoperator-orbit", False, f"count={cert.count}")
-    return _result("spectral/eigenoperator-orbit", True)
+            return False, f"count={cert.count}"
+    return True, ""
 
 
 ALL_CHECKS: tuple[tuple[str, Callable], ...] = (
@@ -566,7 +563,8 @@ def run_all(seed: int, scale: float = 1.0) -> list[InvariantResult]:
     for idx, (name, fn) in enumerate(ALL_CHECKS):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
         try:
-            results.append(fn(rng, scale))
+            passed, detail = fn(rng, scale)
         except Exception as exc:  # a crash is a failure, not an abort
-            results.append(_result(name, False, f"exception: {exc!r}"))
+            passed, detail = False, f"exception: {exc!r}"
+        results.append(InvariantResult(name=name, passed=bool(passed), detail=detail))
     return results

@@ -19,7 +19,6 @@ Observables are numpy matrices (finite backend) or ``LocalObservable``
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
@@ -107,18 +106,25 @@ class FiniteSystem:
         return self.state.tracial
 
     def _unitary_stack(self, rows: Sequence[GroupElement]) -> np.ndarray:
-        """U^g for each row g, as a (T, N, N) stack whose slice t is the
-        product ``unitary_for`` forms, bit for bit: the identity times each
-        nonzero generator power in turn."""
+        """U^g for each row g, as a (T, N, N) stack.  From the identity, each
+        row multiplies in the square u_j^(2^k) (of u_j* when g_j < 0) for each
+        set bit k of |g_j|, least significant first.  Each square is formed
+        once for the stack, so exponents up to M cost log2(M) squarings, and
+        slice t is the one-row stack of g_t bit for bit."""
         w = np.empty((len(rows), *self._identity.shape), dtype=np.complex128)
         w[:] = self._identity
         for j, u in enumerate(self.generators):
-            pos = [t for t, g in enumerate(rows) if g[j] > 0]
-            neg = [t for t, g in enumerate(rows) if g[j] < 0]
-            if pos:
-                w = _times_powers(w, u, pos, [rows[t][j] for t in pos])
-            if neg:
-                w = _times_powers(w, u.conj().T, neg, [-rows[t][j] for t in neg])
+            for base, exps in ((u, [max(g[j], 0) for g in rows]),
+                               (u.conj().T, [max(-g[j], 0) for g in rows])):
+                square = base
+                for k in range(max(exps, default=0).bit_length()):
+                    if k:
+                        square = square @ square
+                    idx = [t for t, m in enumerate(exps) if m >> k & 1]
+                    if len(idx) == len(w):
+                        w = w @ square
+                    elif idx:
+                        w[idx] = w[idx] @ square
         return w
 
     def unitary_for(self, g: Union[int, Sequence[int]]) -> np.ndarray:
@@ -219,55 +225,6 @@ def _shift_rows(shifts, q: int) -> list[GroupElement]:
     group elements) as tuples of Python ints."""
     rows = shifts.tolist() if isinstance(shifts, np.ndarray) else shifts
     return [as_element(g, q) for g in rows]
-
-
-def _times_powers(w: np.ndarray, base: np.ndarray, rows: list[int],
-                  exps: list[int]) -> np.ndarray:
-    """The stack with w[r] @ numpy.linalg.matrix_power(base, m) in place of
-    w[r], for each of its rows r and exponent m >= 1 (w may be updated in
-    place).
-
-    Every row gets matrix_power's own products, so each slice is bit-identical
-    to the per-matrix product.  Rows that share one exponent share one
-    matrix_power.  Otherwise the squares z_k = base^(2^k) are built once for
-    all rows and each row multiplies in its own: m = 1 is ``base`` itself,
-    m = 2 and m = 3 are matrix_power's shortcuts z_1 and z_1 @ z_0, and above
-    that the set bits of m are multiplied in from the least significant.  A
-    table of T rows up to exponent M then costs log2(M) squarings and
-    O(T log M) stacked products.
-    """
-    if len(set(exps)) == 1:
-        return _times(w, rows, np.linalg.matrix_power(base, exps[0]))
-    firsts: dict[int, list[int]] = defaultdict(list)  # z_k -> rows it starts
-    steps: dict[int, list[int]] = defaultdict(list)  # z_k -> rows it multiplies
-    for i, m in enumerate(exps):
-        if m == 3:
-            first, rest = 1, (0,)
-        else:
-            first = (m & -m).bit_length() - 1
-            rest = [k for k in range(first + 1, m.bit_length()) if m >> k & 1]
-        firsts[first].append(i)
-        for k in rest:
-            steps[k].append(i)
-    squares = [base]
-    while len(squares) <= max([*firsts, *steps]):
-        squares.append(squares[-1] @ squares[-1])
-    powers = np.empty((len(exps), *base.shape), dtype=np.complex128)
-    for k, idx in firsts.items():
-        powers[idx] = squares[k]
-    for k in sorted(steps):
-        powers = _times(powers, steps[k], squares[k])
-    return _times(w, rows, powers)
-
-
-def _times(stack: np.ndarray, rows: list[int], right: np.ndarray) -> np.ndarray:
-    """The stack with stack[r] @ right in place of stack[r] for the increasing
-    rows, ``right`` one matrix or one per row; updated in place unless the
-    rows are all of them."""
-    if len(rows) == len(stack):
-        return stack @ right
-    stack[rows] = stack[rows] @ right
-    return stack
 
 
 def table_chunks(sys, count: int) -> Iterator[slice]:

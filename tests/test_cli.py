@@ -5,14 +5,16 @@ import os
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ergodix
-from ergodix import _parallel, folner, spectral
+from ergodix import _parallel, folner, spectral, vdc
 from ergodix.cli import main
+from ergodix.invariants import ALL_CHECKS
 from ergodix.operators import as_matrix
 from ergodix.systems import cyclic_shift_matrix
 
@@ -469,6 +471,18 @@ class TestHigherCommand:
         for line in lines:
             assert float(line.split(",")[2]) == 0.0
 
+    @pytest.mark.parametrize("gamma, lags", [({}, ["-10", "-5", "0", "5", "10"]),
+                                             ({"h_max": 5}, ["-5", "0", "5"])])
+    def test_gamma_lags_of_a_custom_window(self, tmp_path, gamma, lags):
+        # W^-1 W of {-5, 0, 5} is {-10, -5, 0, 5, 10}, whatever the window's index
+        cfg = write_cfg(tmp_path, "c.json", {
+            **HIGHER_CFG, "windows": {"shape": "custom", "elements": [-5, 0, 5]},
+            "gamma": gamma})
+        out = tmp_path / "o"
+        assert main(["higher", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "higher_gamma.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == lags
+
     def test_rank_mismatch_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", {
             "system": {"kind": "shift", "q": 2, "d": 2},
@@ -633,6 +647,24 @@ class TestInvariantsCommand:
         assert main(["invariants", "--config", cfg, "--out", str(out),
                      "--seed", "3"]) == 0
         assert read_json(out / "invariants.json")["seed"] == 3
+
+    @pytest.mark.parametrize("module, attr, broken, name, detail", [
+        (folner, "shift_window", lambda w, h: folner.box_window(w.q, w.index + 1),
+         "folner/shift-invariance", "shift-preserves-size: "),
+        (vdc, "check_double_average_bound",
+         lambda f, w1, w2: types.SimpleNamespace(holds=False),
+         "vdc/inequalities", "double-average-bound"),
+    ])
+    def test_a_failing_sub_law_keeps_the_listed_name(self, tmp_path, monkeypatch,
+                                                      module, attr, broken, name, detail):
+        monkeypatch.setattr(module, attr, broken)
+        cfg = write_cfg(tmp_path, "c.json", {"seed": 11, "scale": 0.05})
+        out = tmp_path / "o"
+        assert main(["invariants", "--config", cfg, "--out", str(out)]) == 1
+        results = read_json(out / "invariants.json")["results"]
+        assert [r["name"] for r in results] == [n for n, _ in ALL_CHECKS]
+        failed = {r["name"]: r["detail"] for r in results if not r["passed"]}
+        assert failed[name].startswith(detail)
 
 
 class TestDeterminism:

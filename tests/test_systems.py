@@ -417,11 +417,17 @@ class TestAutomorphismLaws:
 # --- stacked translates -----------------------------------------------------
 
 def reference_translate(fs, a, g):
-    """The per-point formula: W* a W with W the product of matrix_power calls."""
+    """The one-row formula: W* a W with W the identity times, for each
+    generator u (u* when g_j < 0), the square u^(2^k) for each set bit k of
+    |g_j|, from the least significant bit up."""
     w = np.eye(fs.dim, dtype=np.complex128)
     for u, gj in zip(fs.generators, g):
-        if gj != 0:
-            w = w @ np.linalg.matrix_power(u if gj > 0 else u.conj().T, abs(gj))
+        square = u if gj > 0 else u.conj().T
+        for k in range(abs(gj).bit_length()):
+            if k:
+                square = square @ square
+            if abs(gj) >> k & 1:
+                w = w @ square
     return w.conj().T @ a @ w
 
 
@@ -445,6 +451,7 @@ def same_bits(x, y):
 
 
 EXPONENTS = (0, 1, -1, 2, -2, 3, -3, 4, -4, 300, -300, 5, -7, 37)
+SLICE_EXPONENTS = (0, 1, -1, 3, -3, 300, -300, 10**12 + 3)
 
 
 def table_systems():
@@ -481,6 +488,22 @@ class TestTranslateTable:
                 table = fs.translate_table(a, shifts)
                 for x, (g,) in zip(table, shifts.tolist()):
                     assert same_bits(x, reference_translate(fs, a, (g,)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), q=st.sampled_from([1, 2]),
+           pairs=st.lists(st.tuples(*[st.sampled_from(SLICE_EXPONENTS)] * 2),
+                          min_size=1, max_size=12))
+    def test_a_table_slice_is_the_one_row_call(self, seed, q, pairs):
+        rng = np.random.default_rng(seed)
+        fs = random_finite_system(rng, q=q)
+        a = ginibre(rng, fs.dim)
+        shifts = np.array([pair[:q] for pair in pairs])
+        table = fs.translate_table(a, shifts)
+        for x, g in zip(table, shifts.tolist()):
+            assert same_bits(x, fs.translate(a, g))
+        unitaries = fs._unitary_stack([tuple(g) for g in shifts.tolist()])
+        for w, g in zip(unitaries, shifts.tolist()):
+            assert same_bits(w, fs.unitary_for(g))
 
     def test_chunks_match_the_unchunked_bytes(self, monkeypatch):
         fs = rotation_algebra_system(3, 16)
