@@ -38,7 +38,7 @@ from .config import (
     parse_windows,
 )
 from .invariants import run_all
-from .report import write_csv, write_json
+from .report import Table, write_csv, write_json
 
 
 def _load_config(path: str) -> dict:
@@ -52,8 +52,18 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _window_rows(pairs):
-    return [(n, 2 * n + 1, v) for n, v in pairs]
+def _write_curve(path: Path, pairs) -> Table:
+    """Write (n, value) pairs as the CSV columns n, window_size (as 2n + 1)
+    and value; return the Table of the columns n and value."""
+    n, value = map(np.array, zip(*pairs))
+    write_csv(path, Table(n=n, window_size=2 * n + 1, value=value))
+    return Table(n=n, value=value)
+
+
+def _needs(cfg: dict, key: str, other: str) -> None:
+    """Reject an optional key that is only read together with another."""
+    if key in cfg and other not in cfg:
+        raise ConfigError(f"{key}: only read together with {other}")
 
 
 # --------------------------------------------------------------------------
@@ -65,32 +75,33 @@ def run_folner(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     windows = parse_windows(cfg["windows"], q)
     shifts = [_element(s, "shifts[]", q)
               for s in _list(cfg.get("shifts", [[1] + [0] * (q - 1)]), "shifts")]
+    _needs(cfg, "candidates", "set")
 
-    rows = []
-    for w in windows:
-        row = [w.index, w.size, folner.tempelman_ratio(w)]
-        row += [folner.folner_defect(w, s) for s in shifts]
-        rows.append(row)
-    header = ["n", "window_size", "tempelman_ratio"] + [
-        "defect_" + "_".join(str(x) for x in s) for s in shifts]
-    write_csv(out / "folner.csv", header, rows)
+    ratios = [folner.tempelman_ratio(w) for w in windows]
+    defects = {"defect_" + "_".join(map(str, s)): [folner.folner_defect(w, s) for w in windows]
+               for s in shifts}
+    write_csv(out / "folner.csv", Table(n=[w.index for w in windows],
+                                        window_size=[w.size for w in windows],
+                                        tempelman_ratio=ratios, **defects))
 
     report: dict = {
         "q": q,
-        "shifts": [list(s) for s in shifts],
+        "shifts": shifts,
         "tempelman_bound": 2 ** q,
-        "tempelman_max": max(r[2] for r in rows),
+        "tempelman_max": max(ratios),
     }
     failures = []
-    if report["tempelman_max"] > 2 ** q:
+    # the bound is a law of boxes; a custom window may exceed it
+    if all(w.shape == "box" for w in windows) and max(ratios) > 2 ** q:
         failures.append("tempelman ratio exceeded 2^q on a box schedule")
 
     if "set" in cfg:
         pred = parse_set(cfg["set"], q)
         dens = folner.lower_density(pred, windows)
+        n, density = map(np.array, zip(*dens.per_n_ratios))
         report["density"] = {
             "set": pred.to_json(),
-            "per_n": [[n, r] for n, r in dens.per_n_ratios],
+            "per_n": Table(n=n, ratio=density),
             "lower_density": dens.lower_density,
         }
         if "candidates" in cfg:
@@ -100,8 +111,8 @@ def run_folner(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
             shift, ratio = folner.best_shift_for_density(windows[-1], pred, cands)
             report["witness"] = {
                 "accepted": wit.accepted,
-                "failing_point": list(wit.failing_point) if wit.failing_point else None,
-                "best_shift": list(shift),
+                "failing_point": wit.failing_point,
+                "best_shift": shift,
                 "best_ratio": ratio,
             }
             if wit.accepted and ratio < 1 / len(cands) - 1e-12:
@@ -137,17 +148,16 @@ def run_mix(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     for name in names:
         if name == "ergodic-average":
             ea = mixing.ergodic_average(sys_h, a, b, hom, windows)
+            n, value = map(np.array, zip(*ea.per_window))
             write_csv(out / "mix_ergodic_average.csv",
-                      ["n", "window_size", "re", "im"],
-                      [(n, 2 * n + 1, v.real, v.imag) for n, v in ea.per_window])
+                      Table(n=n, window_size=2 * n + 1, re=value.real, im=value.imag))
             report["statistics"]["ergodic-average"] = {
                 "product_value": ea.product_value,
                 "last": ea.per_window[-1][1],
             }
             continue
         stat = _STATS[name](sys_h, a, b, hom, windows, threshold=threshold)
-        write_csv(out / f"mix_{name.replace('-', '_')}.csv",
-                  ["n", "window_size", "value"], _window_rows(stat.per_window))
+        _write_curve(out / f"mix_{name.replace('-', '_')}.csv", stat.per_window)
         verdicts[name] = stat.verdict
         report["statistics"][name] = {
             "verdict": stat.verdict,
@@ -171,8 +181,7 @@ def run_higher(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     threshold = _num(cfg["threshold"], "threshold") if "threshold" in cfg else None
 
     stat = mixing.higher_order_defect(sys_h, spec, windows, threshold=threshold)
-    write_csv(out / "higher.csv", ["n", "window_size", "value"],
-              _window_rows(stat.per_window))
+    _write_curve(out / "higher.csv", stat.per_window)
     report: dict = {
         "k": spec.k,
         "homs_translational": folner.HomSet(homs).is_translational,
@@ -191,16 +200,16 @@ def run_higher(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
             lags = [h for h in folner.inverse_product(largest).iter_elements()
                     if max(abs(x) for x in h) <= h_max]
         gam = mixing.gamma_sequence(sys_h, spec, windows, h_range=lags)
-        write_csv(out / "higher_gamma.csv",
-                  ["h", "empirical_re", "empirical_im", "closed_re", "closed_im",
-                   "difference"],
-                  [("_".join(str(x) for x in e.h), e.empirical.real, e.empirical.imag,
-                    e.closed_form.real, e.closed_form.imag, e.difference)
-                   for e in gam.entries])
+        h, empirical, closed, difference = map(np.array, zip(*(
+            ("_".join(map(str, e.h)), e.empirical, e.closed_form, e.difference)
+            for e in gam.entries)))
+        write_csv(out / "higher_gamma.csv", Table(
+            h=h, empirical_re=empirical.real, empirical_im=empirical.imag,
+            closed_re=closed.real, closed_im=closed.imag, difference=difference))
         report["gamma"] = {
             "window_index": gam.window_index,
             "kappa": gam.kappa,
-            "max_difference": max(e.difference for e in gam.entries),
+            "max_difference": max(difference.tolist()),
         }
     write_json(out / "higher.json", report)
     return report, failures
@@ -227,15 +236,17 @@ def run_vdc(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     threshold = _num(cfg.get("threshold", 0.05), "threshold")
 
     rep = vdc.vdc_verdict(f, windows, h_max=h_max, threshold=threshold)
-    write_csv(out / "vdc.csv", ["n", "window_size", "statistic", "average_norm"],
-              [(n, 2 * n + 1, s, a) for (n, s), (_, a) in
-               zip(rep.statistic, rep.averages)])
+    n, statistic = map(np.array, zip(*rep.statistic))
+    _, double_average = map(np.array, zip(*rep.double_average))
+    _, averages = map(np.array, zip(*rep.averages))
+    write_csv(out / "vdc.csv", Table(n=n, window_size=2 * n + 1, statistic=statistic,
+                                     average_norm=averages))
     report = {
-        "gamma": [[h, g.real, g.imag] for h, g in rep.gamma],
+        "gamma": Table(h=rep.lags, re=rep.gamma.real, im=rep.gamma.imag),
         "gamma_window_index": rep.gamma_window_index,
-        "gamma_statistic": [[n, v] for n, v in rep.statistic],
-        "gamma_double_average": [[n, v.real, v.imag] for n, v in rep.double_average],
-        "averages": [[n, v] for n, v in rep.averages],
+        "gamma_statistic": Table(n=n, value=statistic),
+        "gamma_double_average": Table(n=n, re=double_average.real, im=double_average.imag),
+        "averages": Table(n=n, value=averages),
         "verdict": {
             "hypothesis_satisfied": rep.hypothesis_satisfied,
             "conclusion_observed": rep.conclusion_observed,
@@ -257,13 +268,15 @@ def run_compact(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     exponents = [_int(m, "exponents[]", 0)
                  for m in _list(cfg["exponents"], "exponents", nonempty=True)]
     scan = parse_scan(cfg["scan"], q)
+    _needs(cfg, "windows", "candidates")
+    _needs(cfg, "candidates", "windows")
 
     cert = compactness.orbit_epsilon_structure(sys_h, a, eps, scan)
     report: dict = {
         "separated": {
             "epsilon": eps,
             "count": cert.count,
-            "shifts": [list(s) for s in cert.shifts],
+            "shifts": cert.shifts,
             "note": cert.note,
         },
     }
@@ -298,28 +311,28 @@ def run_compact(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
             report["return_set"] = {
                 "epsilon": eps_rs,
                 "exponents": list(rset.exponents),
-                "members": [list(g) for g in rset.members],
-                "gap_witness": [list(g) for g in rset.gap_witness] if rset.gap_witness else None,
+                "members": rset.members,
+                "gap_witness": rset.gap_witness,
                 "chain_ok": chain_ok,
                 "note": rset.note,
             }
             report["correlation_bounds"] = [
-                {"g": list(g), "value": cb.value, "bound": cb.bound, "holds": cb.holds}
+                {"g": g, "value": cb.value, "bound": cb.bound, "holds": cb.holds}
                 for g, cb in bounds]
 
-    if "windows" in cfg and "candidates" in cfg:
+    if "windows" in cfg:
         windows = parse_windows(cfg["windows"], q)
         cands = parse_candidates(cfg["candidates"], q)
         increasing = [m for m in exponents if m > 0]
         rep = compactness.szemeredi_average_compact(
             sys_h, pos, increasing, windows, cands)
-        write_csv(out / "compact_szemeredi.csv", ["n", "window_size", "value"],
-                  _window_rows(rep.averages))
+        averages = _write_curve(out / "compact_szemeredi.csv", rep.averages)
+        n, shift, ratio = map(np.array, zip(*rep.shifts_per_window))
         report["szemeredi"] = {
             "epsilon": rep.epsilon_total,
-            "E_members": [list(g) for g in rep.members],
-            "shifts_per_window": [[n, list(s), r] for n, s, r in rep.shifts_per_window],
-            "averages": [[n, v] for n, v in rep.averages],
+            "E_members": rep.members,
+            "shifts_per_window": Table(n=n, shift=shift, ratio=ratio),
+            "averages": averages,
             "tail_min": rep.tail_min,
             "note": rep.note,
         }
@@ -334,7 +347,7 @@ def run_split(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     verdict = spectral.dichotomy_classify(sys_h)
     report = verdict.to_json()
     if verdict.ergodic and verdict.kind == "has-nontrivial-compact-factor":
-        report["characters"] = [[c for c in ch] for ch in verdict.characters]
+        report["characters"] = verdict.characters
     write_json(out / "split.json", report)
     return report, []
 
@@ -348,9 +361,7 @@ def run_szemeredi(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     cands = parse_candidates(cfg["candidates"], q) if "candidates" in cfg else None
 
     rep = spectral.szemeredi_driver(sys_h, a, exponents, windows, candidates=cands)
-    write_csv(out / "szemeredi.csv", ["n", "window_size", "value"],
-              _window_rows(rep.averages))
-    report = rep.to_json()
+    report = {**rep.to_json(), "averages": _write_curve(out / "szemeredi.csv", rep.averages)}
     failures = []
     if rep.tail_min <= 0:
         failures.append("Szemeredi tail minimum was not positive")

@@ -116,7 +116,7 @@ def parse_windows(obj: dict, q: int) -> list[FolnerWindow]:
                                       "custom": ({"elements"}, set())}, "shape")
     if shape == "custom":
         elements = _list(obj["elements"], "windows.elements")
-        return [folner.custom_window(q, [_element(e, "windows.elements[]") for e in elements])]
+        return [folner.custom_window(q, [_element(e, "windows.elements[]", q) for e in elements])]
     if "n" in obj:  # one box, not a schedule
         _require_keys(obj, {"shape", "n"}, set(), "windows")
         return [folner.box_window(q, _int(obj["n"], "windows.n", 1))]
@@ -132,8 +132,8 @@ def parse_scan(obj: dict, q: int) -> FolnerWindow:
 
 
 def parse_set(obj: dict, q: Optional[int] = None) -> folner.SetPredicate:
-    """The membership predicate of a set config; finite-set points must have
-    rank q when it is given."""
+    """The membership predicate of a set config; finite-set points and a
+    progression's start and step must have rank q when it is given."""
     kind = _variant(obj, "set", {"residue": ({"modulus", "residues"}, {"coeffs"}),
                                  "finite": ({"points"}, set()),
                                  "progression": ({"start", "step"}, set()),
@@ -151,7 +151,7 @@ def parse_set(obj: dict, q: Optional[int] = None) -> folner.SetPredicate:
         return folner.FiniteSet(pts)
     if kind == "progression":
         return folner.ProgressionSet(
-            _element(obj["start"], "set.start"), _element(obj["step"], "set.step"))
+            _element(obj["start"], "set.start", q), _element(obj["step"], "set.step", q))
     return folner.FullSet()
 
 

@@ -418,6 +418,9 @@ class ProgressionSet(SetPredicate):
     step: GroupElement
 
     def __post_init__(self) -> None:
+        if len(self.start) != len(self.step):
+            raise ValueError(f"progression start has rank {len(self.start)}, "
+                             f"step has rank {len(self.step)}")
         if all(s == 0 for s in self.step):
             raise ValueError("progression step must be nonzero")
 

@@ -2,42 +2,48 @@
 
 CSV floats carry 17 significant digits (lossless for doubles).  JSON reports
 carry a schema tag and are, byte for byte, ``json.dumps(obj, sort_keys=True,
-indent=1)``.  Objects with string keys and lists are laid out here, tables
-(lists of equal-length rows of exact ints, finite floats or nested tables) a
-column and a block of rows at a time; every other value goes to the stdlib
-encoder.
+indent=1)``, each ``Table`` as the list of its rows.  Objects with string
+keys and Tables are laid out here, every other value by the stdlib encoder.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator
 
 import numpy as np
 
 SCHEMA = "ergodix/1"
-# rows of a long list formatted and written at once
+# rows of a Table formatted and written at once
 _BLOCK = 1 << 10
 
 
-def fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, complex):
-        return f"{format(value.real, '.17g')}{'+' if value.imag >= 0 else '-'}{format(abs(value.imag), '.17g')}j"
-    return str(value)
+class Table:
+    """Named columns of equal length.  A column is a numpy array or a list of
+    ints, floats or strings; a (k, q) integer column holds one group element
+    per row."""
+
+    def __init__(self, **columns):
+        self.columns = {name: column.tolist() if isinstance(column, np.ndarray) else list(column)
+                        for name, column in columns.items()}
+        lengths = set(map(len, self.columns.values()))
+        if len(lengths) > 1:
+            raise ValueError(f"table columns have unequal lengths {sorted(lengths)}")
+        self.length = max(lengths, default=0)
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_csv(path: Path, table: Table) -> None:
+    rows = zip(*([format(x, ".17g") if isinstance(x, float) else str(x) for x in column]
+                 for column in table.columns.values()))
+    path.write_text("\n".join(map(",".join, [table.columns, *rows])) + "\n", encoding="utf-8")
 
 
 def _plain(value):
-    """json ``default``: complex numbers as ``[re, im]``, numpy scalars as Python ones."""
+    """json ``default``: a Table as its rows, complex numbers as ``[re, im]``,
+    numpy scalars as Python ones."""
+    if isinstance(value, Table):
+        return [list(row) for row in zip(*value.columns.values())]
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, np.generic):
@@ -49,21 +55,22 @@ def _plain(value):
 _encode = json.JSONEncoder(sort_keys=True, indent=1, default=_plain).encode
 
 
-def _cells(items: Sequence, depth: int) -> Optional[list[str]]:
-    """The JSON text of each item of a table column, closing brackets at
-    indent ``depth``, or None if the items are no table.  A number column is
-    one ``repr``: json writes the same reprs, and neither holds ", "."""
-    kinds = set(map(type, items))
-    if kinds <= {int, float}:
-        texts = repr(list(items))[1:-1].split(", ")
-        return texts if {"nan", "inf", "-inf"}.isdisjoint(texts) else None
-    if not kinds <= {list, tuple} or len(set(map(len, items))) != 1 or not items[0]:
-        return None
-    columns = [_cells(column, depth + 1) for column in zip(*items)]
-    if None in columns:
-        return None
+def _rows(columns: list[list], depth: int) -> list[str]:
+    """The JSON text of each row of nonempty Table columns, closing at indent
+    ``depth``; group elements nest.  A number column is one ``repr``: json
+    writes the same reprs but NaN and Infinity for nan and inf (the only
+    letters in them but e), and neither holds ", "."""
+    texts = []
+    for column in columns:
+        if isinstance(column[0], (list, tuple)):
+            texts.append(_rows(list(map(list, zip(*column))), depth + 1))
+        elif isinstance(column[0], str):
+            texts.append(list(map(_encode, column)))
+        else:
+            texts.append(repr(column)[1:-1].replace("nan", "NaN")
+                         .replace("inf", "Infinity").split(", "))
     inner, tail = "\n" + " " * (depth + 1), "\n" + " " * depth + "]"
-    return ["[" + inner + text + tail for text in map(("," + inner).join, zip(*columns))]
+    return ["[" + inner + ("," + inner).join(row) + tail for row in zip(*texts)]
 
 
 def _chunks(obj, depth: int) -> Iterator[str]:
@@ -75,11 +82,10 @@ def _chunks(obj, depth: int) -> Iterator[str]:
             yield ("," if i else "{") + inner + _encode(key) + ": "
             yield from _chunks(obj[key], depth + 1)
         yield close + "}"
-    elif type(obj) in (list, tuple) and obj:
-        for start in range(0, len(obj), _BLOCK):
-            block = obj[start:start + _BLOCK]
-            cells = _cells(block, depth + 1) or ["".join(_chunks(x, depth + 1)) for x in block]
-            yield ("," if start else "[") + inner + ("," + inner).join(cells)
+    elif isinstance(obj, Table) and obj.length:
+        for start in range(0, obj.length, _BLOCK):
+            block = [column[start:start + _BLOCK] for column in obj.columns.values()]
+            yield ("," if start else "[") + inner + ("," + inner).join(_rows(block, depth + 1))
         yield close + "]"
     else:
         # JSON strings never hold a raw newline, so this only indents lines

@@ -19,7 +19,6 @@ import numpy as np
 from ._parallel import fsum_complex, lex_keys, ordered_map, window_points
 from .folner import (
     FolnerWindow,
-    GroupElement,
     _exact_dtype,
     _reach,
     box_window,
@@ -170,13 +169,14 @@ def difference_sum_bound(
     return InequalityCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + REL_SLACK * abs(rhs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VdcReport:
     """gamma table at the largest window, the per-window sufficient statistic,
     the per-window direct double average, the averaged-norm curve, and the
     one-sided verdict."""
 
-    gamma: tuple[tuple[GroupElement, complex], ...]
+    lags: np.ndarray  # (k, q) integer lags h, sorted
+    gamma: np.ndarray  # complex128 gamma_h, one per lag
     gamma_window_index: int
     statistic: tuple[tuple[int, float], ...]
     double_average: tuple[tuple[int, complex], ...]
@@ -187,15 +187,15 @@ class VdcReport:
     threshold: float
 
 
-def _gamma_empirical(vals: np.ndarray, rows: np.ndarray, size: int) -> list[complex]:
+def _gamma_empirical(vals: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
     """gamma_h = (1/|W|) sum_{g in W} <f(g), f(g+h)>, one ``np.vdot`` per lag:
     ``rows[i, j]`` is the row of g_i + h_j in the stacked table ``vals`` of f,
     and the lags are symmetric and sorted, so the middle column is h = 0."""
     a = vals[rows[:, rows.shape[1] // 2]]
-    return ordered_map(lambda r: complex(np.vdot(a, vals[r])) / size, rows.T)
+    return np.array(ordered_map(lambda r: complex(np.vdot(a, vals[r])) / size, rows.T), complex)
 
 
-def _gamma_box1(vals: np.ndarray, radius: int, size: int) -> list[complex]:
+def _gamma_box1(vals: np.ndarray, radius: int, size: int) -> np.ndarray:
     """gamma_h for h = -radius..radius on a one-dimensional box, as one FFT
     cross-correlation: ``vals`` is f on the lag support in order, so W is the
     run of ``size`` rows from row ``radius`` and g + h stays inside ``vals``
@@ -206,7 +206,7 @@ def _gamma_box1(vals: np.ndarray, radius: int, size: int) -> list[complex]:
     fw = np.fft.fft(vals[radius:radius + size], n=length, axis=0)
     fs = np.fft.fft(vals, n=length, axis=0)
     corr = np.fft.ifft((fw.conj() * fs).sum(axis=1))
-    return (corr[:2 * radius + 1] / size).tolist()
+    return corr[:2 * radius + 1] / size
 
 
 def vdc_verdict(
@@ -257,8 +257,7 @@ def vdc_verdict(
 
     # np.hypot, not np.abs: np.abs of complex128 can differ from abs(complex)
     # in the last bit, hypot does not
-    gamma_array = np.array(gamma, dtype=np.complex128)
-    abs_gamma = np.hypot(gamma_array.real, gamma_array.imag)
+    abs_gamma = np.hypot(gamma.real, gamma.imag)
     # each window's lags, looked up among the estimated ones by key; the
     # overlap |W intersect (W+h)| is the lag's multiplicity in the table
     statistic = []
@@ -269,7 +268,7 @@ def vdc_verdict(
         at = np.minimum(np.searchsorted(gamma_keys, keys), len(gamma_keys) - 1)
         hit = gamma_keys[at] == keys
         idx = at[hit]
-        weighted = counts[hit] * gamma_array[idx]
+        weighted = counts[hit] * gamma[idx]
         statistic.append((w.index, math.fsum(abs_gamma[idx].tolist()) / w.size))
         double_avg.append((w.index, fsum_complex(weighted) / (w.size ** 2)))
 
@@ -283,7 +282,8 @@ def vdc_verdict(
     else:
         label = "hypothesis not satisfied; conclusion not implied"
     return VdcReport(
-        gamma=tuple(zip(map(tuple, lags.tolist()), gamma)),
+        lags=lags,
+        gamma=gamma,
         gamma_window_index=largest.index,
         statistic=tuple(statistic),
         double_average=tuple(double_avg),

@@ -64,6 +64,14 @@ VDC_CFG = {
     "windows": {"shape": "box", "n_min": 1, "n_max": 4},
 }
 
+COMPACT_CFG = {
+    "system": {"kind": "rotation", "p": 1, "Q": 5},
+    "observable": {"kind": "named", "name": "V"},
+    "epsilon": 0.1,
+    "exponents": [1],
+    "scan": {"shape": "box", "n": 5},
+}
+
 
 class TestExitCodes:
     def test_unknown_top_level_key(self, tmp_path, capsys):
@@ -211,6 +219,26 @@ class TestExitCodes:
         ("split", {"system": {"kind": "finite", "generators": [[[[1, 0]]]],
                               "state": {"kind": "trace", "entries": "junk"}}},
          "system.state: unknown keys ['entries']"),
+        # optional keys that are only read together with another
+        ("folner", {"group": {"q": 1}, "windows": {"shape": "box", "n": 2},
+                    "candidates": "junk"},
+         "candidates: only read together with set"),
+        ("compact", {**COMPACT_CFG, "windows": "junk"},
+         "windows: only read together with candidates"),
+        ("compact", {**COMPACT_CFG, "candidates": [[0], "x"]},
+         "candidates: only read together with windows"),
+        # group elements of the wrong rank, named by their key
+        ("folner", {**FOLNER_CFG, "set": {"kind": "progression", "start": [0, 0], "step": [2]}},
+         "set.start: expected rank 1, got 2"),
+        ("folner", {**FOLNER_CFG, "group": {"q": 2},
+                    "windows": {"shape": "box", "n_min": 1, "n_max": 3}, "shifts": [[1, 0]],
+                    "set": {"kind": "progression", "start": [0], "step": [2, 1]},
+                    "candidates": [[0, 0], [1, 0]]},
+         "set.start: expected rank 2, got 1"),
+        ("folner", {**FOLNER_CFG, "set": {"kind": "progression", "start": [0], "step": [2, 1]}},
+         "set.step: expected rank 1, got 2"),
+        ("folner", {**FOLNER_CFG, "windows": {"shape": "custom", "elements": [0, [1, 2]]}},
+         "windows.elements[]: expected rank 1, got 2"),
     ])
     def test_invalid_value_is_input_error(self, tmp_path, capsys, command, cfg, message):
         path = write_cfg(tmp_path, "c.json", cfg)
@@ -391,6 +419,18 @@ class TestFolnerCommand:
         assert main(["folner", "--config", cfg, "--out", str(out)]) == 0
         assert read_json(out / "folner.json")["witness"]["accepted"] is True
         assert built == []
+
+    def test_custom_window_may_exceed_the_box_bound(self, tmp_path, capsys):
+        # |W^-1 W| / |W| = 7/3 > 2^1 on {0, 1, 3}: the bound is a law of
+        # boxes only, so no check fails
+        cfg = write_cfg(tmp_path, "c.json", {
+            "group": {"q": 1}, "windows": {"shape": "custom", "elements": [0, 1, 3]}})
+        out = tmp_path / "o"
+        assert main(["folner", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rep = read_json(out / "folner.json")
+        assert rep["tempelman_max"] == 7 / 3 and rep["tempelman_bound"] == 2
+        assert not (out / "failures.json").exists()
 
 
 class TestMixCommand:

@@ -606,6 +606,11 @@ class TestHomomorphisms:
         assert not p.contains((5, 5))
         assert p.contains((-1, -3))
 
+    @pytest.mark.parametrize("start,step", [((0,), (2, 1)), ((0, 0), (2,))])
+    def test_progression_ranks_must_agree(self, start, step):
+        with pytest.raises(ValueError, match="progression start has rank"):
+            ProgressionSet(start, step)
+
 
 class TestResidueClassSet:
     @pytest.mark.parametrize("modulus,residues,coeffs,reduced", [

@@ -24,6 +24,11 @@ from test_parallel import per_row
 ALPHA = math.sqrt(2.0) - 1.0
 
 
+def gamma_table(rep) -> dict:
+    """The report's gamma_h keyed by the lag h as a tuple, in lag order."""
+    return dict(zip(map(tuple, rep.lags.tolist()), rep.gamma.tolist()))
+
+
 def per_point(fn, bound: float = 1.0, dim: int = 1) -> VectorSequence:
     """The sequence whose table calls the one-point formula ``fn`` on each
     row, as a tuple of ints, in order."""
@@ -234,13 +239,13 @@ class TestVdcVerdict:
         assert rep.conclusion_observed
         assert rep.gamma_window_index == 2000
         # gamma at lag 0 is the squared bound
-        gamma0 = dict(rep.gamma)[(0,)]
+        gamma0 = gamma_table(rep)[(0,)]
         assert gamma0.real == pytest.approx(1.0)
 
     def test_weyl_gamma_against_direct_sum(self):
         f = weyl_quadratic_sequence(ALPHA, np.array([1.0]))
         rep = vdc_verdict(f, [box_window(1, 40)])
-        gamma = dict(rep.gamma)
+        gamma = gamma_table(rep)
         for h in (-3, 0, 5):
             direct = sum(
                 cmath.exp(2j * cmath.pi * ALPHA * ((g + h) ** 2 - g ** 2))
@@ -283,7 +288,7 @@ class TestVdcVerdict:
             lambda pts: np.exp(2j * np.pi * ALPHA * (pts ** 2).sum(axis=1).astype(float))[:, None],
             bound=1.0, dim=1)
         rep = vdc_verdict(f, [box_window(2, 2), box_window(2, 4)])
-        gamma = dict(rep.gamma)
+        gamma = gamma_table(rep)
         assert gamma[(0, 0)].real == pytest.approx(1.0)
         # direct double-sum oracle at a few lags
         n = 4
@@ -302,7 +307,7 @@ class TestVdcVerdict:
         # same window presented as a custom point set
         wc = custom_window(1, [x for (x,) in w.iter_elements()])
         rep_custom = vdc_verdict(f, [wc])
-        g1, g2 = dict(rep_box.gamma), dict(rep_custom.gamma)
+        g1, g2 = gamma_table(rep_box), gamma_table(rep_custom)
         for h in g2:
             assert g1[h] == pytest.approx(g2[h], abs=1e-12)
         assert rep_box.statistic[0][1] == pytest.approx(rep_custom.statistic[0][1],
@@ -396,7 +401,7 @@ class TestGenericLagPath:
         f = random_sequence(77, dim=3)
         rep = vdc_verdict(f, windows, h_max=h_max)
         gamma, statistic, double_avg, averages = reference_vdc(f, windows, h_max)
-        assert rep.gamma == gamma
+        assert tuple(gamma_table(rep).items()) == gamma
         assert rep.statistic == statistic
         assert rep.double_average == double_avg
         assert rep.averages == averages
@@ -450,8 +455,8 @@ class TestBoxLagPath:
         f = random_sequence(11 * dim, dim)
         rep = vdc_verdict(f, windows, h_max=h_max)
         gamma, statistic, double_avg = vdot_box_reference(f, windows, h_max)
-        assert [h for h, _ in rep.gamma] == list(gamma)
-        for h, g in rep.gamma:
+        assert list(gamma_table(rep)) == list(gamma)
+        for h, g in gamma_table(rep).items():
             assert abs(g - gamma[h]) <= 1e-13
         for (_, s), ref in zip(rep.statistic, statistic, strict=True):
             assert abs(s - ref) <= 1e-12
@@ -463,8 +468,8 @@ class TestBoxLagPath:
         f = random_sequence(5, dim=2)
         rep_box = vdc_verdict(f, [box_window(1, 10)], h_max=h_max)
         rep_custom = vdc_verdict(f, [custom_window(1, range(-10, 11))], h_max=h_max)
-        assert [h for h, _ in rep_box.gamma] == [h for h, _ in rep_custom.gamma]
-        for (_, g1), (_, g2) in zip(rep_box.gamma, rep_custom.gamma):
+        assert np.array_equal(rep_box.lags, rep_custom.lags)
+        for g1, g2 in zip(rep_box.gamma, rep_custom.gamma, strict=True):
             assert g1 == pytest.approx(g2, abs=1e-12)
         assert rep_box.statistic[0][1] == pytest.approx(rep_custom.statistic[0][1],
                                                         abs=1e-12)
@@ -559,7 +564,7 @@ def per_index_statistics(rep, windows):
     table, one boxed Python term per lag: ``abs(gamma_h)`` and
     ``count * gamma_h`` with the overlap count as a Python int, summed with
     ``math.fsum`` and ``fsum_complex``."""
-    gamma = dict(rep.gamma)
+    gamma = gamma_table(rep)
     statistic, double_avg = [], []
     for w in sorted(windows, key=lambda w: w.size):
         lags, counts = difference_counts(w)
