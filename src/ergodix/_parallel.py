@@ -8,8 +8,10 @@ boxes) finds the distinct lattice points of its whole schedule with
 values, so a backend, a predicate or a sequence decides all the points at
 once.  Each window is reduced over that table with correctly rounded sums,
 so every result is independent of evaluation order; :func:`table_means` is
-the one window reduction.  Box-window densities, best shifts and witnesses
-count on one predicate mask over a bounding box in :mod:`ergodix.folner`.
+the one window reduction.  Its array of per-window means is a curve, which
+a report carries as an array next to the int64 window indices ``n``.
+Box-window densities, best shifts and witnesses count on one predicate mask
+over a bounding box in :mod:`ergodix.folner`.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ def fsum_complex(values: Iterable[complex]) -> complex:
     return complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
 
 
-def fmean(values: Iterable[float], size: int) -> float:
-    return math.fsum(values) / size
+def fmean(values: np.ndarray, size: int) -> float:
+    return math.fsum(values.tolist()) / size
 
 
 def fmean_complex(values: Iterable[complex], size: int) -> complex:
@@ -146,9 +148,10 @@ def window_points(
 
 
 def table_means(
-    fn: Callable[[np.ndarray], Sequence[R]], windows: Sequence, complex_valued: bool = False
-) -> list[R]:
-    """Mean of a table integrand over each window, dividing by ``w.size``.
+    fn: Callable[[np.ndarray], Sequence], windows: Sequence, complex_valued: bool = False
+) -> np.ndarray:
+    """Mean of a table integrand over each window, dividing by ``w.size``, as
+    a float64 (complex128 when ``complex_valued``) array.
 
     ``fn`` gets the distinct elements of the union of the windows once, as
     the rows of a (T, q) integer table in first-seen order, and returns their
@@ -157,7 +160,6 @@ def table_means(
     """
     points, rows = window_points(windows)
     values = np.asarray(fn(points))
-    if complex_valued:
-        return [fmean_complex(values[r], w.size) for w, r in zip(windows, rows)]
-    return [fmean(values[r].tolist(), w.size) for w, r in zip(windows, rows)]
+    mean = fmean_complex if complex_valued else fmean
+    return np.array([mean(values[r], w.size) for w, r in zip(windows, rows)])
 

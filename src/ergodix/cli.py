@@ -52,10 +52,9 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _write_curve(path: Path, pairs) -> Table:
-    """Write (n, value) pairs as the CSV columns n, window_size (as 2n + 1)
+def _write_curve(path: Path, n: np.ndarray, value: np.ndarray) -> Table:
+    """Write a per-window curve as the CSV columns n, window_size (as 2n + 1)
     and value; return the Table of the columns n and value."""
-    n, value = map(np.array, zip(*pairs))
     write_csv(path, Table(n=n, window_size=2 * n + 1, value=value))
     return Table(n=n, value=value)
 
@@ -76,6 +75,8 @@ def run_folner(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     shifts = [_element(s, "shifts[]", q)
               for s in _list(cfg.get("shifts", [[1] + [0] * (q - 1)]), "shifts")]
     _needs(cfg, "candidates", "set")
+    pred = parse_set(cfg["set"], q) if "set" in cfg else None
+    cands = parse_candidates(cfg["candidates"], q) if "candidates" in cfg else None
 
     ratios = [folner.tempelman_ratio(w) for w in windows]
     defects = {"defect_" + "_".join(map(str, s)): [folner.folner_defect(w, s) for w in windows]
@@ -95,17 +96,14 @@ def run_folner(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     if all(w.shape == "box" for w in windows) and max(ratios) > 2 ** q:
         failures.append("tempelman ratio exceeded 2^q on a box schedule")
 
-    if "set" in cfg:
-        pred = parse_set(cfg["set"], q)
+    if pred is not None:
         dens = folner.lower_density(pred, windows)
-        n, density = map(np.array, zip(*dens.per_n_ratios))
         report["density"] = {
             "set": pred.to_json(),
-            "per_n": Table(n=n, ratio=density),
+            "per_n": Table(n=dens.n, ratio=dens.ratios),
             "lower_density": dens.lower_density,
         }
-        if "candidates" in cfg:
-            cands = parse_candidates(cfg["candidates"], q)
+        if cands is not None:
             scan = windows[-1]
             wit = folner.relative_density_witness(pred, scan, cands)
             shift, ratio = folner.best_shift_for_density(windows[-1], pred, cands)
@@ -148,21 +146,20 @@ def run_mix(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     for name in names:
         if name == "ergodic-average":
             ea = mixing.ergodic_average(sys_h, a, b, hom, windows)
-            n, value = map(np.array, zip(*ea.per_window))
-            write_csv(out / "mix_ergodic_average.csv",
-                      Table(n=n, window_size=2 * n + 1, re=value.real, im=value.imag))
+            write_csv(out / "mix_ergodic_average.csv", Table(
+                n=ea.n, window_size=2 * ea.n + 1, re=ea.values.real, im=ea.values.imag))
             report["statistics"]["ergodic-average"] = {
                 "product_value": ea.product_value,
-                "last": ea.per_window[-1][1],
+                "last": ea.values[-1],
             }
             continue
         stat = _STATS[name](sys_h, a, b, hom, windows, threshold=threshold)
-        _write_curve(out / f"mix_{name.replace('-', '_')}.csv", stat.per_window)
+        _write_curve(out / f"mix_{name.replace('-', '_')}.csv", stat.n, stat.values)
         verdicts[name] = stat.verdict
         report["statistics"][name] = {
             "verdict": stat.verdict,
             "threshold": stat.verdict_threshold,
-            "last": stat.per_window[-1][1],
+            "last": stat.values[-1],
         }
     if "weak-mixing" in verdicts and "square" in verdicts:
         if verdicts["weak-mixing"] != verdicts["square"]:
@@ -179,37 +176,38 @@ def run_higher(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     homs = tuple(parse_hom(h, q) for h in _list(cfg["homs"], "homs"))
     spec = mixing.HigherOrderSpec(observables=tuple(obs), homs=homs)
     threshold = _num(cfg["threshold"], "threshold") if "threshold" in cfg else None
+    gamma = cfg.get("gamma", {})
+    _require_keys(gamma, {"h_max"}, set(), "gamma")
+    h_max = _int(gamma["h_max"], "gamma.h_max", 0) if "h_max" in gamma else None
 
     stat = mixing.higher_order_defect(sys_h, spec, windows, threshold=threshold)
-    _write_curve(out / "higher.csv", stat.per_window)
+    _write_curve(out / "higher.csv", stat.n, stat.values)
     report: dict = {
         "k": spec.k,
         "homs_translational": folner.HomSet(homs).is_translational,
         "verdict": stat.verdict,
         "threshold": stat.verdict_threshold,
-        "last": stat.per_window[-1][1],
+        "last": stat.values[-1],
     }
     failures: list[str] = []
     if "gamma" in cfg:
-        _require_keys(cfg["gamma"], {"h_max"}, set(), "gamma")
         # every lag of W^-1 W on gamma_sequence's largest window, or those within h_max
         lags = None
-        if "h_max" in cfg["gamma"]:
-            h_max = _int(cfg["gamma"]["h_max"], "gamma.h_max", 0)
+        if h_max is not None:
             largest = max(windows, key=lambda w: w.size)
             lags = [h for h in folner.inverse_product(largest).iter_elements()
                     if max(abs(x) for x in h) <= h_max]
         gam = mixing.gamma_sequence(sys_h, spec, windows, h_range=lags)
-        h, empirical, closed, difference = map(np.array, zip(*(
-            ("_".join(map(str, e.h)), e.empirical, e.closed_form, e.difference)
-            for e in gam.entries)))
+        empirical, closed = np.array([(e.empirical, e.closed_form) for e in gam.entries]).T
+        difference = [e.difference for e in gam.entries]
         write_csv(out / "higher_gamma.csv", Table(
-            h=h, empirical_re=empirical.real, empirical_im=empirical.imag,
+            h=["_".join(map(str, e.h)) for e in gam.entries],
+            empirical_re=empirical.real, empirical_im=empirical.imag,
             closed_re=closed.real, closed_im=closed.imag, difference=difference))
         report["gamma"] = {
             "window_index": gam.window_index,
             "kappa": gam.kappa,
-            "max_difference": max(difference.tolist()),
+            "max_difference": max(difference),
         }
     write_json(out / "higher.json", report)
     return report, failures
@@ -236,17 +234,15 @@ def run_vdc(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     threshold = _num(cfg.get("threshold", 0.05), "threshold")
 
     rep = vdc.vdc_verdict(f, windows, h_max=h_max, threshold=threshold)
-    n, statistic = map(np.array, zip(*rep.statistic))
-    _, double_average = map(np.array, zip(*rep.double_average))
-    _, averages = map(np.array, zip(*rep.averages))
-    write_csv(out / "vdc.csv", Table(n=n, window_size=2 * n + 1, statistic=statistic,
-                                     average_norm=averages))
+    write_csv(out / "vdc.csv", Table(n=rep.n, window_size=2 * rep.n + 1,
+                                     statistic=rep.statistic, average_norm=rep.averages))
     report = {
         "gamma": Table(h=rep.lags, re=rep.gamma.real, im=rep.gamma.imag),
         "gamma_window_index": rep.gamma_window_index,
-        "gamma_statistic": Table(n=n, value=statistic),
-        "gamma_double_average": Table(n=n, re=double_average.real, im=double_average.imag),
-        "averages": Table(n=n, value=averages),
+        "gamma_statistic": Table(n=rep.n, value=rep.statistic),
+        "gamma_double_average": Table(n=rep.n, re=rep.double_average.real,
+                                      im=rep.double_average.imag),
+        "averages": Table(n=rep.n, value=rep.averages),
         "verdict": {
             "hypothesis_satisfied": rep.hypothesis_satisfied,
             "conclusion_observed": rep.conclusion_observed,
@@ -326,13 +322,11 @@ def run_compact(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
         increasing = [m for m in exponents if m > 0]
         rep = compactness.szemeredi_average_compact(
             sys_h, pos, increasing, windows, cands)
-        averages = _write_curve(out / "compact_szemeredi.csv", rep.averages)
-        n, shift, ratio = map(np.array, zip(*rep.shifts_per_window))
         report["szemeredi"] = {
             "epsilon": rep.epsilon_total,
             "E_members": rep.members,
-            "shifts_per_window": Table(n=n, shift=shift, ratio=ratio),
-            "averages": averages,
+            "shifts_per_window": Table(n=rep.n, shift=rep.shifts, ratio=rep.shift_ratios),
+            "averages": _write_curve(out / "compact_szemeredi.csv", rep.n, rep.averages),
             "tail_min": rep.tail_min,
             "note": rep.note,
         }
@@ -361,12 +355,13 @@ def run_szemeredi(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     cands = parse_candidates(cfg["candidates"], q) if "candidates" in cfg else None
 
     rep = spectral.szemeredi_driver(sys_h, a, exponents, windows, candidates=cands)
-    report = {**rep.to_json(), "averages": _write_curve(out / "szemeredi.csv", rep.averages)}
+    report = {**rep.to_json(),
+              "averages": _write_curve(out / "szemeredi.csv", rep.n, rep.averages)}
     failures = []
     if rep.tail_min <= 0:
         failures.append("Szemeredi tail minimum was not positive")
     if rep.branch == "weakly-mixing":
-        for w, (n, v) in zip(windows, rep.averages):
+        for w, n, v in zip(windows, rep.n, rep.averages):
             allowed = rep.deviation_constant / w.size + 1e-12
             if abs(v - rep.target) > allowed:
                 failures.append(f"average at n={n} deviates beyond c/|window|")

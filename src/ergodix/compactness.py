@@ -237,14 +237,16 @@ def correlation_lower_bound(
                                     element_row(as_element(g, sys.q)))[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SzemerediCompactReport:
     epsilon_total: float
     epsilon_return: float
     exponents: tuple[int, ...]
     members: tuple[GroupElement, ...]
-    shifts_per_window: tuple[tuple[int, GroupElement, float], ...]
-    averages: tuple[tuple[int, float], ...]
+    n: np.ndarray  # int64 window indices
+    shifts: tuple[GroupElement, ...]  # each window's best candidate shift
+    shift_ratios: np.ndarray  # float64 density of the return set in each shifted window
+    averages: np.ndarray  # float64, one per shifted window
     tail_min: float
     witness_accepted: bool
     note: str = SCAN_SCOPE_NOTE
@@ -362,24 +364,19 @@ def szemeredi_average_compact(
     member_set = FiniteSet(frozenset(members))
     witness = relative_density_witness(member_set, _core_scan(scan, cands), cands)
 
-    shifts = []
-    shifted = []
-    for w in windows:
-        shift, ratio = best_shift_for_density(w, member_set, cands)
-        shifted.append(shift_window(w, shift))
-        shifts.append((w.index, shift, ratio))
-    means = table_means(lambda pts: multi_correlations(sys, a, full_exps, pts), shifted)
-    averages = list(zip((w.index for w in windows), means))
-
-    tail_min = min(_tail([v for _, v in averages]))
+    shifts, ratios = zip(*(best_shift_for_density(w, member_set, cands) for w in windows))
+    shifted = [shift_window(w, shift) for w, shift in zip(windows, shifts)]
+    averages = table_means(lambda pts: multi_correlations(sys, a, full_exps, pts), shifted)
     return SzemerediCompactReport(
         epsilon_total=eps_total,
         epsilon_return=eps_return,
         exponents=exps,
         members=members,
-        shifts_per_window=tuple(shifts),
-        averages=tuple(averages),
-        tail_min=tail_min,
+        n=np.array([w.index for w in windows]),
+        shifts=shifts,
+        shift_ratios=np.array(ratios),
+        averages=averages,
+        tail_min=min(_tail(averages)),
         witness_accepted=witness.accepted,
     )
 

@@ -491,23 +491,24 @@ def _box_counts(pred: SetPredicate, windows: Sequence[FolnerWindow]) -> Optional
     return counts.tolist()
 
 
-def _densities(pred: SetPredicate, windows: Sequence[FolnerWindow]) -> list[float]:
+def _densities(pred: SetPredicate, windows: Sequence[FolnerWindow]) -> np.ndarray:
     """|W intersect E| / |W| for each window, from :func:`_box_counts` or else
     the mean of the 0.0/1.0 indicator over a point table: the same bits,
     because the correctly rounded sum of the indicator is the count."""
     counts = _box_counts(pred, windows)
     if counts is None:
         return table_means(lambda points: pred.mask(points).astype(np.float64), windows)
-    return [c / w.size for c, w in zip(counts, windows)]
+    return np.array([c / w.size for c, w in zip(counts, windows)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityReport:
     """Per-window intersection ratios and their minimum over the reported
     windows (the finite stand-in for a liminf; callers choose the tail by
     choosing the window schedule)."""
 
-    per_n_ratios: tuple[tuple[int, float], ...]
+    n: np.ndarray  # int64 window indices
+    ratios: np.ndarray  # float64, one per window
     lower_density: float
 
 
@@ -515,8 +516,8 @@ def lower_density(pred: SetPredicate, windows: Sequence[FolnerWindow]) -> Densit
     if not windows:
         raise ValueError("need at least one window")
     ratios = _densities(pred, windows)
-    return DensityReport(per_n_ratios=tuple(zip((w.index for w in windows), ratios)),
-                         lower_density=min(ratios))
+    return DensityReport(n=np.array([w.index for w in windows]), ratios=ratios,
+                         lower_density=float(ratios.min()))
 
 
 @dataclass(frozen=True)
@@ -584,5 +585,5 @@ def best_shift_for_density(
         raise ValueError("need at least one candidate")
     cands = [as_element(c, window.q) for c in candidates]
     ratios = _densities(pred, [shift_window(window, c) for c in cands])
-    best = max(range(len(cands)), key=ratios.__getitem__)  # first maximum
-    return cands[best], ratios[best]
+    best = int(np.argmax(ratios))  # first maximum
+    return cands[best], float(ratios[best])

@@ -75,9 +75,9 @@ def check_density_complement(rng, scale=1.0) -> tuple[bool, str]:
     wins = folner.box_schedule(1, 1, int(20 * scale) + 1)
     r1 = folner.lower_density(res, wins)
     r2 = folner.lower_density(comp, wins)
-    for (n1, a), (n2, b) in zip(r1.per_n_ratios, r2.per_n_ratios):
+    for n, a, b in zip(r1.n, r1.ratios, r2.ratios):
         if abs(a + b - 1.0) > 1e-12:
-            return False, f"n={n1}"
+            return False, f"n={n}"
     return True, ""
 
 

@@ -46,7 +46,7 @@ def classify_decay(values: Sequence[float], threshold: Optional[float] = None) -
     floored at 1e-12); non-decaying: the last quarter never drops under half
     the reference.
     """
-    if not values:
+    if len(values) == 0:
         raise ValueError("empty statistic")
     tail = _tail(values)
     head = max(values[: len(tail)])
@@ -59,9 +59,10 @@ def classify_decay(values: Sequence[float], threshold: Optional[float] = None) -
     return VERDICT_INCONCLUSIVE, threshold
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixingStatistic:
-    per_window: tuple[tuple[int, float], ...]
+    n: np.ndarray  # int64 window indices
+    values: np.ndarray  # float64, one per window
     verdict_threshold: float
     verdict: str
 
@@ -71,26 +72,21 @@ class MixingStatistic:
         values: Sequence[float],
         threshold: Optional[float] = None,
     ) -> "MixingStatistic":
-        if any((not math.isfinite(v)) or v < 0 for v in values):
-            raise ValueError("statistic values must be finite and nonnegative")
+        values = np.asarray(values, dtype=np.float64)
+        if len(values) != len(windows) or not (np.isfinite(values) & (values >= 0)).all():
+            raise ValueError("statistic values must be finite and nonnegative, one per window")
         verdict, thr = classify_decay(values, threshold)
-        return MixingStatistic(
-            per_window=tuple((w.index, v) for w, v in zip(windows, values, strict=True)),
-            verdict_threshold=thr,
-            verdict=verdict,
-        )
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.per_window)
+        return MixingStatistic(n=np.array([w.index for w in windows]), values=values,
+                               verdict_threshold=thr, verdict=verdict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErgodicAverage:
     """Per-window averages of omega(a tau_{phi(g)}(b)) next to the comparison
     value omega(a) omega(b)."""
 
-    per_window: tuple[tuple[int, complex], ...]
+    n: np.ndarray  # int64 window indices
+    values: np.ndarray  # complex128, one per window
     product_value: complex
 
 
@@ -104,8 +100,8 @@ def ergodic_average(
     target = evaluate(sys, [(a, None, zero(hom.q))]) * evaluate(sys, [(b, None, zero(hom.q))])
     means = table_means(lambda pts: evaluate_table(sys, [(a, None, pts), (b, hom, pts)]).tolist(),
                         windows, complex_valued=True)
-    per = tuple((w.index, mean) for w, mean in zip(windows, means))
-    return ErgodicAverage(per_window=per, product_value=target)
+    return ErgodicAverage(n=np.array([w.index for w in windows]), values=means,
+                          product_value=target)
 
 
 def _correlation_defect_values(sys, a, b, hom, windows, square):
@@ -317,13 +313,14 @@ def gamma_sequence(
     return GammaReport(entries=tuple(entries), window_index=largest.index, kappa=kappa)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityLimitReport:
     """Window averages of f next to lower-density curves of the superlevel
     sets {f >= eps}; the two finite-horizon verdicts must agree."""
 
-    averages: tuple[tuple[int, float], ...]
-    level_densities: tuple[tuple[float, tuple[tuple[int, float], ...]], ...]
+    n: np.ndarray  # int64 window indices
+    averages: np.ndarray  # float64, one per window
+    level_densities: tuple[tuple[float, np.ndarray], ...]  # (eps, ratio per window)
     average_verdict: str
     density_verdict: str
     agree: bool
@@ -349,15 +346,15 @@ def density_limit_check(
     if not (np.isfinite(values) & (values >= 0)).all():
         raise ValueError("f must be finite and nonnegative")
     window_vals = [values[r] for r in rows]
-    means = [fmean(v.tolist(), w.size) for w, v in zip(windows, window_vals)]
-    averages = list(zip((w.index for w in windows), means))
+    means = np.array([fmean(v, w.size) for w, v in zip(windows, window_vals)])
 
     # the level ratio counts the window's points with f >= eps
     level_curves = []
     density_zero = True
     for eps in eps_grid:
-        ratios = [np.count_nonzero(v >= eps) / w.size for w, v in zip(windows, window_vals)]
-        level_curves.append((eps, tuple(zip((w.index for w in windows), ratios))))
+        ratios = np.array([np.count_nonzero(v >= eps) / w.size
+                           for w, v in zip(windows, window_vals)])
+        level_curves.append((eps, ratios))
         if max(_tail(ratios)) >= threshold:
             density_zero = False
 
@@ -365,7 +362,8 @@ def density_limit_check(
     avg_verdict = "zero" if avg_zero else "nonzero"
     den_verdict = "zero" if density_zero else "nonzero"
     return DensityLimitReport(
-        averages=tuple(averages),
+        n=np.array([w.index for w in windows]),
+        averages=means,
         level_densities=tuple(level_curves),
         average_verdict=avg_verdict,
         density_verdict=den_verdict,

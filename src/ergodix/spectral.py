@@ -268,11 +268,12 @@ def dichotomy_classify(sys: FiniteSystem) -> DichotomyVerdict:
         characters=split.characters)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SzemerediDriverReport:
     branch: str  # "compact" | "weakly-mixing"
     exponents: tuple[int, ...]
-    averages: tuple[tuple[int, float], ...]
+    n: np.ndarray  # int64 window indices
+    averages: np.ndarray  # float64, one per window
     tail_min: float
     verdict: Optional[DichotomyVerdict] = None
     compact_report: Optional[SzemerediCompactReport] = None
@@ -283,7 +284,6 @@ class SzemerediDriverReport:
         out = {
             "branch": self.branch,
             "exponents": list(self.exponents),
-            "averages": [[n, v] for n, v in self.averages],
             "szemeredi_tail_min": self.tail_min,
         }
         if self.verdict is not None:
@@ -326,8 +326,7 @@ def _driver_weakly_mixing(sys, a, exps, windows) -> SzemerediDriverReport:
         raise ValueError("omega(a) must be positive")
     target = mean_a ** (len(exps) + 1)
     full = (0,) + exps
-    means = table_means(lambda pts: multi_correlations(sys, a, full, pts), windows)
-    averages = list(zip((w.index for w in windows), means))
+    averages = table_means(lambda pts: multi_correlations(sys, a, full, pts), windows)
 
     spec = HigherOrderSpec(
         observables=(a,) * (len(exps) + 1),
@@ -336,12 +335,12 @@ def _driver_weakly_mixing(sys, a, exps, windows) -> SzemerediDriverReport:
     largest = max(windows, key=lambda w: w.size)
     const = collision_bound(sys, spec, largest)
 
-    tail_min = min(_tail([v for _, v in averages]))
     return SzemerediDriverReport(
         branch="weakly-mixing",
         exponents=exps,
-        averages=tuple(averages),
-        tail_min=tail_min,
+        n=np.array([w.index for w in windows]),
+        averages=averages,
+        tail_min=min(_tail(averages)),
         target=target,
         deviation_constant=const,
     )
@@ -355,6 +354,7 @@ def _driver_compact(sys, a, exps, windows, candidates) -> SzemerediDriverReport:
     return SzemerediDriverReport(
         branch="compact",
         exponents=exps,
+        n=report.n,
         averages=report.averages,
         tail_min=report.tail_min,
         verdict=verdict,

@@ -178,9 +178,10 @@ class VdcReport:
     lags: np.ndarray  # (k, q) integer lags h, sorted
     gamma: np.ndarray  # complex128 gamma_h, one per lag
     gamma_window_index: int
-    statistic: tuple[tuple[int, float], ...]
-    double_average: tuple[tuple[int, complex], ...]
-    averages: tuple[tuple[int, float], ...]
+    n: np.ndarray  # int64 window indices, by window size
+    statistic: np.ndarray  # float64, one per window
+    double_average: np.ndarray  # complex128, one per window
+    averages: np.ndarray  # float64 norms of the window averages
     hypothesis_satisfied: bool
     conclusion_observed: bool
     label: str
@@ -269,14 +270,14 @@ def vdc_verdict(
         hit = gamma_keys[at] == keys
         idx = at[hit]
         weighted = counts[hit] * gamma[idx]
-        statistic.append((w.index, math.fsum(abs_gamma[idx].tolist()) / w.size))
-        double_avg.append((w.index, fsum_complex(weighted) / (w.size ** 2)))
+        statistic.append(math.fsum(abs_gamma[idx].tolist()) / w.size)
+        double_avg.append(fsum_complex(weighted) / (w.size ** 2))
 
-    averages = [(w.index, float(np.linalg.norm(_mean_vector(vals[r], w.size))))
+    averages = [float(np.linalg.norm(_mean_vector(vals[r], w.size)))
                 for w, r in zip(windows, window_rows[1:])]
 
-    hyp = statistic[-1][1] < threshold
-    concl = averages[-1][1] < threshold
+    hyp = statistic[-1] < threshold
+    concl = averages[-1] < threshold
     if hyp:
         label = "hypothesis satisfied; averages must vanish"
     else:
@@ -285,9 +286,10 @@ def vdc_verdict(
         lags=lags,
         gamma=gamma,
         gamma_window_index=largest.index,
-        statistic=tuple(statistic),
-        double_average=tuple(double_avg),
-        averages=tuple(averages),
+        n=np.array([w.index for w in windows]),
+        statistic=np.array(statistic),
+        double_average=np.array(double_avg),
+        averages=np.array(averages),
         hypothesis_satisfied=hyp,
         conclusion_observed=concl,
         label=label,

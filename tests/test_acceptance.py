@@ -5,7 +5,9 @@ with its runtime.  Tolerances and runtime budgets are pinned here; run with
 
 import json
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,15 +118,15 @@ def test_criterion_03_vdc_verdict_harness():
         v = np.array([1.0])
         windows = [box_window(1, n) for n in (250, 500, 1000, 2000)]
         weyl = vdc_verdict(weyl_quadratic_sequence(ALPHA, v), windows)
-        assert weyl.averages[-1][1] < 0.05
-        assert weyl.statistic[-1][1] < 0.05
+        assert weyl.averages[-1] < 0.05
+        assert weyl.statistic[-1] < 0.05
         assert weyl.hypothesis_satisfied
 
         linear = vdc_verdict(linear_phase_sequence(ALPHA, v), windows)
         assert not linear.hypothesis_satisfied
         assert linear.label == "hypothesis not satisfied; conclusion not implied"
-        assert linear.statistic[-1][1] >= 1.9  # the exact value is (4n+1)/(2n+1)
-        assert linear.statistic[-1][1] == pytest.approx(
+        assert linear.statistic[-1] >= 1.9  # the exact value is (4n+1)/(2n+1)
+        assert linear.statistic[-1] == pytest.approx(
             (4 * 2000 + 1) / (2 * 2000 + 1), abs=1e-9)
 
 
@@ -134,14 +136,14 @@ def test_criterion_04_weak_mixing_exact_laws():
         sz = pauli_observable([0], "Z")
         hom = Homomorphism.scalar(1, 1)
         stat = weak_mixing_defect(sl, sz, sz, hom, box_schedule(1, 1, 50))
-        for n, value in stat.per_window:
+        for n, value in zip(stat.n.tolist(), stat.values.tolist()):
             assert abs(value - 1 / (2 * n + 1)) <= 1e-12
 
         rot = rotation_algebra_system(1, 5)
         vmat = cyclic_shift_matrix(5)
         stat2 = weak_mixing_defect(rot, vmat.conj().T, vmat, hom,
                                    box_schedule(1, 1, 50))
-        for _, value in stat2.per_window:
+        for value in stat2.values:
             assert value == pytest.approx(1.0, abs=1e-10)
         assert stat2.verdict == "non-decaying"
 
@@ -172,7 +174,7 @@ def test_criterion_06_higher_order_desk_scale():
                 homs=tuple(Homomorphism.scalar(1, m) for m in homs))
             const = collision_bound(sl, spec, windows[-1])
             stat = higher_order_defect(sl, spec, windows)
-            for n, value in stat.per_window:
+            for n, value in zip(stat.n.tolist(), stat.values.tolist()):
                 assert value == const / (2 * n + 1)
 
             gam = gamma_sequence(sl, spec, windows,
@@ -211,12 +213,12 @@ def test_criterion_08_szemeredi_compact_branch():
         # brute-force oracle over one period: integrand is 1/3 on multiples
         # of 3 and 0 otherwise, so the shifted average is
         # (1/3) ceil((2n+1)/3)/(2n+1) with minimum 1/9
-        for n, value in rep.averages:
+        for n, value in zip(rep.n.tolist(), rep.averages.tolist()):
             size = 2 * n + 1
             assert value == pytest.approx((1 / 3) * math.ceil(size / 3) / size,
                                           abs=1e-12)
         assert abs(rep.tail_min - 1 / 9) <= 1e-9
-        for _, _, ratio in rep.shifts_per_window:
+        for ratio in rep.shift_ratios:
             assert ratio >= 1 / 3 - 1e-12
 
 
@@ -246,7 +248,7 @@ def test_criterion_10_szemeredi_driver():
         rep = szemeredi_driver(sl, proj, (1, 2), box_schedule(1, 1, 40))
         assert rep.branch == "weakly-mixing"
         assert rep.target == pytest.approx(1 / 8)
-        for n, value in rep.averages:
+        for n, value in zip(rep.n.tolist(), rep.averages.tolist()):
             assert abs(value - 1 / 8) <= rep.deviation_constant / (2 * n + 1) + 1e-15
         assert rep.tail_min > 0
 
@@ -335,3 +337,14 @@ def test_criterion_11_thread_determinism(tmp_path):
                 assert code == 0, f"{name} exited {code} with {threads} threads"
                 blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
             assert blobs[0] == blobs[1], f"outputs differ for {name}"
+
+
+def test_criterion_12_readme_quick_start():
+    # the README's library example runs as written, so it cannot go stale
+    with criterion(12, "readme-quick-start", 10.0):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                            re.S | re.M)
+        assert blocks, "README.md has no python block"
+        for block in blocks:
+            exec(compile(block, str(readme), "exec"), {})

@@ -358,23 +358,27 @@ def mutated(cfg, path, value):
 class TestMutationSweep:
     @pytest.mark.parametrize("base", SWEEP_BASES)
     def test_every_mutant_keeps_the_exit_code_contract(self, tmp_path, capsys, base):
+        """Each mutant runs into a fresh --out; one that exits 2 must leave it
+        without files."""
         command, cfg = SWEEP_BASES[base]
-        path, out = tmp_path / "c.json", str(tmp_path / "o")
+        path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
-        assert main([command, "--config", str(path), "--out", out]) == 0
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
         capsys.readouterr()
         broken = []
-        for where, value in mutations(cfg):
+        for i, (where, value) in enumerate(mutations(cfg)):
             path.write_text(json.dumps(mutated(cfg, where, value)), encoding="utf-8")
+            out = tmp_path / f"o{i}"
             try:
-                code = main([command, "--config", str(path), "--out", out])
+                code = main([command, "--config", str(path), "--out", str(out)])
             except Exception as exc:  # an escaped exception is a traceback
                 code = repr(exc)
             err = capsys.readouterr().err
-            if (code not in (0, 1, 2) or "Traceback" in err
+            left = sorted(p.name for p in out.iterdir()) if code == 2 else []
+            if (code not in (0, 1, 2) or "Traceback" in err or left
                     or sum("error:" in line for line in err.splitlines()) > 1):
                 label = "drop" if value is DROP else repr(value)
-                broken.append(f"{'.'.join(map(str, where))} <- {label}: {code} {err!r}")
+                broken.append(f"{'.'.join(map(str, where))} <- {label}: {code} {err!r} {left}")
         assert not broken, "\n".join(broken)
 
 
@@ -617,8 +621,7 @@ class TestSzemerediCommand:
         def inflated(*args, **kwargs):
             rep = real(*args, **kwargs)
             c = rep.deviation_constant
-            averages = tuple((n, rep.target + c / (2 * n + 1)) for n, _ in rep.averages)
-            return dataclasses.replace(rep, averages=averages)
+            return dataclasses.replace(rep, averages=rep.target + c / (2 * rep.n + 1))
 
         monkeypatch.setattr(spectral, "szemeredi_driver", inflated)
         assert main(["szemeredi", "--config", self.q2_config(tmp_path),

@@ -260,7 +260,7 @@ def test_tempelman_bound_property(n, q):
 class TestLowerDensity:
     def test_evens(self):
         rep = lower_density(ResidueClassSet(2, (0,)), box_schedule(1, 1, 50))
-        for n, ratio in rep.per_n_ratios:
+        for n, ratio in zip(rep.n.tolist(), rep.ratios.tolist()):
             expected = ((n + 1) if n % 2 == 0 else n) / (2 * n + 1)
             assert ratio == expected
             assert abs(ratio - 0.5) <= 1 / (2 * n + 1)
@@ -273,9 +273,9 @@ class TestLowerDensity:
         squares = PointRule(lambda g: g[0] >= 0 and math.isqrt(g[0]) ** 2 == g[0])
         wins = box_schedule(1, 1, 200)
         rep = lower_density(squares, wins)
-        ratios = [r for _, r in rep.per_n_ratios]
+        ratios = rep.ratios.tolist()
         # oracle: at most 2*sqrt(n)+1 squares in {-n..n}
-        for (n, r) in rep.per_n_ratios:
+        for n, r in zip(rep.n.tolist(), ratios):
             assert r <= (2 * math.sqrt(n) + 1) / (2 * n + 1)
         tail = ratios[len(ratios) * 3 // 4:]
         assert min(tail) < 0.08
@@ -287,7 +287,7 @@ class TestLowerDensity:
         wins = box_schedule(1, 1, 20)
         r1 = lower_density(pred, wins)
         r2 = lower_density(comp, wins)
-        for (_, a), (_, b) in zip(r1.per_n_ratios, r2.per_n_ratios):
+        for a, b in zip(r1.ratios.tolist(), r2.ratios.tolist()):
             assert a + b == 1.0
 
     @pytest.mark.parametrize("q", [1, 2])
@@ -296,14 +296,14 @@ class TestLowerDensity:
         pred = PointRule(lambda g: g[0] % 3 == 0)
         rep = lower_density(pred, box_schedule(q, 1, big_n))
         assert len(pred.seen) == len(set(pred.seen)) == (2 * big_n + 1) ** q
-        assert rep.per_n_ratios[-1][1] == 9 / 25  # multiples of 3 in -12..12
+        assert rep.ratios[-1] == 9 / 25  # multiples of 3 in -12..12
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_ratios_on_mixed_schedules(self, q):
         pred = ResidueClassSet(3, (0, 2), coeffs=(1,) * q)
         for windows in schedules(q):
             rep = lower_density(pred, windows)
-            for w, (n, ratio) in zip(windows, rep.per_n_ratios, strict=True):
+            for w, n, ratio in zip(windows, rep.n.tolist(), rep.ratios.tolist(), strict=True):
                 count = sum(1 for g in w.iter_elements() if pred.contains(g))
                 assert n == w.index
                 assert ratio == count / w.size
@@ -381,7 +381,8 @@ class TestFiniteSetDensities:
         windows = [box_window(q, n, center=(-3, 2)[:q]) for n in (1, 4, 7)]
         windows.append(custom_window(q, [(-9, -11)[:q], (0, 1)[:q], (-2, -2)[:q]]))
         rep = lower_density(pred, windows)
-        assert rep.per_n_ratios == tuple((w.index, ratio(w)) for w in windows)
+        assert rep.n.tolist() == [w.index for w in windows]
+        assert rep.ratios.tolist() == [ratio(w) for w in windows]
 
         cands = [(-2, 1)[:q], (1, -3)[:q], (0, 0)[:q], (3, 3)[:q]]
         for w in windows:
@@ -399,7 +400,7 @@ class TestFiniteSetDensities:
 
 def indicator_means(pred, windows):
     """The densities as the mean of the 0.0/1.0 indicator over a point table."""
-    return table_means(lambda pts: pred.mask(pts).astype(np.float64), windows)
+    return table_means(lambda pts: pred.mask(pts).astype(np.float64), windows).tolist()
 
 
 def four_predicates(q):
@@ -438,7 +439,7 @@ class TestBoxCounts:
                 expected = indicator_means(pred, windows)
                 assert [c / w.size for c, w in zip(counts, windows)] == expected
                 rep = lower_density(pred, windows)
-                assert [r for _, r in rep.per_n_ratios] == expected
+                assert rep.ratios.tolist() == expected
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_table_path_keeps_its_values(self, q):
@@ -450,7 +451,7 @@ class TestBoxCounts:
                 assert _box_counts(pred, windows) is None
             for windows in schedules(q):
                 rep = lower_density(pred, windows)
-                assert [r for _, r in rep.per_n_ratios] == indicator_means(pred, windows)
+                assert rep.ratios.tolist() == indicator_means(pred, windows)
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_best_shift_equals_table(self, q):
@@ -497,7 +498,7 @@ class TestBoxCounts:
         assert time.perf_counter() - start < 1.0
         axis = np.arange(-320, 321)
         count = int(((axis[:, None] + 2 * axis[None, :]) % 3 == 0).sum())
-        assert rep.per_n_ratios[-1] == (320, count / 641 ** 2)
+        assert (rep.n[-1], rep.ratios[-1]) == (320, count / 641 ** 2)
 
 
 class TestAsElement:

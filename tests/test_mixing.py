@@ -67,36 +67,36 @@ class TestErgodicAverage:
         a = ginibre(np.random.default_rng(0), 5)
         res = ergodic_average(sys_h, a, np.eye(5, dtype=complex), M1,
                               box_schedule(1, 1, 10))
-        for _, val in res.per_window:
+        for val in res.values:
             assert val == pytest.approx(sys_h.expect(a), abs=1e-12)
 
     def test_shift_single_site(self):
         res = ergodic_average(shift2(), SZ, SZ, M1, box_schedule(1, 1, 20))
-        for n, val in res.per_window:
+        for n, val in zip(res.n.tolist(), res.values.tolist()):
             assert val == pytest.approx(1 / (2 * n + 1), abs=1e-15)
 
     def test_rotation_fejer_sum(self):
         sys_h = rotation_algebra_system(1, 5)
         v = cyclic_shift_matrix(5)
         res = ergodic_average(sys_h, v.conj().T, v, M1, box_schedule(1, 1, 30))
-        for n, val in res.per_window:
+        for n, val in zip(res.n.tolist(), res.values.tolist()):
             oracle = sum(cmath.exp(-2j * cmath.pi * g / 5)
                          for g in range(-n, n + 1)) / (2 * n + 1)
             assert val == pytest.approx(oracle, abs=1e-12)
-        assert abs(res.per_window[-1][1]) < 0.02
+        assert abs(res.values[-1]) < 0.02
 
 
 class TestWeakMixingDefect:
     def test_shift_exact_law(self):
         stat = weak_mixing_defect(shift2(), SZ, SZ, M1, box_schedule(1, 1, 50))
-        for n, v in stat.per_window:
+        for n, v in zip(stat.n.tolist(), stat.values.tolist()):
             assert v == 1 / (2 * n + 1)
 
     def test_rotation_constant_one(self):
         sys_h = rotation_algebra_system(1, 5)
         v = cyclic_shift_matrix(5)
         stat = weak_mixing_defect(sys_h, v.conj().T, v, M1, box_schedule(1, 1, 30))
-        for _, val in stat.per_window:
+        for val in stat.values:
             assert val == pytest.approx(1.0, abs=1e-10)
         assert stat.verdict == "non-decaying"
 
@@ -116,14 +116,14 @@ class TestWeakMixingDefect:
 class TestSquareDefect:
     def test_shift_exact_law(self):
         stat = square_defect(shift2(), SZ, SZ, M1, box_schedule(1, 1, 30))
-        for n, v in stat.per_window:
+        for n, v in zip(stat.n.tolist(), stat.values.tolist()):
             assert v == 1 / (2 * n + 1)  # the only nonzero term is 1^2
 
     def test_rotation_constant(self):
         sys_h = rotation_algebra_system(1, 5)
         v = cyclic_shift_matrix(5)
         stat = square_defect(sys_h, v.conj().T, v, M1, box_schedule(1, 1, 20))
-        for _, val in stat.per_window:
+        for val in stat.values:
             assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_unit_b_vanishes(self):
@@ -149,7 +149,7 @@ class TestAbelianness:
         a = pauli_observable([0], "X")
         b = pauli_observable([0], "Z")
         stat = asymptotic_abelianness(shift2(), a, b, M1, box_schedule(1, 1, 25))
-        for n, v in stat.per_window:
+        for n, v in zip(stat.n.tolist(), stat.values.tolist()):
             assert v == pytest.approx(2 / (2 * n + 1), abs=1e-14)
 
     def test_unit_b(self):
@@ -161,7 +161,7 @@ class TestAbelianness:
         sys_h = rotation_algebra_system(1, 2)
         u, v = clock_matrix(2), cyclic_shift_matrix(2)
         stat = asymptotic_abelianness(sys_h, u, v, M1, box_schedule(1, 1, 15))
-        for _, val in stat.per_window:
+        for val in stat.values:
             assert val == pytest.approx(2.0, abs=1e-10)
         assert stat.verdict == "non-decaying"
 
@@ -172,7 +172,8 @@ class TestHigherOrder:
         spec = HigherOrderSpec(observables=(SZ, SZ), homs=(M1,))
         hd = higher_order_defect(shift2(), spec, wins)
         wm = weak_mixing_defect(shift2(), SZ, SZ, M1, wins)
-        assert hd.per_window == wm.per_window
+        assert hd.n.tolist() == wm.n.tolist()
+        assert hd.values.tolist() == wm.values.tolist()
 
     def test_k2_sigma_z_vanishes_exactly(self):
         # with three sign-matrix factors the coincidence term omega(sz^3) is 0,
@@ -188,7 +189,7 @@ class TestHigherOrder:
         sl = shift2()
         spec = HigherOrderSpec(observables=(SZ,) * 4, homs=(M1, M2, M3))
         hd = higher_order_defect(sl, spec, box_schedule(1, 1, 40))
-        for n, v in hd.per_window:
+        for n, v in zip(hd.n.tolist(), hd.values.tolist()):
             assert v == 1 / (2 * n + 1)
         assert collision_bound(sl, spec, box_window(1, 40)) == 1.0
 
@@ -199,7 +200,7 @@ class TestHigherOrder:
         const = collision_bound(sl, spec, box_window(1, 30))
         assert const == pytest.approx(3 / 8, abs=1e-15)
         hd = higher_order_defect(sl, spec, box_schedule(1, 1, 30))
-        for n, v in hd.per_window:
+        for n, v in zip(hd.n.tolist(), hd.values.tolist()):
             assert v == pytest.approx((3 / 8) / (2 * n + 1), abs=1e-15)
 
     def test_unit_observables_vanish(self):
@@ -219,7 +220,7 @@ class TestHigherOrder:
         spec = HigherOrderSpec(observables=(proj,) * 3,
                                homs=(Homomorphism.scalar(2, 1), shear))
         hd = higher_order_defect(sl, spec, box_schedule(2, 1, 6))
-        for n, v in hd.per_window:
+        for n, v in zip(hd.n.tolist(), hd.values.tolist()):
             size = (2 * n + 1) ** 2
             expected = (2 * n * (1 / 8) + 3 / 8) / size
             assert v == pytest.approx(expected, abs=1e-15)
@@ -240,7 +241,7 @@ class TestHigherOrder:
             observables=(np.linalg.matrix_power(v.conj().T, 2), v, v),
             homs=(M1, M2))
         hd = higher_order_defect(sys_h, spec, box_schedule(1, 1, 12))
-        for _, val in hd.per_window:
+        for val in hd.values:
             assert val == pytest.approx(1.0, abs=1e-10)
         assert hd.verdict == "non-decaying"
 
@@ -416,12 +417,13 @@ class TestDensityLimit:
         eps_grid = [0.25, 1.0, 2.5]
         rep = density_limit_check(per_row(f), windows, eps_grid)
         pts = [list(w.iter_elements()) for w in windows]
-        assert rep.averages == tuple(
-            (w.index, math.fsum(map(f, p)) / w.size) for w, p in zip(windows, pts))
-        assert rep.level_densities == tuple(
-            (eps, tuple((w.index, math.fsum(1.0 if f(g) >= eps else 0.0 for g in p) / w.size)
-                        for w, p in zip(windows, pts)))
-            for eps in eps_grid)
+        assert rep.n.tolist() == [w.index for w in windows]
+        assert rep.averages.tolist() == [math.fsum(map(f, p)) / w.size
+                                         for w, p in zip(windows, pts)]
+        assert [(eps, ratios.tolist()) for eps, ratios in rep.level_densities] == [
+            (eps, [math.fsum(1.0 if f(g) >= eps else 0.0 for g in p) / w.size
+                   for w, p in zip(windows, pts)])
+            for eps in eps_grid]
 
 
 class TestFolnerIndependence:
@@ -439,7 +441,7 @@ class TestFolnerIndependence:
         shifted = [shift_window(w, 2) for w in wins]
         a = weak_mixing_defect(shift2(), SZ, SZ, M1, wins).values
         b = weak_mixing_defect(shift2(), SZ, SZ, M1, shifted).values
-        assert a == b
+        assert a.tolist() == b.tolist()
 
 
 class TestProductSystemIdentity:

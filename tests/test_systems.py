@@ -238,7 +238,7 @@ class TestClusterContraction:
         spec = HigherOrderSpec(observables=(zxz,) * 4,
                                homs=tuple(Homomorphism.scalar(1, m) for m in (1, 2, 3)))
         stat = higher_order_defect(sl, spec, [custom_window(1, [5])])
-        assert stat.values == (0.0,)
+        assert stat.values.tolist() == [0.0]
         assert dims and max(dims) <= 2 ** 3
 
 

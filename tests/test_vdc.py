@@ -233,8 +233,8 @@ class TestVdcVerdict:
         f = weyl_quadratic_sequence(ALPHA, np.array([1.0]))
         windows = [box_window(1, n) for n in (250, 500, 1000, 2000)]
         rep = vdc_verdict(f, windows)
-        assert rep.statistic[-1][1] < 0.05
-        assert rep.averages[-1][1] < 0.05
+        assert rep.statistic[-1] < 0.05
+        assert rep.averages[-1] < 0.05
         assert rep.hypothesis_satisfied
         assert rep.conclusion_observed
         assert rep.gamma_window_index == 2000
@@ -259,11 +259,11 @@ class TestVdcVerdict:
         assert not rep.hypothesis_satisfied
         assert rep.label == "hypothesis not satisfied; conclusion not implied"
         # the statistic is the exact difference-set mean of |gamma| = 1
-        for n, s in rep.statistic:
+        for n, s in zip(rep.n.tolist(), rep.statistic.tolist()):
             assert s == pytest.approx((4 * n + 1) / (2 * n + 1), abs=1e-9)
-        assert rep.statistic[-1][1] >= 1.9
+        assert rep.statistic[-1] >= 1.9
         # yet the averages do vanish
-        assert rep.averages[-1][1] < 0.05
+        assert rep.averages[-1] < 0.05
         assert rep.conclusion_observed
 
     def test_constant_fails_both(self):
@@ -271,7 +271,7 @@ class TestVdcVerdict:
                           [box_window(1, n) for n in (5, 10, 20)])
         assert not rep.hypothesis_satisfied
         assert not rep.conclusion_observed
-        assert rep.averages[-1][1] == pytest.approx(1.0)
+        assert rep.averages[-1] == pytest.approx(1.0)
         assert rep.label == "hypothesis not satisfied; conclusion not implied"
 
     def test_double_average_column(self):
@@ -279,8 +279,8 @@ class TestVdcVerdict:
         # (1/|W|^2) sum_{h1,h2} gamma_{h2-h1} = 1 exactly
         rep = vdc_verdict(constant_sequence(np.array([1.0])),
                           [box_window(1, 5)])
-        assert rep.double_average[0][1].real == pytest.approx(1.0)
-        assert abs(rep.double_average[0][1].imag) < 1e-12
+        assert rep.double_average[0].real == pytest.approx(1.0)
+        assert abs(rep.double_average[0].imag) < 1e-12
 
     def test_plane_window_report(self):
         # two-dimensional boxes go through the generic lag path
@@ -310,7 +310,7 @@ class TestVdcVerdict:
         g1, g2 = gamma_table(rep_box), gamma_table(rep_custom)
         for h in g2:
             assert g1[h] == pytest.approx(g2[h], abs=1e-12)
-        assert rep_box.statistic[0][1] == pytest.approx(rep_custom.statistic[0][1],
+        assert rep_box.statistic[0] == pytest.approx(rep_custom.statistic[0],
                                                         abs=1e-12)
 
     @pytest.mark.parametrize("windows, points", [
@@ -326,7 +326,7 @@ class TestVdcVerdict:
         rep = vdc_verdict(f, windows)
         assert len(seen) == len(set(seen)) == points
         assert all(type(x) is int for g in seen for x in g)
-        assert rep.averages[-1][1] == 1.0
+        assert rep.averages[-1] == 1.0
 
 
     @pytest.mark.parametrize("window", [box_window(1, 5), custom_window(1, range(-5, 6))])
@@ -372,12 +372,13 @@ def reference_vdc(f, windows, h_max=None):
                 overlap = sum(1 for g in pts if add(g, h) in members)
                 terms.append(abs(gamma[h]))
                 weighted.append(overlap * gamma[h])
-        statistic.append((w.index, math.fsum(terms) / w.size))
-        double_avg.append((w.index, fsum_complex(weighted) / (w.size ** 2)))
+        statistic.append(math.fsum(terms) / w.size)
+        double_avg.append(fsum_complex(weighted) / (w.size ** 2))
         cols = np.stack([f(g) for g in pts]).T
         total = np.array([fsum_complex(c.tolist()) for c in cols], dtype=np.complex128)
-        averages.append((w.index, float(np.linalg.norm(total / w.size))))
-    return tuple(gamma.items()), tuple(statistic), tuple(double_avg), tuple(averages)
+        averages.append(float(np.linalg.norm(total / w.size)))
+    n = [w.index for w in windows]
+    return tuple(gamma.items()), n, statistic, double_avg, averages
 
 
 # a scattered q = 1 window, and a smaller one with lags (+-56, +-65, +-69,
@@ -400,11 +401,12 @@ class TestGenericLagPath:
     def test_bit_identical_to_tuple_arithmetic(self, windows, h_max):
         f = random_sequence(77, dim=3)
         rep = vdc_verdict(f, windows, h_max=h_max)
-        gamma, statistic, double_avg, averages = reference_vdc(f, windows, h_max)
+        gamma, n, statistic, double_avg, averages = reference_vdc(f, windows, h_max)
         assert tuple(gamma_table(rep).items()) == gamma
-        assert rep.statistic == statistic
-        assert rep.double_average == double_avg
-        assert rep.averages == averages
+        assert rep.n.tolist() == n
+        assert rep.statistic.tolist() == statistic
+        assert rep.double_average.tolist() == double_avg
+        assert rep.averages.tolist() == averages
 
     @pytest.mark.parametrize("window", [
         custom_window(1, [-9, -4, 0, 1, 3, 11, 12, 30]),
@@ -414,7 +416,7 @@ class TestGenericLagPath:
         # every |gamma_h| = 1, so the statistic is |W^-1 W| / |W|
         rep = vdc_verdict(linear_phase_sequence(ALPHA, np.array([1.0])), [window])
         ratio = inverse_product(window).size / window.size
-        assert rep.statistic[0][1] == pytest.approx(ratio, abs=1e-9)
+        assert rep.statistic[0] == pytest.approx(ratio, abs=1e-9)
 
 
 def vdot_box_reference(f, windows, h_max):
@@ -458,9 +460,9 @@ class TestBoxLagPath:
         assert list(gamma_table(rep)) == list(gamma)
         for h, g in gamma_table(rep).items():
             assert abs(g - gamma[h]) <= 1e-13
-        for (_, s), ref in zip(rep.statistic, statistic, strict=True):
+        for s, ref in zip(rep.statistic, statistic, strict=True):
             assert abs(s - ref) <= 1e-12
-        for (_, d), ref in zip(rep.double_average, double_avg, strict=True):
+        for d, ref in zip(rep.double_average, double_avg, strict=True):
             assert abs(d - ref) <= 1e-12
 
     @pytest.mark.parametrize("h_max", [5, 20, 100])
@@ -471,7 +473,7 @@ class TestBoxLagPath:
         assert np.array_equal(rep_box.lags, rep_custom.lags)
         for g1, g2 in zip(rep_box.gamma, rep_custom.gamma, strict=True):
             assert g1 == pytest.approx(g2, abs=1e-12)
-        assert rep_box.statistic[0][1] == pytest.approx(rep_custom.statistic[0][1],
+        assert rep_box.statistic[0] == pytest.approx(rep_custom.statistic[0],
                                                         abs=1e-12)
 
 
@@ -570,9 +572,9 @@ def per_index_statistics(rep, windows):
         lags, counts = difference_counts(w)
         terms = [(gamma[h], c) for h, c in zip(map(tuple, lags.tolist()), counts.tolist())
                  if h in gamma]
-        statistic.append((w.index, math.fsum(abs(gh) for gh, _ in terms) / w.size))
-        double_avg.append((w.index, fsum_complex([c * gh for gh, c in terms]) / w.size ** 2))
-    return tuple(statistic), tuple(double_avg)
+        statistic.append(math.fsum(abs(gh) for gh, _ in terms) / w.size)
+        double_avg.append(fsum_complex([c * gh for gh, c in terms]) / w.size ** 2)
+    return statistic, double_avg
 
 
 class TestStatisticLoop:
@@ -589,5 +591,6 @@ class TestStatisticLoop:
                   random_sequence(23, dim=2)):
             rep = vdc_verdict(f, windows, h_max=h_max)
             statistic, double_avg = per_index_statistics(rep, windows)
-            assert rep.statistic == statistic
-            assert rep.double_average == double_avg
+            assert rep.n.tolist() == [w.index for w in sorted(windows, key=lambda w: w.size)]
+            assert rep.statistic.tolist() == statistic
+            assert rep.double_average.tolist() == double_avg
