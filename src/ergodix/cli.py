@@ -12,6 +12,7 @@ so outputs are byte-identical for any value.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -194,20 +195,19 @@ def run_higher(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
         # every lag of W^-1 W on gamma_sequence's largest window, or those within h_max
         lags = None
         if h_max is not None:
-            largest = max(windows, key=lambda w: w.size)
-            lags = [h for h in folner.inverse_product(largest).iter_elements()
-                    if max(abs(x) for x in h) <= h_max]
+            lags, _ = folner.difference_counts(max(windows, key=lambda w: w.size))
+            lags = lags[np.abs(lags).max(axis=1) <= h_max]
         gam = mixing.gamma_sequence(sys_h, spec, windows, h_range=lags)
-        empirical, closed = np.array([(e.empirical, e.closed_form) for e in gam.entries]).T
-        difference = [e.difference for e in gam.entries]
+        difference = gam.difference
         write_csv(out / "higher_gamma.csv", Table(
-            h=["_".join(map(str, e.h)) for e in gam.entries],
-            empirical_re=empirical.real, empirical_im=empirical.imag,
-            closed_re=closed.real, closed_im=closed.imag, difference=difference))
+            h=["_".join(map(str, h)) for h in gam.lags.tolist()],
+            empirical_re=gam.empirical.real, empirical_im=gam.empirical.imag,
+            closed_re=gam.closed_form.real, closed_im=gam.closed_form.imag,
+            difference=difference))
         report["gamma"] = {
             "window_index": gam.window_index,
             "kappa": gam.kappa,
-            "max_difference": max(difference),
+            "max_difference": difference.max(),
         }
     write_json(out / "higher.json", report)
     return report, failures
@@ -301,7 +301,7 @@ def run_compact(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
                     sys_h, pos, exponents, eps, np.array(rset.members, dtype=object))))
             failures += [f"correlation lower bound failed at {g}"
                          for g, cb in bounds if not cb.holds]
-            chain_ok = all(c.holds for _, cc in rset.chain_certificates for c in cc)
+            chain_ok = rset.chain_holds.all()
             if not chain_ok:
                 failures.append("a return-set chain certificate failed")
             report["return_set"] = {
@@ -423,6 +423,8 @@ def main(argv=None) -> int:
             return 2
 
     out = Path(args.out)
+    # the directories this run creates, deepest first
+    fresh = [d for d in (out, *out.parents) if not d.exists()]
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # an existing file, or a path under one
@@ -434,12 +436,15 @@ def main(argv=None) -> int:
         _require_keys(cfg, required | optional | {"seed"}, required, "config")
         seed = _int(cfg["seed"], "seed", 0) if "seed" in cfg else None
         _, failures = handler(cfg, out, seed if args.seed is None else args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
-        # the config is well formed but describes an invalid system
-        print(f"error: {exc}", file=sys.stderr)
+        # a ConfigError, or a well-formed config that describes an invalid system
+        kind = "config error" if isinstance(exc, ConfigError) else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        # remove the directories this run created, up to the first that is not
+        # empty (a handler may have written a file before the error)
+        with contextlib.suppress(OSError):
+            for d in fresh:
+                d.rmdir()
         return 2
     (out / "failures.json").unlink(missing_ok=True)
     if failures:

@@ -85,40 +85,36 @@ def orbit_epsilon_structure(
     )
 
 
-@dataclass(frozen=True)
-class ChainCertificate:
-    exponent: int
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReturnSet:
     """All g in the scan with max_j ||tau_{m_j g}(a) - a||_omega < epsilon.
 
     Each member carries the telescoping certificates
     ||tau_{m g}(a) - a|| <= m ||tau_g(a) - a|| (equality for isometric
-    actions; asserted as an inequality).  ``gap_witness`` is a candidate shift
-    list making the member set relatively dense on the scan, when one exists.
+    actions; asserted as an inequality), one row per member and one column
+    per exponent in ``chain_lhs``, ``chain_rhs`` and ``chain_holds``.
+    ``gap_witness`` is a candidate shift list making the member set
+    relatively dense on the scan, when one exists.
     """
 
     epsilon: float
     exponents: tuple[int, ...]
     members: tuple[GroupElement, ...]
-    chain_certificates: tuple[tuple[GroupElement, tuple[ChainCertificate, ...]], ...]
+    chain_lhs: np.ndarray  # float64 ||tau_{m g}(a) - a||
+    chain_rhs: np.ndarray  # float64 m ||tau_g(a) - a||
+    chain_holds: np.ndarray  # bool, lhs <= rhs up to CHAIN_SLACK (always for m = 0)
     scan_window: FolnerWindow
     gap_witness: Optional[tuple[GroupElement, ...]] = None
     note: str = SCAN_SCOPE_NOTE
 
 
-def _return_distances(sys, a, points, m: int) -> list[float]:
+def _return_distances(sys, a, points, m: int) -> np.ndarray:
     """||tau_{m g}(a) - a||_omega for each row g of a (T, q) point table."""
     shifts = scale_table(m, points)
     out: list[float] = []
     for chunk in table_chunks(sys, len(shifts)):
         out += sys.omega_distance_table(sys.translate_table(a, shifts[chunk]), a).tolist()
-    return out
+    return np.array(out)
 
 
 def return_set(
@@ -138,32 +134,23 @@ def return_set(
     # exponent-1 distance, each member's certificate base, is read from its
     # column when there is one and is otherwise taken for the members only
     gs = scan_window.element_array()
-    cols = {m: [0.0] * len(gs) if m == 0 else _return_distances(sys, a, gs, m)
+    cols = {m: np.zeros(len(gs)) if m == 0 else _return_distances(sys, a, gs, m)
             for m in dict.fromkeys(exps)}
-    hits = [i for i in range(len(gs)) if max(cols[m][i] for m in exps) < epsilon]
-    bases = [cols[1][i] for i in hits] if 1 in cols else _return_distances(sys, a, gs[hits], 1)
+    dists = np.column_stack([cols[m] for m in exps])
+    hits = np.flatnonzero(dists.max(axis=1) < epsilon)
+    bases = cols[1][hits] if 1 in cols else _return_distances(sys, a, gs[hits], 1)
+    ms = np.array(exps)
+    lhs, rhs = dists[hits], ms * bases[:, None]
     members = [tuple(g) for g in gs[hits].tolist()]
-    certs = []
-    for g, i, base in zip(members, hits, bases):
-        cc = tuple(
-            ChainCertificate(
-                exponent=m,
-                lhs=cols[m][i],
-                rhs=m * base,
-                holds=(m == 0) or cols[m][i] <= m * base + CHAIN_SLACK * (1.0 + m * base),
-            )
-            for m in exps
-        )
-        certs.append((g, cc))
-
-    witness = _gap_witness(members, scan_window)
     return ReturnSet(
         epsilon=epsilon,
         exponents=exps,
         members=tuple(members),
-        chain_certificates=tuple(certs),
+        chain_lhs=lhs,
+        chain_rhs=rhs,
+        chain_holds=(ms == 0) | (lhs <= rhs + CHAIN_SLACK * (1.0 + rhs)),
         scan_window=scan_window,
-        gap_witness=witness,
+        gap_witness=_gap_witness(members, scan_window),
     )
 
 

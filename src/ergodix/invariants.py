@@ -314,8 +314,10 @@ def check_gamma_consistency(rng, scale=1.0) -> tuple[bool, str]:
             observables=(np.eye(fs.dim, dtype=complex), a),
             homs=(folner.Homomorphism.scalar(1, int(rng.integers(1, 4))),))
         rep = mixing.gamma_sequence(fs, spec, folner.box_schedule(1, 2, 5))
-        if max(e.difference for e in rep.entries) > 1e-9:
-            return False, ""
+        diff = rep.difference
+        worst = int(np.argmax(diff))
+        if diff[worst] > 1e-9:
+            return False, f"h={tuple(rep.lags[worst].tolist())} difference={diff[worst]}"
     return True, ""
 
 

@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._parallel import fmean, fmean_complex, table_means, window_points
-from .folner import _INT64_SAFE, FolnerWindow, GroupElement, Homomorphism, inverse_product, zero
+from .folner import (_INT64_SAFE, FolnerWindow, GroupElement, Homomorphism,
+                     difference_counts, zero)
 from .systems import SystemHandle, commutator_norm_table, evaluate, evaluate_table
 
 VERDICT_DECAYING = "decaying"
@@ -232,22 +233,21 @@ def collision_bound(
     return math.fsum(abs(v - target) for v in vals)
 
 
-@dataclass(frozen=True)
-class GammaEntry:
-    h: GroupElement
-    empirical: complex
-    closed_form: complex
-
-    @property
-    def difference(self) -> float:
-        return abs(self.empirical - self.closed_form)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GammaReport:
-    entries: tuple[GammaEntry, ...]
+    lags: np.ndarray  # (k, q) integer lags h
+    empirical: np.ndarray  # complex128 window average of <u_g, u_{g+h}>, one per lag
+    closed_form: np.ndarray  # complex128, one per lag
     window_index: int
     kappa: complex
+
+    @property
+    def difference(self) -> np.ndarray:
+        """|empirical - closed_form| per lag.  np.hypot, not np.abs: np.abs
+        of complex128 can differ from abs(complex) in the last bit, hypot
+        does not."""
+        d = self.empirical - self.closed_form
+        return np.hypot(d.real, d.imag)
 
 
 def gamma_sequence(
@@ -258,8 +258,9 @@ def gamma_sequence(
 ) -> GammaReport:
     """Autocorrelations of the centered product vector u_g.
 
-    For each lag h the report carries (i) the empirical window average of
-    <u_g, u_{g+h}> at the largest supplied window and (ii) the closed form
+    For each lag h (by default every lag of W^-1 W at the largest supplied
+    window, in sorted tuple order) the report carries (i) the empirical
+    window average of <u_g, u_{g+h}> at that window and (ii) the closed form
     prod_j omega(a_j* tau_{phi_j(h)}(a_j)) - |kappa|^2 with
     kappa = prod_j omega(a_j).  The two must agree up to boundary terms.
     """
@@ -267,50 +268,40 @@ def gamma_sequence(
         raise ValueError("need at least one window")
     largest = max(windows, key=lambda w: w.size)
     if h_range is None:
-        h_range = list(inverse_product(largest).iter_elements())
+        lags = difference_counts(largest)[0]
+    else:
+        lags = np.array(h_range, dtype=object).reshape(-1, spec.q)
+        if (np.abs(lags) < _INT64_SAFE).all():
+            lags = lags.astype(np.int64)
     tail = spec.observables[1:]
     kappa = 1.0 + 0j
     for a in tail:
         kappa *= evaluate(sys, [(a, None, zero(spec.q))])
-
+    k2 = abs(kappa) ** 2
     adjoints = [sys.obs_adjoint(a) for a in tail]
 
-    def x_factors(base) -> list:
-        return [(a, h, base) for a, h in zip(tail, spec.homs)]
-
-    def x_adj_factors(base) -> list:
-        return [(aa, h, base) for aa, h in zip(reversed(adjoints), reversed(spec.homs))]
-
     gs = largest.element_array()
-    small = all(-_INT64_SAFE < x < _INT64_SAFE for h in h_range for x in h)
-    offsets = np.array([zero(spec.q), *h_range], dtype=np.int64 if small else object)
+    offsets = np.concatenate([np.zeros((1, spec.q), dtype=lags.dtype), lags])
     # x on the window (block 0) and on each lag translate of it (block 1 + j)
     sums = (offsets[:, None, :] + gs[None, :, :]).reshape(-1, spec.q)
     points, (rows,) = window_points([], lead=sums)
-    x_vals = evaluate_table(sys, x_factors(points)).tolist()
-    here, *there = rows.reshape(len(offsets), len(gs)).tolist()
+    x_vals = evaluate_table(sys, [(a, h, points) for a, h in zip(tail, spec.homs)]).tolist()
+    # <x(g), x(g + h)> at every lag h and every g of the window, lag-major
+    here, there = np.tile(rows[:len(gs)], len(lags)), rows[len(gs):]
+    cross = evaluate_table(
+        sys, [(aa, h, points[here]) for aa, h in zip(reversed(adjoints), reversed(spec.homs))]
+        + [(a, h, points[there]) for a, h in zip(tail, spec.homs)])
+    terms = [c - kappa * x_vals[i].conjugate() - kappa.conjugate() * x_vals[j] + k2
+             for c, i, j in zip(cross.tolist(), here.tolist(), there.tolist())]
+    empirical = [fmean_complex(t, largest.size)
+                 for t in np.reshape(terms, (len(lags), len(gs)))]
     # omega(a_j* tau_{phi_j(h)}(a_j)) at every lag h, one column per factor
-    lags = offsets[1:]
     closed_cols = [evaluate_table(sys, [(aa, None, lags), (a, hom, lags)]).tolist()
                    for a, aa, hom in zip(tail, adjoints, spec.homs)]
-
-    entries = []
-    for h, lag_rows, closed_vals in zip(h_range, there, zip(*closed_cols)):
-        # <x(g), x(g + h)> over the window, one row per g
-        cross = evaluate_table(sys, x_adj_factors(points[here]) + x_factors(points[lag_rows]))
-        vals = [c
-                - kappa * x_vals[i].conjugate()
-                - kappa.conjugate() * x_vals[j]
-                + abs(kappa) ** 2
-                for c, i, j in zip(cross.tolist(), here, lag_rows)]
-        empirical = fmean_complex(vals, largest.size)
-
-        closed = 1.0 + 0j
-        for v in closed_vals:
-            closed *= v
-        closed -= abs(kappa) ** 2
-        entries.append(GammaEntry(h=h, empirical=empirical, closed_form=closed))
-    return GammaReport(entries=tuple(entries), window_index=largest.index, kappa=kappa)
+    closed = [math.prod(vals, start=1.0 + 0j) - k2 for vals in zip(*closed_cols)]
+    return GammaReport(lags=lags, empirical=np.array(empirical, dtype=complex),
+                       closed_form=np.array(closed, dtype=complex),
+                       window_index=largest.index, kappa=kappa)
 
 
 @dataclass(frozen=True, eq=False)

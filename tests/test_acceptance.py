@@ -179,12 +179,13 @@ def test_criterion_06_higher_order_desk_scale():
 
             gam = gamma_sequence(sl, spec, windows,
                                  h_range=[(h,) for h in range(-10, 11)])
-            for entry in gam.entries:
+            for h, closed, difference in zip(gam.lags.tolist(), gam.closed_form.tolist(),
+                                             gam.difference.tolist()):
                 # independent oracle: product-state factorization makes each
                 # factor omega(sz tau_{m h} sz) an indicator of m h == 0
-                expected = 1.0 if entry.h == (0,) else 0.0
-                assert abs(entry.closed_form - expected) <= 1e-9
-                assert entry.difference <= 2.0 * len(homs) / (2 * 40 + 1) + 1e-9
+                expected = 1.0 if h == [0] else 0.0
+                assert abs(closed - expected) <= 1e-9
+                assert difference <= 2.0 * len(homs) / (2 * 40 + 1) + 1e-9
 
 
 def test_criterion_07_compactness_certificates():

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import ergodix
-from ergodix import _parallel, folner, spectral, vdc
-from ergodix.cli import main
+from ergodix import _parallel, folner, mixing, spectral, vdc
+from ergodix.cli import _STATS, main
 from ergodix.invariants import ALL_CHECKS
 from ergodix.operators import as_matrix
 from ergodix.systems import cyclic_shift_matrix
@@ -126,6 +126,29 @@ class TestExitCodes:
         assert main(["folner", "--config", cfg, "--out", str(tmp_path / out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: --out {tmp_path / out}: ")
+
+    def test_exit_2_removes_the_out_directories_it_made(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.json", {**FOLNER_CFG, "unknown": 1})
+        assert main(["folner", "--config", cfg, "--out", str(tmp_path / "a/b/c")]) == 2
+        assert not (tmp_path / "a").exists()
+        # a directory that was there before the run stays
+        (tmp_path / "kept").mkdir()
+        assert main(["folner", "--config", cfg, "--out", str(tmp_path / "kept/c")]) == 2
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "c.json", tmp_path / "kept"]
+        assert list((tmp_path / "kept").iterdir()) == []
+
+    def test_exit_2_after_a_write_keeps_the_file(self, tmp_path, monkeypatch, capsys):
+        # an invalid system found after the first CSV: the directory holding
+        # it is not empty, so it and its parents stay
+        def broken(*args, **kwargs):
+            raise ValueError("broken statistic")
+
+        monkeypatch.setitem(_STATS, "square", broken)
+        cfg = write_cfg(tmp_path, "c.json", {**MIX_CFG, "statistics": ["weak-mixing", "square"]})
+        out = tmp_path / "a" / "b"
+        assert main(["mix", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: broken statistic\n"
+        assert [p.name for p in out.iterdir()] == ["mix_weak_mixing.csv"]
 
     @pytest.mark.parametrize("command,cfg,message", [
         ("split", {"system": {"kind": "finite",
@@ -358,8 +381,8 @@ def mutated(cfg, path, value):
 class TestMutationSweep:
     @pytest.mark.parametrize("base", SWEEP_BASES)
     def test_every_mutant_keeps_the_exit_code_contract(self, tmp_path, capsys, base):
-        """Each mutant runs into a fresh --out; one that exits 2 must leave it
-        without files."""
+        """Each mutant runs into a fresh --out; one that exits 2 must not
+        leave it behind."""
         command, cfg = SWEEP_BASES[base]
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -374,11 +397,12 @@ class TestMutationSweep:
             except Exception as exc:  # an escaped exception is a traceback
                 code = repr(exc)
             err = capsys.readouterr().err
-            left = sorted(p.name for p in out.iterdir()) if code == 2 else []
+            left = code == 2 and out.exists()
             if (code not in (0, 1, 2) or "Traceback" in err or left
                     or sum("error:" in line for line in err.splitlines()) > 1):
                 label = "drop" if value is DROP else repr(value)
-                broken.append(f"{'.'.join(map(str, where))} <- {label}: {code} {err!r} {left}")
+                broken.append(f"{'.'.join(map(str, where))} <- {label}: {code} {err!r} "
+                              f"out left: {left}")
         assert not broken, "\n".join(broken)
 
 
@@ -691,17 +715,21 @@ class TestInvariantsCommand:
                      "--seed", "3"]) == 0
         assert read_json(out / "invariants.json")["seed"] == 3
 
-    @pytest.mark.parametrize("module, attr, broken, name, detail", [
+    @pytest.mark.parametrize("module, attr, broken, name, detail, scale", [
         (folner, "shift_window", lambda w, h: folner.box_window(w.q, w.index + 1),
-         "folner/shift-invariance", "shift-preserves-size: "),
+         "folner/shift-invariance", "shift-preserves-size: ", 0.05),
         (vdc, "check_double_average_bound",
          lambda f, w1, w2: types.SimpleNamespace(holds=False),
-         "vdc/inequalities", "double-average-bound"),
+         "vdc/inequalities", "double-average-bound", 0.05),
+        # every empirical gamma reads 1, so some lag leaves its closed form;
+        # the check runs int(10 * scale) trials, none at scale 0.05
+        (mixing, "fmean_complex", lambda values, size: 1.0 + 0j,
+         "mixing/gamma-consistency", "h=(", 0.1),
     ])
-    def test_a_failing_sub_law_keeps_the_listed_name(self, tmp_path, monkeypatch,
-                                                      module, attr, broken, name, detail):
+    def test_a_failing_sub_law_keeps_the_listed_name(self, tmp_path, monkeypatch, module,
+                                                      attr, broken, name, detail, scale):
         monkeypatch.setattr(module, attr, broken)
-        cfg = write_cfg(tmp_path, "c.json", {"seed": 11, "scale": 0.05})
+        cfg = write_cfg(tmp_path, "c.json", {"seed": 11, "scale": scale})
         out = tmp_path / "o"
         assert main(["invariants", "--config", cfg, "--out", str(out)]) == 1
         results = read_json(out / "invariants.json")["results"]

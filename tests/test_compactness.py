@@ -100,13 +100,13 @@ class TestReturnSet:
                           box_window(1, 10))
         assert len(rset.members) == 21
 
-    def test_chain_certificates(self):
+    def test_chain_holds_for_every_member(self):
         sys_h = rotation_algebra_system(1, 5)
         rset = return_set(sys_h, positive_cosine(5), 0.25, (0, 1, 2),
                           box_window(1, 30))
         assert rset.members
-        for _, certs in rset.chain_certificates:
-            assert all(c.holds for c in certs)
+        assert rset.chain_holds.shape == (len(rset.members), 3)
+        assert rset.chain_holds.all()
 
     def test_chain_inequality_random_systems(self):
         rng = np.random.default_rng(31)
@@ -142,9 +142,9 @@ class TestReturnSet:
         rset = return_set(sys_h, a, 0.1, (0, 1, 2), box_window(1, 30))
         assert len(rset.members) == 21
         assert len(calls) == 2 * 61
-        for g, certs in rset.chain_certificates:
+        for g, rhs in zip(rset.members, rset.chain_rhs.tolist()):
             base = sys_h.omega_distance(original(sys_h, a, [g])[0], a)
-            assert [c.rhs for c in certs] == [m * base for m in (0, 1, 2)]
+            assert rhs == [m * base for m in (0, 1, 2)]
 
 
 class TestCorrelationLowerBound:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ergodix._parallel import fmean_complex
-from ergodix.folner import Homomorphism, add, box_schedule, box_window, shift_window
+from ergodix.folner import (Homomorphism, add, box_schedule, box_window, custom_window,
+                            inverse_product, shift_window)
 from ergodix.mixing import (
     HigherOrderSpec,
     MixingStatistic,
@@ -272,17 +273,18 @@ class TestGammaSequence:
     def test_all_units_gives_zero(self):
         spec = HigherOrderSpec(observables=(UNIT_SITE, UNIT_SITE), homs=(M1,))
         rep = gamma_sequence(shift2(), spec, box_schedule(1, 2, 6))
-        for e in rep.entries:
-            assert abs(e.closed_form) < 1e-14
-            assert abs(e.empirical) < 1e-14
+        for closed, empirical in zip(rep.closed_form.tolist(), rep.empirical.tolist()):
+            assert abs(closed) < 1e-14
+            assert abs(empirical) < 1e-14
 
     def test_shift_k1_sigma_z(self):
         spec = HigherOrderSpec(observables=(UNIT_SITE, SZ), homs=(M1,))
         rep = gamma_sequence(shift2(), spec, box_schedule(1, 2, 10))
-        for e in rep.entries:
-            expected = 1.0 if e.h == (0,) else 0.0
-            assert e.closed_form == pytest.approx(expected, abs=1e-14)
-            assert e.difference < 1e-12
+        for h, closed, difference in zip(rep.lags.tolist(), rep.closed_form.tolist(),
+                                         rep.difference.tolist()):
+            expected = 1.0 if h == [0] else 0.0
+            assert closed == pytest.approx(expected, abs=1e-14)
+            assert difference < 1e-12
 
     def test_finite_system_dual_computation(self):
         rng = np.random.default_rng(99)
@@ -293,7 +295,7 @@ class TestGammaSequence:
                 observables=(np.eye(fs.dim, dtype=complex), a),
                 homs=(Homomorphism.scalar(1, int(rng.integers(1, 4))),))
             rep = gamma_sequence(fs, spec, box_schedule(1, 2, 6))
-            assert max(e.difference for e in rep.entries) < 1e-9
+            assert rep.difference.max() < 1e-9
 
     def test_finite_q2_dual_computation(self):
         rng = np.random.default_rng(321)
@@ -305,7 +307,7 @@ class TestGammaSequence:
             observables=(np.eye(2, dtype=complex), a),
             homs=(Homomorphism.from_matrix([[1, 0], [1, 1]]),))
         rep = gamma_sequence(cs, spec, box_schedule(2, 1, 3))
-        assert max(e.difference for e in rep.entries) < 1e-9
+        assert rep.difference.max() < 1e-9
 
     def test_shift_k2_boundary_decay(self):
         spec = HigherOrderSpec(observables=(UNIT_SITE, SZ, SZ), homs=(M1, M2))
@@ -313,8 +315,8 @@ class TestGammaSequence:
                                h_range=[(h,) for h in range(-3, 4)])
         large = gamma_sequence(shift2(), spec, [box_window(1, 40)],
                                h_range=[(h,) for h in range(-3, 4)])
-        worst_small = max(e.difference for e in small.entries)
-        worst_large = max(e.difference for e in large.entries)
+        worst_small = small.difference.max()
+        worst_large = large.difference.max()
         assert worst_large <= worst_small
         assert worst_large < 0.05
 
@@ -343,8 +345,38 @@ class TestGammaSequence:
                 x_gh = evaluate(sys_h, [(a, hom, gh)])
                 terms.append(cross - kappa * x[g].conjugate() - kappa.conjugate() * x_gh
                              + abs(kappa) ** 2)
-            expected.append((h, fmean_complex(terms, window.size)))
-        assert [(e.h, e.empirical) for e in rep.entries] == expected
+            expected.append(fmean_complex(terms, window.size))
+        assert rep.lags.tolist() == [list(h) for h in h_range]
+        assert rep.empirical.tolist() == expected
+
+    @pytest.mark.parametrize("window", [box_window(1, 3), custom_window(1, [0, 1, 3])])
+    def test_default_lags_are_the_difference_set_in_tuple_order(self, window):
+        spec = HigherOrderSpec(observables=(UNIT_SITE, SZ), homs=(M1,))
+        rep = gamma_sequence(shift2(), spec, [window])
+        assert list(map(tuple, rep.lags.tolist())) == list(inverse_product(window).iter_elements())
+
+    @pytest.mark.parametrize("backend", ["finite", "chain"])
+    def test_one_table_call_for_every_lag(self, monkeypatch, backend):
+        # the backend's table calls do not grow with the number of lags:
+        # the cross terms of every lag are in one call
+        if backend == "finite":
+            sys_h = rotation_algebra_system(1, 5)
+            obs = (np.eye(5, dtype=complex), cyclic_shift_matrix(5))
+            spec = HigherOrderSpec(observables=obs, homs=(M1,))
+        else:
+            sys_h = shift2()
+            spec = HigherOrderSpec(observables=(UNIT_SITE, SZ, SZ), homs=(M1, M2))
+        calls = []
+        real = type(sys_h).expect_product_table
+        monkeypatch.setattr(type(sys_h), "expect_product_table",
+                            lambda self, factors: calls.append(1) or real(self, factors))
+        counts = []
+        for reach in (1, 4):
+            calls.clear()
+            gamma_sequence(sys_h, spec, [box_window(1, 6)],
+                           h_range=[(h,) for h in range(-reach, reach + 1)])
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestDensityLimit:

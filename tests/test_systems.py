@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ergodix.systems as systems_module
-from ergodix.compactness import _gap_witness, orbit_epsilon_structure, return_set
+from ergodix.compactness import CHAIN_SLACK, _gap_witness, orbit_epsilon_structure, return_set
 from ergodix.folner import Homomorphism, add, box_window, custom_window, scale, scale_table
 from ergodix.mixing import HigherOrderSpec, higher_order_defect
 from ergodix.operators import operator_norm, trace_state
@@ -567,7 +567,8 @@ class TestStackedCounterparts:
 
 
 def reference_return_set(fs, a, epsilon, exps, scan):
-    """The per-point return set: members, certificates and gap witness."""
+    """The per-point return set: members and each member's certificate rows
+    (lhs, rhs, holds), one entry per exponent."""
     members, certs = [], []
     for g in scan.iter_elements():
         dists = [0.0 if m == 0 else
@@ -576,7 +577,9 @@ def reference_return_set(fs, a, epsilon, exps, scan):
         if max(dists) < epsilon:
             members.append(g)
             base = reference_omega_norm(fs, reference_translate(fs, a, g) - a)
-            certs.append((g, tuple((m, d, m * base) for m, d in zip(exps, dists))))
+            rhs = [m * base for m in exps]
+            holds = [m == 0 or d <= r + CHAIN_SLACK * (1.0 + r) for m, d, r in zip(exps, dists, rhs)]
+            certs.append((dists, rhs, holds))
     return members, certs
 
 
@@ -600,8 +603,9 @@ class TestCompactnessOnTables:
         rset = return_set(fs, a, eps, exps, scan)
         members, certs = reference_return_set(fs, a, eps, tuple(exps), scan)
         assert list(rset.members) == members
-        assert [(g, tuple((c.exponent, c.lhs, c.rhs) for c in cc))
-                for g, cc in rset.chain_certificates] == certs
+        assert rset.chain_lhs.shape == rset.chain_rhs.shape == (len(members), len(exps))
+        assert list(zip(rset.chain_lhs.tolist(), rset.chain_rhs.tolist(),
+                        rset.chain_holds.tolist())) == certs
         assert rset.gap_witness == _gap_witness(members, scan)
 
     @settings(max_examples=30, deadline=None)
