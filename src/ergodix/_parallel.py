@@ -147,11 +147,9 @@ def window_points(
     return point_table(blocks, lo, hi)
 
 
-def table_means(
-    fn: Callable[[np.ndarray], Sequence], windows: Sequence, complex_valued: bool = False
-) -> np.ndarray:
+def table_means(fn: Callable[[np.ndarray], Sequence], windows: Sequence) -> np.ndarray:
     """Mean of a table integrand over each window, dividing by ``w.size``, as
-    a float64 (complex128 when ``complex_valued``) array.
+    a float64 array, or complex128 when the values are complex.
 
     ``fn`` gets the distinct elements of the union of the windows once, as
     the rows of a (T, q) integer table in first-seen order, and returns their
@@ -160,6 +158,5 @@ def table_means(
     """
     points, rows = window_points(windows)
     values = np.asarray(fn(points))
-    mean = fmean_complex if complex_valued else fmean
+    mean = fmean_complex if np.iscomplexobj(values) else fmean
     return np.array([mean(values[r], w.size) for w, r in zip(windows, rows)])
-

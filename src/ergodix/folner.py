@@ -95,10 +95,6 @@ class Homomorphism:
         return Homomorphism(rows)
 
     @staticmethod
-    def zero(q: int) -> "Homomorphism":
-        return Homomorphism.scalar(q, 0)
-
-    @staticmethod
     def from_matrix(rows: Sequence[Sequence[int]]) -> "Homomorphism":
         """The homomorphism of an integer matrix; Python and numpy integers
         are accepted, and anything else, a float included, raises ValueError

@@ -4,8 +4,8 @@ Each check draws from a seeded generator and returns ``(passed, detail)``,
 where a failing sub-law names itself in ``detail``; ``run_all`` records each
 outcome under the check's name in ``ALL_CHECKS``.  The CLI ``invariants``
 subcommand runs the full battery and fails the run when any record fails.
-Trial counts scale with a single knob so the battery can run quickly in CI
-and exhaustively on demand.
+Trial counts scale with a single knob, with at least one trial per loop,
+so the battery runs quickly in CI and exhaustively on demand.
 """
 
 from __future__ import annotations
@@ -24,6 +24,11 @@ class InvariantResult:
     name: str
     passed: bool
     detail: str = ""
+
+
+def _trials(count: int, scale: float) -> int:
+    """``count`` trials scaled by ``scale``, and at least one at any scale."""
+    return max(1, int(count * scale))
 
 
 # --- lattice ---------------------------------------------------------------
@@ -54,7 +59,7 @@ def check_tempelman_bound(rng, scale=1.0) -> tuple[bool, str]:
 
 
 def check_shift_invariance(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(int(20 * scale)):
+    for _ in range(_trials(20, scale)):
         q = int(rng.integers(1, 3))
         n = int(rng.integers(1, 6))
         w = folner.box_window(q, n)
@@ -82,7 +87,7 @@ def check_density_complement(rng, scale=1.0) -> tuple[bool, str]:
 
 
 def check_best_shift_bound(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(int(10 * scale)):
+    for _ in range(_trials(10, scale)):
         mod = int(rng.integers(2, 6))
         cands = [(j,) for j in range(mod)]
         pred = folner.ResidueClassSet(mod, (0,))
@@ -98,7 +103,7 @@ def check_best_shift_bound(rng, scale=1.0) -> tuple[bool, str]:
 # --- operators ---------------------------------------------------------------
 
 def check_cauchy_schwarz(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(int(1000 * scale)):
+    for _ in range(_trials(1000, scale)):
         n = int(rng.integers(2, 6))
         st = operators.trace_state(n) if rng.integers(0, 2) else \
             sampling.unitary_with_invariant_state(rng, n)[1]
@@ -112,7 +117,7 @@ def check_cauchy_schwarz(rng, scale=1.0) -> tuple[bool, str]:
 
 
 def check_tracial_bound(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(int(300 * scale)):
+    for _ in range(_trials(300, scale)):
         n = int(rng.integers(2, 6))
         st = operators.trace_state(n)
         a, b, c = (sampling.ginibre(rng, n) for _ in range(3))
@@ -125,7 +130,7 @@ def check_tracial_bound(rng, scale=1.0) -> tuple[bool, str]:
 
 
 def check_seminorm_dominated(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(int(300 * scale)):
+    for _ in range(_trials(300, scale)):
         n = int(rng.integers(2, 6))
         st = operators.trace_state(n) if rng.integers(0, 2) else \
             sampling.unitary_with_invariant_state(rng, n)[1]
@@ -136,7 +141,7 @@ def check_seminorm_dominated(rng, scale=1.0) -> tuple[bool, str]:
 
 
 def check_state_positivity(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(int(300 * scale)):
+    for _ in range(_trials(300, scale)):
         n = int(rng.integers(2, 6))
         st = operators.trace_state(n) if rng.integers(0, 2) else \
             sampling.unitary_with_invariant_state(rng, n)[1]
@@ -148,7 +153,7 @@ def check_state_positivity(rng, scale=1.0) -> tuple[bool, str]:
 
 
 def check_adjoint_antihomomorphism(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(int(100 * scale)):
+    for _ in range(_trials(100, scale)):
         n = int(rng.integers(2, 6))
         a, b = sampling.ginibre(rng, n), sampling.ginibre(rng, n)
         if np.linalg.norm(operators.adjoint(a @ b)
@@ -158,7 +163,7 @@ def check_adjoint_antihomomorphism(rng, scale=1.0) -> tuple[bool, str]:
 
 
 def check_tensor_norm(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(int(50 * scale)):
+    for _ in range(_trials(50, scale)):
         n, m = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         a, b = sampling.ginibre(rng, n), sampling.ginibre(rng, m)
         lhs = operators.operator_norm(operators.tensor(a, b))
@@ -169,7 +174,7 @@ def check_tensor_norm(rng, scale=1.0) -> tuple[bool, str]:
 
 
 def check_conjugate_state(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(int(100 * scale)):
+    for _ in range(_trials(100, scale)):
         n = int(rng.integers(2, 5))
         st = operators.trace_state(n) if rng.integers(0, 2) else \
             sampling.unitary_with_invariant_state(rng, n)[1]
@@ -184,7 +189,7 @@ def check_conjugate_state(rng, scale=1.0) -> tuple[bool, str]:
 
 
 def check_telescope_identity(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(int(100 * scale)):
+    for _ in range(_trials(100, scale)):
         n = int(rng.integers(2, 5))
         k = int(rng.integers(1, 5))
         cs = [sampling.ginibre(rng, n) for _ in range(k)]
@@ -204,7 +209,7 @@ def check_telescope_identity(rng, scale=1.0) -> tuple[bool, str]:
 # --- systems -----------------------------------------------------------------
 
 def check_automorphism_laws(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(int(30 * scale)):
+    for _ in range(_trials(30, scale)):
         fs = sampling.random_finite_system(rng)
         a, b = sampling.ginibre(rng, fs.dim), sampling.ginibre(rng, fs.dim)
         g = tuple(int(x) for x in rng.integers(-4, 5, size=fs.q))
@@ -228,7 +233,7 @@ def check_automorphism_laws(rng, scale=1.0) -> tuple[bool, str]:
 
 def check_window_independence(rng, scale=1.0) -> tuple[bool, str]:
     sl = systems.shift_system(1, 2)
-    for _ in range(int(30 * scale)):
+    for _ in range(_trials(30, scale)):
         obs = sampling.random_local_observable(rng, 1, 2)
         base = sl.expect(obs)
         # manual contraction over an enlarged window
@@ -243,7 +248,7 @@ def check_window_independence(rng, scale=1.0) -> tuple[bool, str]:
 
 
 def check_product_system_law(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(int(100 * scale)):
+    for _ in range(_trials(100, scale)):
         fs = sampling.random_finite_system(rng)
         doubled = systems.product_system(fs)
         a, b = sampling.ginibre(rng, fs.dim), sampling.ginibre(rng, fs.dim)
@@ -307,7 +312,7 @@ def check_folner_independence(rng, scale=1.0) -> tuple[bool, str]:
 
 
 def check_gamma_consistency(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(int(10 * scale)):
+    for _ in range(_trials(10, scale)):
         fs = sampling.random_finite_system(rng, q=1)
         a = sampling.ginibre(rng, fs.dim)
         spec = mixing.HigherOrderSpec(
@@ -357,7 +362,7 @@ def _random_sequence(rng, dim: int) -> vdc.VectorSequence:
 
 
 def check_vdc_inequalities(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(int(200 * scale)):
+    for _ in range(_trials(200, scale)):
         dim = int(rng.integers(1, 9))
         f = _random_sequence(rng, dim)
         w1 = folner.box_window(1, int(rng.integers(1, 9)))
@@ -370,7 +375,7 @@ def check_vdc_inequalities(rng, scale=1.0) -> tuple[bool, str]:
 
 
 def check_difference_sum(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(int(200 * scale)):
+    for _ in range(_trials(200, scale)):
         n = int(rng.integers(1, 9))
         seed = int(rng.integers(0, 2 ** 32))
         res = vdc.difference_sum_bound(lambda lags: 3.0 * _uniforms(seed, lags, 1)[:, 0],
@@ -383,7 +388,7 @@ def check_difference_sum(rng, scale=1.0) -> tuple[bool, str]:
 def check_smoothing_consistency(rng, scale=1.0) -> tuple[bool, str]:
     """Replacing f by its window-smoothed version moves the average by at most
     the bound times the worst translate defect."""
-    for _ in range(int(20 * scale)):
+    for _ in range(_trials(20, scale)):
         dim = int(rng.integers(1, 5))
         f = _random_sequence(rng, dim)
         m = int(rng.integers(4, 9))
@@ -402,7 +407,7 @@ def check_smoothing_consistency(rng, scale=1.0) -> tuple[bool, str]:
 # --- compactness ---------------------------------------------------------
 
 def check_isometry(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(int(30 * scale)):
+    for _ in range(_trials(30, scale)):
         fs = sampling.random_finite_system(rng)
         a, b = sampling.ginibre(rng, fs.dim), sampling.ginibre(rng, fs.dim)
         g = tuple(int(x) for x in rng.integers(-4, 5, size=fs.q))
@@ -425,7 +430,7 @@ def check_separated_monotone(rng, scale=1.0) -> tuple[bool, str]:
 
 
 def check_chain_inequality(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(int(20 * scale)):
+    for _ in range(_trials(20, scale)):
         fs = sampling.random_finite_system(rng, q=1)
         a = sampling.ginibre(rng, fs.dim)
         g = (int(rng.integers(-4, 5)),)
@@ -441,7 +446,7 @@ def check_perturbed_product(rng, scale=1.0) -> tuple[bool, str]:
     """Perturbing each factor of a power b^{k+1} by < eps/(k+1) in the
     omega-seminorm (with all factors norm-bounded by 1) moves |omega(prod)| by
     less than eps."""
-    for _ in range(int(30 * scale)):
+    for _ in range(_trials(30, scale)):
         n = int(rng.integers(2, 5))
         st = operators.trace_state(n)
         b = sampling.random_positive(rng, n)
@@ -470,7 +475,7 @@ def check_perturbed_product(rng, scale=1.0) -> tuple[bool, str]:
 # --- spectral ---------------------------------------------------------------
 
 def check_koopman_unitarity(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(int(10 * scale)):
+    for _ in range(_trials(10, scale)):
         fs = sampling.random_finite_system(rng)
         gns = spectral.gns_build(fs)
         for j in range(fs.q):
@@ -499,7 +504,7 @@ def check_factor_invariance(rng, scale=1.0) -> tuple[bool, str]:
     split = spectral.koopman_split(cs)
     fac = spectral.eigenoperator_factor(cs, split)
     basis = fac.basis
-    for _ in range(int(10 * scale)):
+    for _ in range(_trials(10, scale)):
         g = tuple(int(x) for x in rng.integers(-3, 4, size=2))
         for row in basis:
             mat = row.reshape(3, 3)

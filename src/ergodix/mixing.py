@@ -99,8 +99,7 @@ def ergodic_average(
     windows: Sequence[FolnerWindow],
 ) -> ErgodicAverage:
     target = evaluate(sys, [(a, None, zero(hom.q))]) * evaluate(sys, [(b, None, zero(hom.q))])
-    means = table_means(lambda pts: evaluate_table(sys, [(a, None, pts), (b, hom, pts)]).tolist(),
-                        windows, complex_valued=True)
+    means = table_means(lambda pts: evaluate_table(sys, [(a, None, pts), (b, hom, pts)]), windows)
     return ErgodicAverage(n=np.array([w.index for w in windows]), values=means,
                           product_value=target)
 

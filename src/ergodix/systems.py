@@ -365,34 +365,22 @@ class LocalObservable:
 def _strip_identity_legs(
     support: tuple[GroupElement, ...], tensor: np.ndarray, d: int
 ) -> tuple[tuple[GroupElement, ...], np.ndarray]:
-    changed = True
-    while changed and len(support) > 0:
-        changed = False
-        k = len(support)
-        t = tensor.reshape((d,) * (2 * k))
-        for leg in range(k):
-            rest = d ** (k - 1)
-            axes = [leg] + [i for i in range(k) if i != leg]
-            axes += [k + a for a in axes[:k]]
-            moved = t.transpose(axes).reshape(d, rest, d, rest)
-            block = sum(moved[i, :, i, :] for i in range(d)) / d
-            ok = True
-            for i in range(d):
-                for j in range(d):
-                    target = block if i == j else np.zeros_like(block)
-                    if not np.allclose(moved[i, :, j, :], target, atol=1e-12, rtol=0.0):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                support = tuple(s for idx, s in enumerate(support) if idx != leg)
-                tensor = block.copy()
-                changed = True
-                break
-    if len(support) == 0 and tensor.shape != (1, 1):
-        tensor = tensor.reshape(1, 1)
-    return support, tensor
+    """Drop each leg on which the tensor is I_d (x) block to within 1e-12
+    entrywise, block being its partial trace over that leg divided by d;
+    the scan restarts at leg 0 after each strip."""
+    leg = 0
+    while leg < len(support):
+        k, rest = len(support), d ** (len(support) - 1)
+        axes = [leg] + [i for i in range(k) if i != leg]
+        axes += [k + a for a in axes[:k]]
+        moved = tensor.reshape((d,) * (2 * k)).transpose(axes).reshape(d, rest, d, rest)
+        block = sum(moved[i, :, i, :] for i in range(d)) / d
+        target = np.where(np.eye(d, dtype=bool)[:, None, :, None], block[None, :, None, :], 0)
+        if np.allclose(moved, target, atol=1e-12, rtol=0.0):
+            support, tensor, leg = support[:leg] + support[leg + 1:], block, 0
+        else:
+            leg += 1
+    return support, tensor.reshape(1, 1) if not support else tensor
 
 
 def single_site(site: Union[int, Sequence[int]], matrix, q: int = 1) -> LocalObservable:

@@ -196,18 +196,20 @@ def _gamma_empirical(vals: np.ndarray, rows: np.ndarray, size: int) -> np.ndarra
     return np.array(ordered_map(lambda r: complex(np.vdot(a, vals[r])) / size, rows.T), complex)
 
 
-def _gamma_box1(vals: np.ndarray, radius: int, size: int) -> np.ndarray:
-    """gamma_h for h = -radius..radius on a one-dimensional box, as one FFT
-    cross-correlation: ``vals`` is f on the lag support in order, so W is the
-    run of ``size`` rows from row ``radius`` and g + h stays inside ``vals``
-    for every lag.  With the rows of W at c = 0..size-1, the circular
-    correlation c_k = sum_c <f(W_c), f(support_{c+k})> over a length
-    L >= len(vals) never wraps, and gamma_h = c_{radius+h} / |W|."""
-    length = 1 << (len(vals) - 1).bit_length()
-    fw = np.fft.fft(vals[radius:radius + size], n=length, axis=0)
-    fs = np.fft.fft(vals, n=length, axis=0)
-    corr = np.fft.ifft((fw.conj() * fs).sum(axis=1))
-    return corr[:2 * radius + 1] / size
+def _gamma_box(vals: np.ndarray, window: FolnerWindow, radius: int) -> np.ndarray:
+    """gamma_h for h in {-radius..radius}^q, in sorted tuple order, on a box W
+    in Z^q as one FFT cross-correlation over the q group axes.  ``vals`` is f
+    on W grown by ``radius`` on every axis, in C order, so W starts at offset
+    ``radius`` on every axis.  With W at offsets c in {0..2n}^q, the circular
+    correlation c_k = sum_c <f(W_c), f(support_{c+k})> over a power-of-two
+    length L >= side on each axis never wraps: gamma_h = c_{radius+h} / |W|."""
+    q, width, side = window.q, 2 * window.index + 1, 2 * (window.index + radius) + 1
+    grid = vals.reshape((side,) * q + (-1,))
+    axes, lengths = tuple(range(q)), (1 << (side - 1).bit_length(),) * q
+    fw = np.fft.fftn(grid[(slice(radius, radius + width),) * q], s=lengths, axes=axes)
+    fs = np.fft.fftn(grid, s=lengths, axes=axes)
+    corr = np.fft.ifftn((fw.conj() * fs).sum(axis=-1))
+    return corr[(slice(2 * radius + 1),) * q].reshape(-1) / window.size
 
 
 def vdc_verdict(
@@ -230,28 +232,26 @@ def vdc_verdict(
     windows = sorted(windows, key=lambda w: w.size)
     largest = windows[-1]
     table = difference_counts(largest)
+    lags = table[0]
+    if h_max is not None:
+        lags = lags[np.abs(lags).max(axis=1) <= h_max]
     # f is tabulated once on the lag support of the largest window and on
     # every window; the lag estimates and the averages read the same table
-    box1 = largest.shape == "box" and largest.q == 1
-    if box1:
-        # no lag of W^-1 W exceeds 2n
-        radius = 2 * largest.index if h_max is None else min(h_max, 2 * largest.index)
-        reach = largest.index + radius
-        support = box_window(1, reach, largest.center).element_array()
-        lags = np.arange(-radius, radius + 1, dtype=np.int64)[:, None]
+    box = largest.shape == "box"
+    if box:
+        # the box grown by the largest lag on every axis, in C order
+        radius = int(lags.max())
+        support = box_window(largest.q, largest.index + radius, largest.center).element_array()
     else:
-        lags = table[0]
-        if h_max is not None:
-            lags = lags[np.abs(lags).max(axis=1) <= h_max]
         gs = largest.element_array()
         # every g + h, g-major; W itself is among them, at h = 0
         support = (gs[:, None, :] + lags[None, :, :]).reshape(-1, largest.q)
     # the support leads the table: a box keeps its rows' indices, and in the
-    # generic path rows[i, j] is the row of g_i + h_j
+    # custom-window path rows[i, j] is the row of g_i + h_j
     points, window_rows = window_points(windows, lead=support)
     vals = f.table(points)
-    if box1:
-        gamma = _gamma_box1(vals[:len(support)], radius, largest.size)
+    if box:
+        gamma = _gamma_box(vals[:len(support)], largest, radius)
     else:
         rows = window_rows[0].reshape(len(gs), len(lags))
         gamma = _gamma_empirical(vals, rows, largest.size)

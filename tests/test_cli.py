@@ -715,21 +715,21 @@ class TestInvariantsCommand:
                      "--seed", "3"]) == 0
         assert read_json(out / "invariants.json")["seed"] == 3
 
-    @pytest.mark.parametrize("module, attr, broken, name, detail, scale", [
+    @pytest.mark.parametrize("module, attr, broken, name, detail", [
         (folner, "shift_window", lambda w, h: folner.box_window(w.q, w.index + 1),
-         "folner/shift-invariance", "shift-preserves-size: ", 0.05),
+         "folner/shift-invariance", "shift-preserves-size: "),
         (vdc, "check_double_average_bound",
          lambda f, w1, w2: types.SimpleNamespace(holds=False),
-         "vdc/inequalities", "double-average-bound", 0.05),
+         "vdc/inequalities", "double-average-bound"),
         # every empirical gamma reads 1, so some lag leaves its closed form;
-        # the check runs int(10 * scale) trials, none at scale 0.05
+        # every check runs at least one trial, also at scale 0.05
         (mixing, "fmean_complex", lambda values, size: 1.0 + 0j,
-         "mixing/gamma-consistency", "h=(", 0.1),
+         "mixing/gamma-consistency", "h=(-9,) difference=1.1"),
     ])
     def test_a_failing_sub_law_keeps_the_listed_name(self, tmp_path, monkeypatch, module,
-                                                      attr, broken, name, detail, scale):
+                                                      attr, broken, name, detail):
         monkeypatch.setattr(module, attr, broken)
-        cfg = write_cfg(tmp_path, "c.json", {"seed": 11, "scale": scale})
+        cfg = write_cfg(tmp_path, "c.json", {"seed": 11, "scale": 0.05})
         out = tmp_path / "o"
         assert main(["invariants", "--config", cfg, "--out", str(out)]) == 1
         results = read_json(out / "invariants.json")["results"]

@@ -99,7 +99,7 @@ class TestWindowMeans:
                 total = fsum_complex(complex_integrand(g) for g in w.iter_elements())
                 expected.append(complex(total.real / w.size, total.imag / w.size))
             for _ in batch_sizes(monkeypatch):
-                means = table_means(per_row(complex_integrand), windows, complex_valued=True)
+                means = table_means(per_row(complex_integrand), windows)
                 assert means.dtype == np.complex128 and means.tolist() == expected
 
     def test_each_point_evaluated_once(self):

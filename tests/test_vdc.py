@@ -1,13 +1,21 @@
 import cmath
+import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ergodix
 from ergodix._parallel import fsum_complex
 from ergodix.invariants import _random_sequence
-from ergodix.folner import add, box_window, custom_window, difference_counts, inverse_product
+from ergodix.folner import (
+    add, box_schedule, box_window, custom_window, difference_counts, inverse_product)
 from ergodix.vdc import (
     VectorSequence,
     average_vector,
@@ -283,7 +291,7 @@ class TestVdcVerdict:
         assert abs(rep.double_average[0].imag) < 1e-12
 
     def test_plane_window_report(self):
-        # two-dimensional boxes go through the generic lag path
+        # two-dimensional boxes take the FFT lag path too
         f = VectorSequence(
             lambda pts: np.exp(2j * np.pi * ALPHA * (pts ** 2).sum(axis=1).astype(float))[:, None],
             bound=1.0, dim=1)
@@ -393,8 +401,6 @@ class TestGenericLagPath:
         (SCATTERED, 12),
         ([custom_window(2, [(0, 0), (1, -2), (-3, 4), (5, 5), (2, -7), (-6, -1), (4, 0)])],
          None),
-        ([box_window(2, n) for n in (1, 2, 3)], None),
-        ([box_window(2, n) for n in (1, 3)], 2),
         # coordinates whose sums and differences leave int64
         ([custom_window(1, [0, 7, 2 ** 62, 5 - 2 ** 62])], None),
     ])
@@ -420,24 +426,29 @@ class TestGenericLagPath:
 
 
 def vdot_box_reference(f, windows, h_max):
-    """gamma of the largest q = 1 box by one ``np.vdot`` per lag over f on
+    """gamma of the largest box in Z^q by one ``np.vdot`` per lag over f on
     its lag support, and each window's statistic and double average from it
-    (the overlap of a box with its h-translate is 2n + 1 - |h|)."""
+    (the overlap of a box with its h-translate is prod_i (2n + 1 - |h_i|))."""
     windows = sorted(windows, key=lambda w: w.size)
     largest = windows[-1]
-    n, (c,) = largest.index, largest.center
+    n, q = largest.index, largest.q
     radius = 2 * n if h_max is None else min(h_max, 2 * n)
-    vals = np.stack([f((x,)) for x in range(c - n - radius, c + n + radius + 1)])
-    size = largest.size
-    own = vals[radius:radius + size]
-    gamma = {(h,): complex(np.vdot(own, vals[radius + h:radius + h + size])) / size
-             for h in range(-radius, radius + 1)}
+    side, width = 2 * (n + radius) + 1, 2 * n + 1
+    support = box_window(q, n + radius, largest.center).iter_elements()
+    vals = np.stack([f(g) for g in support]).reshape((side,) * q + (f.dim,))
+
+    def at(h):
+        return vals[tuple(slice(radius + x, radius + x + width) for x in h)]
+
+    gamma = {h: complex(np.vdot(at((0,) * q), at(h))) / largest.size
+             for h in itertools.product(range(-radius, radius + 1), repeat=q)}
     statistic, double_avg = [], []
     for w in windows:
-        lags = [h for h in range(-2 * w.index, 2 * w.index + 1) if (h,) in gamma]
-        statistic.append(math.fsum(abs(gamma[(h,)]) for h in lags) / w.size)
-        double_avg.append(fsum_complex((w.size - abs(h)) * gamma[(h,)] for h in lags)
-                          / w.size ** 2)
+        lags = [h for h in itertools.product(range(-2 * w.index, 2 * w.index + 1), repeat=q)
+                if h in gamma]
+        statistic.append(math.fsum(abs(gamma[h]) for h in lags) / w.size)
+        double_avg.append(fsum_complex(math.prod(2 * w.index + 1 - abs(x) for x in h) * gamma[h]
+                                       for h in lags) / w.size ** 2)
     return gamma, statistic, double_avg
 
 
@@ -450,6 +461,8 @@ class TestBoxLagPath:
         [box_window(1, 300)],
         # a smaller window off the largest one's lag support
         [box_window(1, 2, center=900), box_window(1, 300, center=123)],
+        [box_window(2, 1, center=(60, -7)), box_window(2, 4, center=(3, 5))],
+        [box_window(3, 1, center=(0, 2 ** 62, -9))],
     ])
     @pytest.mark.parametrize("h_max", [None, 0, 3])
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -464,6 +477,55 @@ class TestBoxLagPath:
             assert abs(s - ref) <= 1e-12
         for d, ref in zip(rep.double_average, double_avg, strict=True):
             assert abs(d - ref) <= 1e-12
+
+    @pytest.mark.parametrize("windows, h_max", [
+        ([box_window(2, n) for n in (1, 2, 3)], None),
+        ([box_window(2, n) for n in (1, 3)], 2),
+    ])
+    def test_plane_boxes_match_per_lag_vdot(self, windows, h_max):
+        # the FFT moves gamma in the last bit, and the columns read from it;
+        # the window indices and the averages hold exactly
+        f = random_sequence(77, dim=3)
+        rep = vdc_verdict(f, windows, h_max=h_max)
+        gamma, statistic, double_avg = vdot_box_reference(f, windows, h_max)
+        _, n, _, _, averages = reference_vdc(f, windows, h_max)
+        assert list(gamma_table(rep)) == list(gamma)
+        for h, g in gamma_table(rep).items():
+            assert abs(g - gamma[h]) <= 1e-13
+        for s, ref in zip(rep.statistic, statistic, strict=True):
+            assert abs(s - ref) <= 1e-13
+        for d, ref in zip(rep.double_average, double_avg, strict=True):
+            assert abs(d - ref) <= 1e-13
+        assert rep.n.tolist() == n
+        assert rep.averages.tolist() == averages
+
+    def test_plane_schedule_stays_small(self):
+        # the per-lag path held |W| * |W^-1 W| row indices: 299 MB at n = 16
+        f = weyl_quadratic_sequence(ALPHA, np.array([0.6, 0.8j]))
+        tracemalloc.start()
+        try:
+            vdc_verdict(f, box_schedule(2, 12, 24, 12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
+    def test_blas_threads_do_not_change_plane_bytes(self):
+        src = str(Path(ergodix.__file__).resolve().parent.parent)
+        script = ("import sys, numpy as np\n"
+                  "from ergodix.folner import box_schedule\n"
+                  "from ergodix.vdc import vdc_verdict, weyl_quadratic_sequence\n"
+                  f"f = weyl_quadratic_sequence({ALPHA!r}, np.array([0.6, 0.8j]))\n"
+                  "rep = vdc_verdict(f, box_schedule(2, 12, 24, 12))\n"
+                  "for col in (rep.gamma, rep.statistic, rep.double_average, rep.averages):\n"
+                  "    sys.stdout.write(col.tobytes().hex())\n")
+        outs = []
+        for threads in ("1", "4"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            outs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                       capture_output=True, timeout=120).stdout)
+        assert outs[0] and outs[0] == outs[1]
 
     @pytest.mark.parametrize("h_max", [5, 20, 100])
     def test_lags_clamped_to_difference_set(self, h_max):
