@@ -27,8 +27,9 @@ R = TypeVar("R")
 
 _INT64_MAX = 2 ** 63 - 1
 # Blocks are keyed and merged into the table in batches of at least this many
-# rows: large enough that a schedule of small windows costs a few numpy calls,
-# small enough that a schedule of large ones never holds all its rows at once.
+# rows, and cut into pieces of at most this many: large enough that a schedule
+# of small windows costs a few numpy calls, small enough that no sort holds a
+# large window or lag support whole.
 _BATCH_ROWS = 1 << 16
 
 
@@ -75,15 +76,19 @@ def lex_keys(*blocks: np.ndarray) -> list[np.ndarray]:
     return [key(b) for b in blocks]
 
 
-def _batches(blocks: Iterable[np.ndarray]) -> Iterator[list[np.ndarray]]:
-    """Consecutive blocks grouped until a group holds _BATCH_ROWS rows."""
+def _batches(blocks: Iterable[np.ndarray]) -> Iterator[list[tuple[np.ndarray, bool]]]:
+    """Consecutive pieces of at most _BATCH_ROWS rows of the blocks, grouped
+    until a group holds _BATCH_ROWS rows, each with whether it ends its block."""
     batch, count = [], 0
     for block in blocks:
-        batch.append(block)
-        count += len(block)
-        if count >= _BATCH_ROWS:
-            yield batch
-            batch, count = [], 0
+        starts = range(0, max(len(block), 1), _BATCH_ROWS)
+        for start in starts:
+            piece = block[start:start + _BATCH_ROWS]
+            batch.append((piece, start == starts[-1]))
+            count += len(piece)
+            if count >= _BATCH_ROWS:
+                yield batch
+                batch, count = [], 0
     if batch:
         yield batch
 
@@ -95,18 +100,20 @@ def point_table(
     and for each block the indices of its rows in that table.
 
     Rows are matched by their :func:`row_keys` in the box [lo, hi], which
-    must contain every row.  Blocks are drawn lazily and merged a batch at a
-    time into a sorted union of the keys seen so far, so a schedule of large
-    windows never holds more than one batch of rows besides the table.
+    must contain every row.  Blocks are drawn lazily, cut into pieces of at
+    most _BATCH_ROWS rows, and merged a batch at a time into a sorted union
+    of the keys seen so far, so no call keys or sorts 2 * _BATCH_ROWS rows
+    or more.  A block's indices are those of its pieces, joined.
     """
     key = row_keys(lo, hi)
     seen: Optional[np.ndarray] = None  # sorted keys of the table rows
     seen_ids = np.empty(0, dtype=np.int64)  # the table row of each
     table: list[np.ndarray] = []
     rows: list[np.ndarray] = []
+    pieces: list[np.ndarray] = []  # the indices of the block being cut
     size = 0
     for batch in _batches(blocks):
-        pts = np.concatenate(batch) if len(batch) > 1 else batch[0]
+        pts = np.concatenate([p for p, _ in batch]) if len(batch) > 1 else batch[0][0]
         keys, first, inverse = np.unique(key(pts), return_index=True, return_inverse=True)
         if seen is None:
             seen = keys[:0]
@@ -124,8 +131,12 @@ def point_table(
         new.sort()
         seen = np.insert(seen, at[new], keys[new])
         seen_ids = np.insert(seen_ids, at[new], ids[new])
-        ends = np.cumsum([len(b) for b in batch])
-        rows.extend(np.split(ids[inverse], ends[:-1]))
+        ends = np.cumsum([len(p) for p, _ in batch])
+        for (_, last), r in zip(batch, np.split(ids[inverse], ends[:-1])):
+            pieces.append(r)
+            if last:
+                rows.append(np.concatenate(pieces) if len(pieces) > 1 else r)
+                pieces = []
     if not table:
         return np.empty((0, len(lo)), dtype=np.int64), rows
     return np.concatenate(table), rows

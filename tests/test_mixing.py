@@ -31,7 +31,7 @@ from ergodix.systems import (
     rotation_algebra_system,
     shift_system,
 )
-from test_parallel import per_row
+from test_parallel import batch_sizes, per_row
 
 M1 = Homomorphism.scalar(1, 1)
 M2 = Homomorphism.scalar(1, 2)
@@ -286,7 +286,7 @@ class TestGammaSequence:
             assert closed == pytest.approx(expected, abs=1e-14)
             assert difference < 1e-12
 
-    def test_finite_system_dual_computation(self):
+    def test_finite_system_dual_computation(self, monkeypatch):
         rng = np.random.default_rng(99)
         for _ in range(10):
             fs = random_finite_system(rng, q=1)
@@ -296,6 +296,13 @@ class TestGammaSequence:
                 homs=(Homomorphism.scalar(1, int(rng.integers(1, 4))),))
             rep = gamma_sequence(fs, spec, box_schedule(1, 2, 6))
             assert rep.difference.max() < 1e-9
+            # the same bits when the lead of 26 window translates is keyed
+            # in pieces
+            for _ in batch_sizes(monkeypatch):
+                again = gamma_sequence(fs, spec, box_schedule(1, 2, 6))
+                assert again.lags.tolist() == rep.lags.tolist()
+                assert again.empirical.tolist() == rep.empirical.tolist()
+                assert again.closed_form.tolist() == rep.closed_form.tolist()
 
     def test_finite_q2_dual_computation(self):
         rng = np.random.default_rng(321)

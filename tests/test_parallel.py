@@ -45,19 +45,43 @@ def first_seen(windows):
     return list(dict.fromkeys(g for w in windows for g in w.iter_elements()))
 
 
+def assert_first_seen(blocks, table, rows):
+    """The table is the distinct rows of the blocks in first-seen order, and
+    each block's indices read its rows back from it."""
+    expected = list(dict.fromkeys(tuple(r) for b in blocks for r in b.tolist()))
+    assert list(map(tuple, table.tolist())) == expected
+    for b, r in zip(blocks, rows, strict=True):
+        assert [expected[i] for i in r.tolist()] == list(map(tuple, b.tolist()))
+
+
 class TestPointTable:
     @pytest.mark.parametrize("offset", [0, FAR])
     def test_first_seen_rows(self, monkeypatch, offset):
         rng = np.random.default_rng(11)
         blocks = [rng.integers(-4, 5, size=(k, 2)).astype(object) + offset
                   for k in (1, 9, 40, 3, 25)]
-        expected = list(dict.fromkeys(tuple(r) for b in blocks for r in b.tolist()))
         flat = [x for b in blocks for r in b.tolist() for x in r]
         for _ in batch_sizes(monkeypatch):
             table, rows = point_table(iter(blocks), [min(flat)] * 2, [max(flat)] * 2)
-            assert list(map(tuple, table.tolist())) == expected
-            for b, r in zip(blocks, rows, strict=True):
-                assert [expected[i] for i in r.tolist()] == list(map(tuple, b.tolist()))
+            assert_first_seen(blocks, table, rows)
+
+    def test_long_block_keyed_in_pieces(self, monkeypatch):
+        # no call keys (and so sorts) a whole block longer than a batch
+        monkeypatch.setattr(_parallel, "_BATCH_ROWS", 7)
+        keyed = []
+        real_keys = _parallel.row_keys
+
+        def counting_keys(lo, hi):
+            key = real_keys(lo, hi)
+            return lambda rows: keyed.append(len(rows)) or key(rows)
+
+        monkeypatch.setattr(_parallel, "row_keys", counting_keys)
+        rng = np.random.default_rng(12)
+        blocks = [rng.integers(-6, 7, size=(k, 2)) for k in (2, 40, 3, 14, 1, 5)]
+        table, rows = point_table(iter(blocks), [-6, -6], [6, 6])
+        assert sum(keyed) == 65 and max(keyed) < 2 * 7
+        assert_first_seen(blocks, table, rows)
+        assert all(r.dtype == np.int64 for r in rows)
 
     def test_key_dtype(self):
         assert row_keys([0, -5], [10, 5])(np.array([[3, 2]])).dtype == np.int64

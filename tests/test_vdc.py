@@ -18,6 +18,7 @@ from ergodix.folner import (
     add, box_schedule, box_window, custom_window, difference_counts, inverse_product)
 from ergodix.vdc import (
     VectorSequence,
+    _gamma_box,
     average_vector,
     check_double_average_bound,
     check_window_cauchy_schwarz,
@@ -27,7 +28,7 @@ from ergodix.vdc import (
     vdc_verdict,
     weyl_quadratic_sequence,
 )
-from test_parallel import per_row
+from test_parallel import batch_sizes, per_row
 
 ALPHA = math.sqrt(2.0) - 1.0
 
@@ -173,13 +174,16 @@ class TestDoubleAverageTable:
         (custom_window(1, [0, 5, 2 ** 62 + 1]), box_window(1, 3, 2 ** 62)),
         (box_window(2, 1, (2 ** 62, -(2 ** 62))), custom_window(2, [(2 ** 62, 1), (0, -5)])),
     ])
-    def test_matches_tuple_loop(self, inner, outer):
+    def test_matches_tuple_loop(self, monkeypatch, inner, outer):
         f = random_sequence(31, dim=3)
         res = check_double_average_bound(f, inner, outer)
         lhs, rhs = reference_double_average(f, inner, outer)
         assert res.lhs == pytest.approx(lhs, rel=1e-12, abs=0)
         assert res.rhs == pytest.approx(rhs, rel=1e-12, abs=0)
         assert res.holds
+        # the same bits when the lead of sums is keyed in pieces
+        for _ in batch_sizes(monkeypatch):
+            assert check_double_average_bound(f, inner, outer) == res
 
     def test_sequence_called_once_per_distinct_sum(self):
         seen = []
@@ -188,6 +192,16 @@ class TestDoubleAverageTable:
         check_double_average_bound(f, box_window(2, 1), box_window(2, 2))
         # the sums of the two boxes fill the radius-3 box
         assert sorted(seen) == list(box_window(2, 3).iter_elements())
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_gamma(seed: int):
@@ -404,15 +418,16 @@ class TestGenericLagPath:
         # coordinates whose sums and differences leave int64
         ([custom_window(1, [0, 7, 2 ** 62, 5 - 2 ** 62])], None),
     ])
-    def test_bit_identical_to_tuple_arithmetic(self, windows, h_max):
+    def test_bit_identical_to_tuple_arithmetic(self, monkeypatch, windows, h_max):
         f = random_sequence(77, dim=3)
-        rep = vdc_verdict(f, windows, h_max=h_max)
         gamma, n, statistic, double_avg, averages = reference_vdc(f, windows, h_max)
-        assert tuple(gamma_table(rep).items()) == gamma
-        assert rep.n.tolist() == n
-        assert rep.statistic.tolist() == statistic
-        assert rep.double_average.tolist() == double_avg
-        assert rep.averages.tolist() == averages
+        for _ in batch_sizes(monkeypatch):
+            rep = vdc_verdict(f, windows, h_max=h_max)
+            assert tuple(gamma_table(rep).items()) == gamma
+            assert rep.n.tolist() == n
+            assert rep.statistic.tolist() == statistic
+            assert rep.double_average.tolist() == double_avg
+            assert rep.averages.tolist() == averages
 
     @pytest.mark.parametrize("window", [
         custom_window(1, [-9, -4, 0, 1, 3, 11, 12, 30]),
@@ -423,6 +438,13 @@ class TestGenericLagPath:
         rep = vdc_verdict(linear_phase_sequence(ALPHA, np.array([1.0])), [window])
         ratio = inverse_product(window).size / window.size
         assert rep.statistic[0] == pytest.approx(ratio, abs=1e-9)
+
+    def test_custom_window_stays_small(self):
+        # the lattice benchmark's window: sorted whole, its support block of
+        # 401 * 801 = 321,201 rows of g + h peaked at 17.5 MB
+        f = linear_phase_sequence(ALPHA, np.array([1.0]))
+        window = custom_window(1, range(-200, 201))
+        assert traced_peak(lambda: vdc_verdict(f, [window])) < 12e6
 
 
 def vdot_box_reference(f, windows, h_max):
@@ -502,13 +524,25 @@ class TestBoxLagPath:
     def test_plane_schedule_stays_small(self):
         # the per-lag path held |W| * |W^-1 W| row indices: 299 MB at n = 16
         f = weyl_quadratic_sequence(ALPHA, np.array([0.6, 0.8j]))
-        tracemalloc.start()
-        try:
-            vdc_verdict(f, box_schedule(2, 12, 24, 12))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 50e6
+        assert traced_peak(lambda: vdc_verdict(f, box_schedule(2, 12, 24, 12))) < 50e6
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_in_place_product_matches_stacked_formula(self, q, dim):
+        window, radius = box_window(q, 2, center=(5,) * q), 3
+        side = 2 * (window.index + radius) + 1
+        rng = np.random.default_rng(100 * q + dim)
+        vals = rng.standard_normal((side ** q, dim)) + 1j * rng.standard_normal((side ** q, dim))
+        # the stacked formula: conjugated window transform times the support
+        # transform, summed over the components
+        grid = vals.reshape((side,) * q + (dim,))
+        axes, lengths = tuple(range(q)), (1 << (side - 1).bit_length(),) * q
+        width = 2 * window.index + 1
+        fw = np.fft.fftn(grid[(slice(radius, radius + width),) * q], s=lengths, axes=axes)
+        fs = np.fft.fftn(grid, s=lengths, axes=axes)
+        corr = np.fft.ifftn((fw.conj() * fs).sum(-1))
+        expected = corr[(slice(2 * radius + 1),) * q].reshape(-1) / window.size
+        assert _gamma_box(vals, window, radius).tolist() == expected.tolist()
 
     def test_blas_threads_do_not_change_plane_bytes(self):
         src = str(Path(ergodix.__file__).resolve().parent.parent)
