@@ -46,7 +46,6 @@ from .mixing import (
     HigherOrderSpec,
     MixingStatistic,
     asymptotic_abelianness,
-    density_limit_check,
     ergodic_average,
     gamma_sequence,
     higher_order_defect,

@@ -264,22 +264,6 @@ def _return_budget(sys: SystemHandle, a, k: int):
     return a_hat, eps_total, eps_return
 
 
-def covering_candidates(
-    sys: SystemHandle,
-    a,
-    exponents: Sequence[int],
-    windows: Sequence[FolnerWindow],
-) -> list[GroupElement]:
-    """Smallest residue grid {0..r-1}^q whose translates always meet the
-    return set of a, at the budget of szemeredi_average_compact, on the core
-    of a box scan reaching four past the largest window index."""
-    exps = increasing_exponents(exponents)
-    if not windows:
-        raise ValueError("need at least one window")
-    a_hat, _, eps_return = _return_budget(sys, a, len(exps))
-    return _covering_grid(_probe_returns(sys, a_hat, eps_return, exps, windows))
-
-
 def _probe_returns(sys, a_hat, eps_return, exps, windows) -> ReturnSet:
     """The return set behind the candidate-grid probe."""
     scan = box_window(sys.q, max(w.index for w in windows) + 4)
@@ -313,9 +297,10 @@ def szemeredi_average_compact(
     window onto the return set by the best candidate shift, and averages
     |omega(a prod_j tau_{m_j g}(a))| over the shifted windows.  The tail
     minimum over the last quarter of the schedule is reported and must be
-    positive.  Without candidates, the grid of covering_candidates is used,
-    and its probe's return set serves the average too wherever it covers the
-    average's scan: membership is decided point by point.
+    positive.  Without candidates, the smallest grid whose translates meet a
+    probe return set (``_covering_grid``) is used, and the probe's return set
+    serves the average too wherever it covers the average's scan:
+    membership is decided point by point.
     """
     if not sys.is_tracial:
         raise ValueError("compact Szemeredi average requires a tracial state")

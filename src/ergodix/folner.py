@@ -124,9 +124,6 @@ class Homomorphism:
         dtype = _exact_dtype(points, max(sum(map(abs, row)) for row in self.matrix))
         return points.astype(dtype) @ np.array(self.matrix, dtype=dtype).T
 
-    def __call__(self, g: GroupElement) -> GroupElement:
-        return self.apply(g)
-
     def __sub__(self, other: "Homomorphism") -> "Homomorphism":
         if self.q != other.q:
             raise ValueError("rank mismatch")
@@ -339,13 +336,10 @@ class SetPredicate:
     """Base for serializable membership predicates over Z^q.
 
     ``mask`` decides every row of a (T, q) integer table at once, exactly at
-    any coordinate size; ``contains`` is its one-row call."""
+    any coordinate size."""
 
     def mask(self, points: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def contains(self, g: Union[int, Sequence[int]]) -> bool:
-        return bool(self.mask(element_row(g))[0])
 
     def to_json(self) -> dict:  # pragma: no cover - abstract
         raise NotImplementedError

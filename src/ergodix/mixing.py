@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._parallel import fmean, fmean_complex, table_means, window_points
+from ._parallel import fmean_complex, table_means, window_points
 from .folner import (_INT64_SAFE, FolnerWindow, GroupElement, Homomorphism,
                      difference_counts, zero)
 from .systems import SystemHandle, commutator_norm_table, evaluate, evaluate_table
@@ -301,61 +301,3 @@ def gamma_sequence(
     return GammaReport(lags=lags, empirical=np.array(empirical, dtype=complex),
                        closed_form=np.array(closed, dtype=complex),
                        window_index=largest.index, kappa=kappa)
-
-
-@dataclass(frozen=True, eq=False)
-class DensityLimitReport:
-    """Window averages of f next to lower-density curves of the superlevel
-    sets {f >= eps}; the two finite-horizon verdicts must agree."""
-
-    n: np.ndarray  # int64 window indices
-    averages: np.ndarray  # float64, one per window
-    level_densities: tuple[tuple[float, np.ndarray], ...]  # (eps, ratio per window)
-    average_verdict: str
-    density_verdict: str
-    agree: bool
-
-
-def density_limit_check(
-    f,
-    windows: Sequence[FolnerWindow],
-    eps_grid: Sequence[float],
-    threshold: float = 0.05,
-) -> DensityLimitReport:
-    """Finite-horizon comparison of mean decay versus superlevel-set density
-    decay for a bounded nonnegative f on the lattice.  ``f`` takes the (T, q)
-    table of the schedule's distinct points once and returns their T values."""
-    if not windows:
-        raise ValueError("need at least one window")
-    if not eps_grid or any(e <= 0 for e in eps_grid):
-        raise ValueError("eps grid must be positive")
-    points, rows = window_points(windows)
-    values = np.asarray(f(points), dtype=np.float64)
-    if values.shape != (len(points),):
-        raise ValueError(f"f returned shape {values.shape}, expected ({len(points)},)")
-    if not (np.isfinite(values) & (values >= 0)).all():
-        raise ValueError("f must be finite and nonnegative")
-    window_vals = [values[r] for r in rows]
-    means = np.array([fmean(v, w.size) for w, v in zip(windows, window_vals)])
-
-    # the level ratio counts the window's points with f >= eps
-    level_curves = []
-    density_zero = True
-    for eps in eps_grid:
-        ratios = np.array([np.count_nonzero(v >= eps) / w.size
-                           for w, v in zip(windows, window_vals)])
-        level_curves.append((eps, ratios))
-        if max(_tail(ratios)) >= threshold:
-            density_zero = False
-
-    avg_zero = max(_tail(means)) < threshold
-    avg_verdict = "zero" if avg_zero else "nonzero"
-    den_verdict = "zero" if density_zero else "nonzero"
-    return DensityLimitReport(
-        n=np.array([w.index for w in windows]),
-        averages=means,
-        level_densities=tuple(level_curves),
-        average_verdict=avg_verdict,
-        density_verdict=den_verdict,
-        agree=(avg_verdict == den_verdict),
-    )

@@ -35,14 +35,6 @@ CLUSTER_TOL = 1e-8
 SPAN_TOL = 1e-10
 
 
-def _vec(m: np.ndarray) -> np.ndarray:
-    return m.reshape(-1)
-
-
-def _unvec(v: np.ndarray, n: int) -> np.ndarray:
-    return v.reshape(n, n)
-
-
 @dataclass(frozen=True, eq=False)
 class GnsSpace:
     """The algebra as a Hilbert space: iota(a) = vec(a rho^{1/2}) identifies
@@ -61,10 +53,11 @@ class GnsSpace:
         return self.sys.dim ** 2
 
     def iota(self, a: np.ndarray) -> np.ndarray:
-        return _vec(np.asarray(a, dtype=np.complex128) @ self.rho_sqrt)
+        return (np.asarray(a, dtype=np.complex128) @ self.rho_sqrt).reshape(-1)
 
     def iota_inverse(self, v: np.ndarray) -> np.ndarray:
-        return _unvec(np.asarray(v, dtype=np.complex128), self.matrix_dim) @ self.rho_inv_sqrt
+        n = self.matrix_dim
+        return np.asarray(v, dtype=np.complex128).reshape(n, n) @ self.rho_inv_sqrt
 
     def koopman_matrix(self, j: int) -> np.ndarray:
         """The unitary implementing the j-th generator on the GNS space."""
@@ -209,10 +202,10 @@ def eigenoperator_factor(sys: FiniteSystem, split: KoopmanSplitting) -> CompactF
     for i in range(split.eigenvectors.shape[1]):
         op = gns.iota_inverse(split.eigenvectors[:, i])
         eigenops.append(op)
-    rows = [_vec(op) for op in eigenops]
-    rows.append(_vec(np.eye(n, dtype=np.complex128)))
+    rows = [op.reshape(-1) for op in eigenops]
+    rows.append(np.eye(n, dtype=np.complex128).reshape(-1))
     for op in eigenops:
-        rows.append(_vec(op.conj().T))
+        rows.append(op.conj().T.reshape(-1))
     basis = _row_span(np.stack(rows))
     if basis.shape[0] != n * n:
         raise AssertionError(

@@ -348,10 +348,6 @@ class LocalObservable:
     def adjoint(self) -> "LocalObservable":
         return LocalObservable(self.support, self.tensor.conj().T, self.site_dim)
 
-    def matrix_power(self, k: int) -> "LocalObservable":
-        return LocalObservable(
-            self.support, np.linalg.matrix_power(self.tensor, k), self.site_dim)
-
     def _translated(self, g: GroupElement) -> "LocalObservable":
         """The observable moved by g.  A shift keeps the support sorted and
         minimal, so the construction-time sort and strip are skipped."""
@@ -593,7 +589,8 @@ class QuasiLocalSystem:
         return obs.adjoint()
 
     def obs_power(self, obs: LocalObservable, k: int) -> LocalObservable:
-        return self._check(obs).matrix_power(k)
+        obs = self._check(obs)
+        return LocalObservable(obs.support, np.linalg.matrix_power(obs.tensor, k), obs.site_dim)
 
     def obs_scale(self, obs: LocalObservable, factor: float) -> LocalObservable:
         return LocalObservable(obs.support, obs.tensor * factor, obs.site_dim)

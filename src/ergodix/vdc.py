@@ -55,12 +55,13 @@ class VectorSequence:
         limit = self.bound * (1.0 + BOUND_SLACK) + BOUND_SLACK
         # Screen with one vectorized norm, then decide each flagged row with
         # the norm a single evaluation takes.  Both are square roots of a sum
-        # of 2 * dim squares, so they differ by well under the margin.
+        # of 2 * dim squares, so they differ by well under the margin.  A row
+        # passes only if its norm is <= the limit, so a NaN never passes.
         rough = np.sqrt((vals.real ** 2 + vals.imag ** 2).sum(axis=1))
         margin = 1.0 - 4 * (self.dim + 1) * np.finfo(np.float64).eps
-        for i in np.flatnonzero(rough > limit * margin).tolist():
+        for i in np.flatnonzero(~(rough <= limit * margin)).tolist():
             norm = float(np.linalg.norm(vals[i]))
-            if norm > limit:
+            if not norm <= limit:
                 raise ValueError(f"declared bound {self.bound} violated at "
                                  f"{tuple(points[i].tolist())}: |f(g)| = {norm}")
         return vals
@@ -69,8 +70,10 @@ class VectorSequence:
 def _phases(alpha: float, form: np.ndarray, v: np.ndarray) -> np.ndarray:
     """exp(2 pi i alpha n) v for each exact integer n of ``form``: n is
     rounded once to float64, as in ``(2j * np.pi * alpha) * n`` at a single
-    point."""
-    return np.exp((2j * np.pi * alpha) * form.astype(np.float64))[:, None] * v
+    point.  A phase too large for float64 comes out NaN, and the declared
+    bound check rejects it."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.exp((2j * np.pi * alpha) * form.astype(np.float64))[:, None] * v
 
 
 def constant_sequence(v) -> VectorSequence:

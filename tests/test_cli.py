@@ -522,6 +522,20 @@ class TestVdcCommand:
         gamma = read_json(out / "vdc.json")["gamma"]
         assert [h for h, _, _ in gamma] == [[h] for h in range(-20, 21)]
 
+    @pytest.mark.parametrize("sequence,windows,at", [
+        ({"kind": "linear-phase", "alpha": 1e308},
+         {"shape": "box", "n_min": 1, "n_max": 3}, "(-9,)"),
+        ({"kind": "weyl-quadratic", "alpha": 1e305},
+         {"shape": "box", "n_min": 100, "n_max": 200}, "(-600,)"),
+    ])
+    def test_non_finite_values_are_input_errors(self, tmp_path, capsys, sequence, windows, at):
+        cfg = write_cfg(tmp_path, "c.json", {"sequence": sequence, "windows": windows})
+        out = tmp_path / "o"
+        assert main(["vdc", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: declared bound 1.0 violated at {at}: |f(g)| = nan\n")
+        assert not out.exists()
+
 
 class TestHigherCommand:
     def test_matrix_homomorphism_on_plane(self, tmp_path):
@@ -790,3 +804,17 @@ class TestDeterminism:
             assert main(["mix", "--config", cfg_path, "--out", str(out)]) == 0
             blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert blobs[0] == blobs[1]
+
+
+class TestBenchmarkTrace:
+    def test_every_traced_name_exists(self):
+        # the benchmark traces by rebinding named functions; a deleted or
+        # renamed one would silently read zero calls, so none may be missing
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), str(root / "perfbench")]))
+        run = subprocess.run(
+            [sys.executable, "-c",
+             "import spans; print(spans.install(spans.Tracer()))"],
+            env=env, capture_output=True, text=True, check=True, timeout=120)
+        assert run.stdout == "[]\n"

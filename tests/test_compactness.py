@@ -7,7 +7,6 @@ from ergodix import compactness, systems
 from ergodix.compactness import (
     correlation_lower_bound,
     correlation_lower_bounds,
-    covering_candidates,
     multi_correlations,
     orbit_epsilon_structure,
     return_set,
@@ -31,6 +30,13 @@ from ergodix.systems import (
 def fields(report) -> dict:
     """A report's fields, each array as a list, for an exact comparison."""
     return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(report).items()}
+
+
+def covering_grid(sys, a, exps, windows):
+    """The driver's candidate grid: the covering grid of its probe return set."""
+    a_hat, _, eps_return = compactness._return_budget(sys, a, len(exps))
+    return compactness._covering_grid(
+        compactness._probe_returns(sys, a_hat, eps_return, exps, windows))
 
 
 def positive_cosine(dim: int) -> np.ndarray:
@@ -78,6 +84,12 @@ class TestOrbitStructure:
                                        box_window(1, 3))
         assert "scan window" in cert.note
 
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1])
+    def test_nonpositive_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            orbit_epsilon_structure(rotation_algebra_system(1, 5), cyclic_shift_matrix(5),
+                                    epsilon, box_window(1, 3))
+
 
 class TestReturnSet:
     def test_rotation_multiples(self):
@@ -87,6 +99,12 @@ class TestReturnSet:
         rset = return_set(sys_h, v, 0.1, (1,), box_window(1, 50))
         members = sorted(g[0] for g in rset.members)
         assert members == list(range(-50, 51, big_q))
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1])
+    def test_nonpositive_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            return_set(rotation_algebra_system(1, 5), cyclic_shift_matrix(5), epsilon, (1,),
+                       box_window(1, 3))
 
     def test_zero_always_member(self):
         sys_h = rotation_algebra_system(1, 3)
@@ -349,7 +367,7 @@ class TestSharedBudget:
         # the finite benchmark's szemeredi inputs: probe and average scan n = 16
         system, a, exps, windows = (clock_shift_system(5), positive_cosine(5), (1, 2),
                                     box_schedule(2, 1, 12))
-        cands = covering_candidates(system, a, exps, windows)
+        cands = covering_grid(system, a, exps, windows)
         separate = szemeredi_average_compact(system, a, exps, windows, cands)
         calls = []
         original = compactness.return_set
@@ -368,8 +386,8 @@ class TestSharedBudget:
     def test_covering_candidates_grid(self):
         # every point of Z^2 returns for the unit observable: one candidate
         sys_h = clock_shift_system(3)
-        assert covering_candidates(sys_h, np.eye(3), (1, 2), box_schedule(2, 1, 3)) == [(0, 0)]
-        cands = covering_candidates(sys_h, positive_cosine(3), (1, 2), box_schedule(2, 1, 5))
+        assert covering_grid(sys_h, np.eye(3), (1, 2), box_schedule(2, 1, 3)) == [(0, 0)]
+        cands = covering_grid(sys_h, positive_cosine(3), (1, 2), box_schedule(2, 1, 5))
         r = round(len(cands) ** 0.5)
         assert cands == [(i, j) for i in range(r) for j in range(r)]
 

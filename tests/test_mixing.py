@@ -1,6 +1,5 @@
 import cmath
 import math
-import re
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from ergodix.mixing import (
     asymptotic_abelianness,
     classify_decay,
     collision_bound,
-    density_limit_check,
     ergodic_average,
     gamma_sequence,
     higher_order_defect,
@@ -31,7 +29,7 @@ from ergodix.systems import (
     rotation_algebra_system,
     shift_system,
 )
-from test_parallel import batch_sizes, per_row
+from test_parallel import batch_sizes
 
 M1 = Homomorphism.scalar(1, 1)
 M2 = Homomorphism.scalar(1, 2)
@@ -384,85 +382,6 @@ class TestGammaSequence:
                            h_range=[(h,) for h in range(-reach, reach + 1)])
             counts.append(len(calls))
         assert counts[0] == counts[1]
-
-
-class TestDensityLimit:
-    def test_zero_function(self):
-        rep = density_limit_check(lambda pts: np.zeros(len(pts)), box_schedule(1, 1, 10), [0.5])
-        assert rep.average_verdict == rep.density_verdict == "zero"
-        assert rep.agree
-
-    def test_square_indicator(self):
-        def f(g):
-            x = g[0]
-            return 1.0 if x >= 0 and math.isqrt(x) ** 2 == x else 0.0
-
-        rep = density_limit_check(per_row(f), box_schedule(1, 10, 200, 10), [1.0])
-        assert rep.average_verdict == "zero"
-        assert rep.density_verdict == "zero"
-        assert rep.agree
-
-    def test_constant_function(self):
-        rep = density_limit_check(lambda pts: np.ones(len(pts)), box_schedule(1, 1, 10), [0.5])
-        assert rep.average_verdict == rep.density_verdict == "nonzero"
-        assert rep.agree
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            density_limit_check(lambda pts: -np.ones(len(pts)), box_schedule(1, 1, 3), [0.5])
-        with pytest.raises(ValueError, match="nonnegative"):
-            density_limit_check(lambda pts: np.where(pts[:, 0] == 20, -1e-3, 0.0),
-                                box_schedule(1, 1, 20), [0.5])
-
-    def test_each_point_evaluated_once(self):
-        seen = []
-
-        def f(g):
-            seen.append(g)
-            return 1.0 / (1 + abs(g[0]))
-
-        rep = density_limit_check(per_row(f), box_schedule(1, 1, 20), [0.1, 0.2, 0.5])
-        assert len(seen) == len(set(seen)) == 41
-        assert len(rep.level_densities) == 3
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValueError, match="f must be finite and nonnegative"):
-            density_limit_check(lambda pts: np.where(pts[:, 0] == 3, bad, 0.0),
-                                box_schedule(1, 1, 5), [0.5])
-
-    @pytest.mark.parametrize("shape", [(40,), (42,), (41, 1), ()])
-    def test_wrong_length_rejected(self, shape):
-        # the schedule's distinct points are the 41 points -20..20
-        with pytest.raises(ValueError, match=re.escape(
-                f"f returned shape {shape}, expected (41,)")):
-            density_limit_check(lambda pts: np.zeros(shape), box_schedule(1, 1, 20), [0.5])
-
-    def test_one_point_table_per_call(self, monkeypatch):
-        import ergodix._parallel as par
-
-        built = []
-        real = par.point_table
-        monkeypatch.setattr(par, "point_table", lambda *a: built.append(1) or real(*a))
-        density_limit_check(lambda pts: 1.0 / (1 + np.abs(pts[:, 0])), box_schedule(1, 1, 20),
-                            [0.1, 0.2, 0.5])
-        assert len(built) == 1
-
-    def test_matches_per_window_sums(self):
-        def f(g):
-            return math.sin(g[0]) ** 2 + (g[0] % 7) / 3
-
-        windows = [box_window(1, 4), shift_window(box_window(1, 9), 5), box_window(1, 30)]
-        eps_grid = [0.25, 1.0, 2.5]
-        rep = density_limit_check(per_row(f), windows, eps_grid)
-        pts = [list(w.iter_elements()) for w in windows]
-        assert rep.n.tolist() == [w.index for w in windows]
-        assert rep.averages.tolist() == [math.fsum(map(f, p)) / w.size
-                                         for w, p in zip(windows, pts)]
-        assert [(eps, ratios.tolist()) for eps, ratios in rep.level_densities] == [
-            (eps, [math.fsum(1.0 if f(g) >= eps else 0.0 for g in p) / w.size
-                   for w, p in zip(windows, pts)])
-            for eps in eps_grid]
 
 
 class TestFolnerIndependence:

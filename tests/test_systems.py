@@ -335,6 +335,14 @@ class TestShiftSystem:
         assert moved.support == ((3, -1), (4, 1))
         assert np.array_equal(moved.tensor, obs.tensor)
 
+    def test_combine_scalars(self):
+        # every support is empty, so the combination is the 1x1 scalar one
+        sl = shift_system(1, 2)
+        half = LocalObservable((), np.array([[0.5 + 0j]]), 2)
+        out = sl.combine([(2.0, pauli_observable([0], "I")), (-3.0, half)])
+        assert out.support == ()
+        assert out.tensor.shape == (1, 1) and out.tensor[0, 0] == 0.5
+
     def test_obs_scale_keeps_support(self):
         sl = shift_system(2, 2)
         obs = pauli_observable([(0, 0), (1, 2)], "XZ", q=2)

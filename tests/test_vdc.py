@@ -69,6 +69,13 @@ class TestVectorSequence:
         with pytest.raises(ValueError, match=re.escape("shape (2,), expected (3, 2)")):
             f.table(np.zeros((3, 1), dtype=np.int64))
 
+    @pytest.mark.parametrize("value", [math.nan, complex(0.0, math.nan)])
+    def test_nan_breaks_the_bound(self, value):
+        # NaN compares False with every limit, so no order test may pass it
+        f = VectorSequence(lambda pts: np.where(pts == 2, value, 0.5 + 0j), bound=1.0, dim=1)
+        with pytest.raises(ValueError, match=re.escape("violated at (2,): |f(g)| = nan")):
+            f.table(np.arange(-3, 4).reshape(-1, 1))
+
 
 class TestAverageVector:
     def test_constant(self):
