@@ -164,10 +164,12 @@ def table_means(fn: Callable[[np.ndarray], Sequence], windows: Sequence) -> np.n
 
     ``fn`` gets the distinct elements of the union of the windows once, as
     the rows of a (T, q) integer table in first-seen order, and returns their
-    T values.  Each window's sum is correctly rounded, so the means equal
-    those of a fresh per-window evaluation bit for bit.
+    T values, else ValueError.  Each window's sum is correctly rounded, so
+    the means equal those of a fresh per-window evaluation bit for bit.
     """
     points, rows = window_points(windows)
     values = np.asarray(fn(points))
+    if values.shape != (len(points),):
+        raise ValueError(f"fn returned shape {values.shape}, expected ({len(points)},)")
     mean = fmean_complex if np.iscomplexobj(values) else fmean
     return np.array([mean(values[r], w.size) for w, r in zip(windows, rows)])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,20 @@ class TestWindowMeans:
         table_means(per_row(lambda g: seen.append(g) or 1.0), box_schedule(1, 1, big_n))
         assert len(seen) == 2 * big_n + 1
         assert len(set(seen)) == len(seen)
+
+    @pytest.mark.parametrize("shape", [(40,), (42,), (41, 1), ()])
+    def test_wrong_length_rejected(self, shape):
+        # the schedule's distinct points are the 41 points -20..20
+        with pytest.raises(ValueError, match=re.escape(
+                f"fn returned shape {shape}, expected (41,)")):
+            table_means(lambda pts: np.zeros(shape), box_schedule(1, 1, 20))
+
+    def test_one_point_table_per_call(self, monkeypatch):
+        built = []
+        real = _parallel.point_table
+        monkeypatch.setattr(_parallel, "point_table", lambda *a: built.append(1) or real(*a))
+        table_means(lambda pts: 1.0 / (1 + np.abs(pts[:, 0])), box_schedule(1, 1, 20))
+        assert len(built) == 1
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_evaluation_order_is_first_seen(self, monkeypatch, q):
