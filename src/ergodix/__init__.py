@@ -9,7 +9,6 @@ Szemeredi multi-correlation averages, all evaluated exactly on small systems.
 from .folner import (
     FolnerWindow,
     Homomorphism,
-    HomSet,
     box_schedule,
     box_window,
     custom_window,

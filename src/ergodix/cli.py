@@ -40,6 +40,7 @@ from .config import (
 )
 from .invariants import run_all
 from .report import Table, write_csv, write_json
+from .systems import FiniteSystem
 
 
 def _load_config(path: str) -> dict:
@@ -185,7 +186,9 @@ def run_higher(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     _write_curve(out / "higher.csv", stat.n, stat.values)
     report: dict = {
         "k": spec.k,
-        "homs_translational": folner.HomSet(homs).is_translational,
+        # closure under differences: integer homomorphisms are torsion-free and
+        # the spec's are nonzero and distinct, so only a singleton is closed
+        "homs_translational": spec.k == 1,
         "verdict": stat.verdict,
         "threshold": stat.verdict_threshold,
         "last": stat.values[-1],
@@ -338,6 +341,9 @@ def run_compact(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
 
 def run_split(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     sys_h = parse_system(cfg["system"])
+    if not isinstance(sys_h, FiniteSystem):
+        raise ConfigError("split needs a finite system; a shift system takes "
+                          "szemeredi's weakly-mixing branch")
     verdict = spectral.dichotomy_classify(sys_h)
     report = verdict.to_json()
     if verdict.ergodic and verdict.kind == "has-nontrivial-compact-factor":

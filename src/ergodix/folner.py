@@ -83,8 +83,8 @@ def zero(q: int) -> GroupElement:
 class Homomorphism:
     """A group homomorphism Z^q -> Z^q given by an integer q-by-q matrix.
 
-    Scalars m are admitted as m times the identity.  Application and
-    differences are exact integer arithmetic.
+    Scalars m are admitted as m times the identity.  Application is exact
+    integer arithmetic.
     """
 
     matrix: tuple[tuple[int, ...], ...]
@@ -112,11 +112,6 @@ class Homomorphism:
     def q(self) -> int:
         return len(self.matrix)
 
-    def apply(self, g: GroupElement) -> GroupElement:
-        if len(g) != self.q:
-            raise ValueError(f"element rank {len(g)} != homomorphism rank {self.q}")
-        return tuple(sum(r[j] * g[j] for j in range(self.q)) for r in self.matrix)
-
     def apply_table(self, points: np.ndarray) -> np.ndarray:
         """The image of each row of a (T, q) integer table, exact at any size."""
         if points.ndim != 2 or points.shape[1] != self.q:
@@ -124,42 +119,8 @@ class Homomorphism:
         dtype = _exact_dtype(points, max(sum(map(abs, row)) for row in self.matrix))
         return points.astype(dtype) @ np.array(self.matrix, dtype=dtype).T
 
-    def __sub__(self, other: "Homomorphism") -> "Homomorphism":
-        if self.q != other.q:
-            raise ValueError("rank mismatch")
-        rows = tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.matrix, other.matrix)
-        )
-        return Homomorphism(rows)
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.matrix for x in row)
-
-
-@dataclass(frozen=True)
-class HomSet:
-    """A finite set of nonzero homomorphisms, with a translational-closure check.
-
-    The set is translational when the difference of any two distinct members
-    is again a member; that closure is what makes higher-order averaging
-    arguments go through, so it is reported rather than enforced.
-    """
-
-    homs: tuple[Homomorphism, ...]
-
-    def __post_init__(self) -> None:
-        if any(h.is_zero() for h in self.homs):
-            raise ValueError("zero homomorphism not allowed in a HomSet")
-
-    @property
-    def is_translational(self) -> bool:
-        members = set(self.homs)
-        for h1 in self.homs:
-            for h2 in self.homs:
-                if h1 != h2 and (h1 - h2) not in members:
-                    return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -219,7 +180,7 @@ class FolnerWindow:
         lo, hi = self.bounds()
         if self.shape == "box":
             return _box_rows(lo, hi)
-        dtype = _coordinate_dtype(lo, hi)
+        dtype = _exact_dtype(np.array([lo, hi], dtype=object), 1)
         return np.array(sorted(self.points), dtype=dtype).reshape(self.size, self.q)
 
     def __contains__(self, g: GroupElement) -> bool:
@@ -240,16 +201,11 @@ class FolnerWindow:
         return len(self.points & shifted)
 
 
-def _coordinate_dtype(lo: Sequence[int], hi: Sequence[int]):
-    """int64 for points inside the box [lo, hi] when sums and differences of
-    their coordinates fit it, else exact Python ints (object)."""
-    return np.int64 if all(-_INT64_SAFE < x < _INT64_SAFE for x in (*lo, *hi)) else object
-
-
 def _box_rows(lo: Sequence[int], hi: Sequence[int]) -> np.ndarray:
     """The points of the box [lo, hi] in lexicographic order, as the rows of
-    an integer array (dtype as :func:`_coordinate_dtype`)."""
-    axes = [np.arange(a, b + 1, dtype=_coordinate_dtype(lo, hi)) for a, b in zip(lo, hi)]
+    an integer array (dtype as :func:`_exact_dtype` of its corners)."""
+    dtype = _exact_dtype(np.array([lo, hi], dtype=object), 1)
+    axes = [np.arange(a, b + 1, dtype=dtype) for a, b in zip(lo, hi)]
     grid = np.meshgrid(*axes, indexing="ij")
     return np.stack(grid, axis=-1).reshape(-1, len(lo))
 
@@ -531,7 +487,7 @@ def _covered(pred: SetPredicate, scan: FolnerWindow, cands: Sequence[GroupElemen
             covered |= grid[tuple(slice(x - m, x - m + side) for x, m in zip(c, low))]
         return covered.reshape(-1)
     gs = scan.element_array()
-    offsets = np.array(cands, dtype=_coordinate_dtype(low, high))
+    offsets = np.array(cands, dtype=_exact_dtype(np.array([low, high], dtype=object), 1))
     # row (i, j) of the sums is g_i + g_j, scan-major
     sums = (gs[:, None, :] + offsets[None, :, :]).reshape(-1, scan.q)
     pts, (rows,) = point_table([sums], lo, hi)

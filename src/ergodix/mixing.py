@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._parallel import fmean_complex, table_means, window_points
-from .folner import (_INT64_SAFE, FolnerWindow, GroupElement, Homomorphism,
+from .folner import (FolnerWindow, GroupElement, Homomorphism, _exact_dtype,
                      difference_counts, zero)
 from .systems import SystemHandle, commutator_norm_table, evaluate, evaluate_table
 
@@ -223,11 +223,10 @@ def collision_bound(
     """
     target = spec.target(sys)
     gs = scan.element_array()
-    deviating = []
-    for i, g in enumerate(map(tuple, gs.tolist())):
-        shifts = [zero(spec.q)] + [h.apply(g) for h in spec.homs]
-        if not sys.factorizes(list(zip(spec.observables, shifts))):
-            deviating.append(i)
+    origin = zero(spec.q)
+    images = zip(*(h.apply_table(gs).tolist() for h in spec.homs))
+    deviating = [i for i, shifts in enumerate(images)
+                 if not sys.factorizes(list(zip(spec.observables, (origin, *shifts))))]
     vals = evaluate_table(sys, spec.factors(gs[deviating])).tolist()
     return math.fsum(abs(v - target) for v in vals)
 
@@ -270,8 +269,7 @@ def gamma_sequence(
         lags = difference_counts(largest)[0]
     else:
         lags = np.array(h_range, dtype=object).reshape(-1, spec.q)
-        if (np.abs(lags) < _INT64_SAFE).all():
-            lags = lags.astype(np.int64)
+        lags = lags.astype(_exact_dtype(lags, 1))
     tail = spec.observables[1:]
     kappa = 1.0 + 0j
     for a in tail:

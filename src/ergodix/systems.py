@@ -214,10 +214,14 @@ class FiniteSystem:
         return operator_norm(a)
 
     def obs_min_eigenvalue(self, a: np.ndarray) -> float:
-        a = as_matrix(a)
-        if np.linalg.norm(a - a.conj().T) > UNITARY_TOL:
-            raise ValueError("observable is not hermitian")
-        return float(np.linalg.eigvalsh(a).min())
+        return _min_eigenvalue(as_matrix(a))
+
+
+def _min_eigenvalue(m: np.ndarray) -> float:
+    """The least eigenvalue of a hermitian matrix (to within UNITARY_TOL)."""
+    if np.linalg.norm(m - m.conj().T) > UNITARY_TOL:
+        raise ValueError("observable is not hermitian")
+    return float(np.linalg.eigvalsh(m).min())
 
 
 def _shift_rows(shifts, q: int) -> list[GroupElement]:
@@ -541,24 +545,13 @@ class QuasiLocalSystem:
         disjoint, since the product state factorizes over disjoint sites."""
         return supports_disjoint([self.translate(obs, g).support for obs, g in factors])
 
-    def combine(self, coeff_obs: Sequence[tuple[complex, LocalObservable]]) -> LocalObservable:
-        """Linear combination of observables, embedded on their union support."""
-        obs_list = [self._check(o) for _, o in coeff_obs]
-        window = sorted({s for o in obs_list for s in o.support})
-        if not window:
-            val = sum(c * o.tensor[0, 0] for c, o in coeff_obs)
-            return LocalObservable((), np.array([[val]]), self.d)
-        total = np.zeros((self.d ** len(window),) * 2, dtype=np.complex128)
-        for c, o in coeff_obs:
-            total += c * self.embed(o, window)
-        return LocalObservable(tuple(window), total, self.d)
-
-    def omega_norm(self, obs: LocalObservable) -> float:
-        val = self.expect_product([(obs.adjoint(), zero(self.q)), (obs, zero(self.q))])
-        return float(np.sqrt(max(val.real, 0.0)))
-
     def omega_distance(self, a: LocalObservable, b: LocalObservable) -> float:
-        return self.omega_norm(self.combine([(1.0, a), (-1.0, b)]))
+        """||a - b||_omega from the difference D of the two embeddings on the
+        m sites of their union support: omega(D* D) = trace(D* D) / d^m."""
+        window = sorted(set(self._check(a).support) | set(self._check(b).support))
+        diff = self.embed(a, window) - self.embed(b, window)
+        val = np.trace(diff.conj().T @ diff) / self.d ** len(window)
+        return float(np.sqrt(max(val.real, 0.0)))
 
     def omega_distance_table(self, xs, ys) -> np.ndarray:
         """omega_distance(x, y) for each pair of rows of two lists of
@@ -599,10 +592,7 @@ class QuasiLocalSystem:
         return operator_norm(self._check(obs).tensor)
 
     def obs_min_eigenvalue(self, obs: LocalObservable) -> float:
-        t = self._check(obs).tensor
-        if np.linalg.norm(t - t.conj().T) > UNITARY_TOL:
-            raise ValueError("observable is not hermitian")
-        return float(np.linalg.eigvalsh(t).min())
+        return _min_eigenvalue(self._check(obs).tensor)
 
 
 def shift_system(q: int, d: int) -> QuasiLocalSystem:

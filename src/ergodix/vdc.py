@@ -41,6 +41,11 @@ class VectorSequence:
     bound: float
     dim: int
 
+    def __post_init__(self) -> None:
+        # an infinite or NaN bound would pass every value
+        if not math.isfinite(self.bound):
+            raise ValueError(f"declared bound {self.bound} is not finite")
+
     def __call__(self, g: Union[int, Sequence[int]]) -> np.ndarray:
         return self.table(element_row(g))[0]
 
@@ -76,10 +81,17 @@ def _phases(alpha: float, form: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.exp((2j * np.pi * alpha) * form.astype(np.float64))[:, None] * v
 
 
+def _norm(v: np.ndarray) -> float:
+    """|v| as a declared bound: inf, without a warning, when it overflows
+    float64, so that VectorSequence rejects it."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(v))
+
+
 def constant_sequence(v) -> VectorSequence:
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     return VectorSequence(lambda points: np.tile(v, (len(points), 1)),
-                          bound=float(np.linalg.norm(v)), dim=v.size)
+                          bound=_norm(v), dim=v.size)
 
 
 def linear_phase_sequence(alpha: float, v) -> VectorSequence:
@@ -90,7 +102,7 @@ def linear_phase_sequence(alpha: float, v) -> VectorSequence:
         exact = points.astype(_exact_dtype(points, points.shape[1]))
         return _phases(alpha, exact.sum(axis=1), v)
 
-    return VectorSequence(fn, bound=float(np.linalg.norm(v)), dim=v.size)
+    return VectorSequence(fn, bound=_norm(v), dim=v.size)
 
 
 def weyl_quadratic_sequence(alpha: float, v) -> VectorSequence:
@@ -101,7 +113,7 @@ def weyl_quadratic_sequence(alpha: float, v) -> VectorSequence:
         exact = points.astype(_exact_dtype(points, _reach(points) * points.shape[1]))
         return _phases(alpha, (exact * exact).sum(axis=1), v)
 
-    return VectorSequence(fn, bound=float(np.linalg.norm(v)), dim=v.size)
+    return VectorSequence(fn, bound=_norm(v), dim=v.size)
 
 
 def average_vector(f: VectorSequence, window: FolnerWindow) -> np.ndarray:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,10 @@ class TestExitCodes:
         ("folner", {**FOLNER_CFG, "seed": "x"}, "seed: expected an integer"),
         ("split", {"system": {"kind": "clock-shift", "Q": 3}, "seed": [1]},
          "seed: expected an integer"),
+        # the chain's dichotomy branch is szemeredi's weakly-mixing one
+        *[("split", {"system": {"kind": "shift", "q": q, "d": 2}},
+           "split needs a finite system; a shift system takes szemeredi's "
+           "weakly-mixing branch") for q in (1, 2)],
         # keys that one variant takes and another ignored
         ("folner", {**FOLNER_CFG, "windows": {"shape": "box", "n": 2, "n_min": "x"}},
          "windows: unknown keys ['n_min']"),
@@ -378,6 +383,33 @@ def mutated(cfg, path, value):
     return cfg
 
 
+def contract_breach(command, path, out, capsys) -> str:
+    """Run one config into a fresh --out and say how the exit broke the
+    contract (exit 0, 1 or 2, no traceback, at most one error: line, no
+    --out left behind on exit 2); empty when it kept it."""
+    try:
+        code = main([command, "--config", str(path), "--out", str(out)])
+    except Exception as exc:  # an escaped exception is a traceback
+        code = repr(exc)
+    err = capsys.readouterr().err
+    left = code == 2 and out.exists()
+    if (code not in (0, 1, 2) or "Traceback" in err or left
+            or sum("error:" in line for line in err.splitlines()) > 1):
+        return f"{code} {err!r} out left: {left}"
+    return ""
+
+
+# every system kind, each small, for the configs that take a system
+BACKENDS = {
+    "shift-q1": {"kind": "shift", "q": 1, "d": 2},
+    "shift-q2": {"kind": "shift", "q": 2, "d": 2},
+    "rotation": {"kind": "rotation", "p": 1, "Q": 2},
+    "clock-shift": {"kind": "clock-shift", "Q": 2},
+    "cyclic": {"kind": "cyclic", "dim": 2},
+    "finite-1x1": {"kind": "finite", "generators": [[[[1.0, 0.0]]]]},
+}
+
+
 class TestMutationSweep:
     @pytest.mark.parametrize("base", SWEEP_BASES)
     def test_every_mutant_keeps_the_exit_code_contract(self, tmp_path, capsys, base):
@@ -391,19 +423,24 @@ class TestMutationSweep:
         broken = []
         for i, (where, value) in enumerate(mutations(cfg)):
             path.write_text(json.dumps(mutated(cfg, where, value)), encoding="utf-8")
-            out = tmp_path / f"o{i}"
-            try:
-                code = main([command, "--config", str(path), "--out", str(out)])
-            except Exception as exc:  # an escaped exception is a traceback
-                code = repr(exc)
-            err = capsys.readouterr().err
-            left = code == 2 and out.exists()
-            if (code not in (0, 1, 2) or "Traceback" in err or left
-                    or sum("error:" in line for line in err.splitlines()) > 1):
+            breach = contract_breach(command, path, tmp_path / f"o{i}", capsys)
+            if breach:
                 label = "drop" if value is DROP else repr(value)
-                broken.append(f"{'.'.join(map(str, where))} <- {label}: {code} {err!r} "
-                              f"out left: {left}")
+                broken.append(f"{'.'.join(map(str, where))} <- {label}: {breach}")
         assert not broken, "\n".join(broken)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("base", [b for b, (_, cfg) in SWEEP_BASES.items()
+                                      if "system" in cfg])
+    def test_every_backend_keeps_the_exit_code_contract(self, tmp_path, capsys, base,
+                                                        backend):
+        """The base config with its system swapped for another kind; the
+        observables and windows may then not fit, which is an input error."""
+        command, cfg = SWEEP_BASES[base]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**cfg, "system": BACKENDS[backend]}), encoding="utf-8")
+        breach = contract_breach(command, path, tmp_path / "o", capsys)
+        assert not breach, breach
 
 
 class TestFolnerCommand:
@@ -536,6 +573,20 @@ class TestVdcCommand:
             f"error: declared bound 1.0 violated at {at}: |f(g)| = nan\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["constant", "linear-phase", "weyl-quadratic"])
+    def test_non_finite_bound_is_input_error(self, tmp_path, capsys, kind):
+        # |v| = 1e200 overflows float64 when the norm squares it; an infinite
+        # bound would pass every value
+        cfg = write_cfg(tmp_path, "c.json", {
+            "sequence": {"kind": kind, "vector": [[1e200, 0.0]]},
+            "windows": {"shape": "box", "n_min": 1, "n_max": 3}})
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["vdc", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: declared bound inf is not finite\n"
+        assert not out.exists()
+
 
 class TestHigherCommand:
     def test_matrix_homomorphism_on_plane(self, tmp_path):
@@ -564,6 +615,19 @@ class TestHigherCommand:
         assert main(["higher", "--config", cfg, "--out", str(out)]) == 0
         rows = (out / "higher_gamma.csv").read_text().strip().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == lags
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_homs_translational_only_for_a_singleton(self, tmp_path, k):
+        # distinct nonzero integer homomorphisms are never closed under
+        # differences, so only k = 1 is (vacuously) translational
+        cfg = write_cfg(tmp_path, "c.json", {
+            **HIGHER_CFG, "observables": HIGHER_CFG["observables"][:k + 1],
+            "homs": HIGHER_CFG["homs"][:k]})
+        out = tmp_path / "o"
+        assert main(["higher", "--config", cfg, "--out", str(out)]) == 0
+        rep = read_json(out / "higher.json")
+        assert rep["k"] == k
+        assert rep["homs_translational"] is (k == 1)
 
     def test_rank_mismatch_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", {
@@ -692,6 +756,32 @@ class TestCompactCommand:
         assert rep["szemeredi"]["tail_min"] > 0
         assert "scan window" in rep["szemeredi"]["note"]
 
+    def test_spin_chain_projection(self, tmp_path):
+        # p = diag(1, 0) at site 0: omega(p) = 1/2, and distinct translates
+        # have disjoint supports
+        cfg = write_cfg(tmp_path, "c.json", {
+            "system": {"kind": "shift", "q": 1, "d": 2},
+            "observable": {"kind": "matrix", "sites": [0],
+                           "entries": matrix_to_json(np.diag([1.0, 0.0]))},
+            "epsilon": 0.05,
+            "exponents": [1, 2],
+            "scan": {"shape": "box", "n": 20},
+            "windows": {"shape": "box", "n_min": 1, "n_max": 10},
+            "candidates": [[0], [1]],
+        })
+        out = tmp_path / "o"
+        assert main(["compact", "--config", cfg, "--out", str(out)]) == 0
+        rep = read_json(out / "compact.json")
+        # the 41 translates of the scan are pairwise sqrt(1/2) apart
+        assert rep["separated"]["count"] == 41
+        # epsilon / (||p||^2 * 2) = 0.025, and only g = 0 returns
+        assert rep["return_set"]["epsilon"] == 0.025
+        assert rep["return_set"]["members"] == [[0]]
+        # omega(p p) = 1/2 at g = 0 against omega(p^2) - epsilon = 0.45
+        assert [(b["value"], b["bound"]) for b in rep["correlation_bounds"]] == [(0.5, 0.45)]
+        # on a window of 2n + 1 points the g = 0 term is 1/2, the rest 1/8
+        for n, v in rep["szemeredi"]["averages"]:
+            assert v == (n + 2) / (4 * (2 * n + 1))
 
     def test_nontracial_system_is_input_error(self, tmp_path, capsys):
         # a diagonal generator leaves the non-tracial density invariant; the

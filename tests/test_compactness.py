@@ -24,6 +24,7 @@ from ergodix.systems import (
     pauli_observable,
     rotation_algebra_system,
     shift_system,
+    single_site,
 )
 
 
@@ -397,9 +398,8 @@ class TestMultiCorrelation:
         # the shifted copies of p collide only at g = 0: omega(p^3) = 1/2,
         # elsewhere the product state gives omega(p)^3 = 1/8
         sl = shift_system(1, 2)
-        p = pauli_observable([0], "I")
-        proj = sl.obs_scale(sl.combine([(1.0, p), (1.0, pauli_observable([0], "Z"))]), 0.5)
-        vals = multi_correlations(sl, proj, (0, 1, 2), np.array([[0], [1], [-1], [3]]))
+        p = single_site(0, np.diag([1.0, 0.0]))
+        vals = multi_correlations(sl, p, (0, 1, 2), np.array([[0], [1], [-1], [3]]))
         assert vals[0] == pytest.approx(0.5, abs=1e-15)
         for v in vals[1:]:
             assert v == pytest.approx(0.125, abs=1e-15)

@@ -12,7 +12,6 @@ from ergodix.folner import (
     FiniteSet,
     FullSet,
     Homomorphism,
-    HomSet,
     ProgressionSet,
     ResidueClassSet,
     SetPredicate,
@@ -557,44 +556,20 @@ class TestBestShift:
 class TestHomomorphisms:
     def test_scalar_action(self):
         h = Homomorphism.scalar(2, 3)
-        assert h.apply((1, -2)) == (3, -6)
+        assert h.apply_table(element_row((1, -2))).tolist() == [[3, -6]]
 
     def test_matrix_action_additive(self):
         h = Homomorphism.from_matrix([[1, 2], [0, 1]])
         a, b = (1, 2), (-3, 5)
         ab = tuple(x + y for x, y in zip(a, b))
-        assert h.apply(ab) == tuple(x + y for x, y in zip(h.apply(a), h.apply(b)))
+        img_a, img_b, img_ab = h.apply_table(np.array([a, b, ab])).tolist()
+        assert img_ab == [x + y for x, y in zip(img_a, img_b)]
 
     def test_from_matrix_does_not_truncate(self):
         assert Homomorphism.from_matrix([[np.int64(2)]]).matrix == ((2,),)
         for bad in ([[0.5]], [[1, 0], [0, 2.0]]):
             with pytest.raises(ValueError, match="non-integer entry"):
                 Homomorphism.from_matrix(bad)
-
-    def test_translational_scalars(self):
-        homs = tuple(Homomorphism.scalar(1, m) for m in (-2, -1, 1, 2))
-        # differences of distinct members: +-1, +-2, +-3, +-4 -> 3,4 missing
-        assert not HomSet(homs).is_translational
-        homs_full = tuple(Homomorphism.scalar(1, m)
-                          for m in range(-4, 5) if m != 0)
-        # still not closed (difference can reach 8)
-        assert not HomSet(homs_full).is_translational
-        small = tuple(Homomorphism.scalar(1, m) for m in (1, 2))
-        # 1-2=-1 missing
-        assert not HomSet(small).is_translational
-        closed = tuple(Homomorphism.scalar(1, m) for m in (-1, 1, 2))
-        # 1-2=-1 ok, 2-1=1 ok, -1-1=-2 missing -> still not translational
-        assert not HomSet(closed).is_translational
-
-    def test_singleton_vacuously_translational(self):
-        # integer homomorphisms are torsion-free, so no finite set with two
-        # or more members can be closed under differences; the singleton is
-        # the (vacuous) positive case
-        assert HomSet((Homomorphism.scalar(2, 3),)).is_translational
-
-    def test_zero_member_rejected(self):
-        with pytest.raises(ValueError):
-            HomSet((Homomorphism.scalar(1, 0),))
 
     def test_predicate_serialization(self):
         preds = [

@@ -6,7 +6,7 @@ import pytest
 
 from ergodix._parallel import fmean_complex
 from ergodix.folner import (Homomorphism, add, box_schedule, box_window, custom_window,
-                            inverse_product, shift_window)
+                            inverse_product, scale, shift_window)
 from ergodix.mixing import (
     HigherOrderSpec,
     MixingStatistic,
@@ -411,9 +411,9 @@ class TestProductSystemIdentity:
             fs = random_finite_system(rng)
             doubled = product_system(fs)
             a, b = ginibre(rng, fs.dim), ginibre(rng, fs.dim)
-            hom = Homomorphism.scalar(fs.q, int(rng.integers(1, 3)))
+            m = int(rng.integers(1, 3))
             g = tuple(int(x) for x in rng.integers(-3, 4, size=fs.q))
-            shift = hom.apply(g)
+            shift = scale(m, g)
             lhs = doubled.expect_product(
                 [(lift_observable(a), (0,) * fs.q), (lift_observable(b), shift)])
             rhs = abs(fs.expect_product([(a, (0,) * fs.q), (b, shift)])) ** 2

@@ -328,20 +328,32 @@ class TestShiftSystem:
         padded = np.trace(sl.embed(obs, window)) / 2 ** len(window)
         assert abs(base - padded) < 1e-12
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_omega_distance_with_an_identity_leg(self, d):
+        # a - b = I (x) C on sites 0 and 1: omega((a-b)*(a-b)) = tr(C* C) / d
+        sl = shift_system(1, d)
+        rng = np.random.default_rng(40 + d)
+        for _ in range(50):
+            c = ginibre(rng, d)
+            b = ginibre(rng, d * d)
+            a = LocalObservable(((0,), (1,)), b + np.kron(np.eye(d), c), d)
+            b = LocalObservable(((0,), (1,)), b, d)
+            exact = np.sqrt(np.trace(c.conj().T @ c).real / d)
+            assert sl.omega_distance(a, b) == pytest.approx(exact, rel=1e-15)
+
+    def test_omega_distance_of_scalars(self):
+        # both supports are empty, so the difference is the 1x1 scalar one
+        sl = shift_system(1, 2)
+        half = LocalObservable((), np.array([[0.5 + 0j]]), 2)
+        assert sl.omega_distance(pauli_observable([0], "I"), half) == 0.5
+        assert sl.omega_distance(half, half) == 0.0
+
     def test_translate_moves_support(self):
         sl = shift_system(2, 2)
         obs = pauli_observable([(0, 0), (1, 2)], "XZ", q=2)
         moved = sl.translate(obs, (3, -1))
         assert moved.support == ((3, -1), (4, 1))
         assert np.array_equal(moved.tensor, obs.tensor)
-
-    def test_combine_scalars(self):
-        # every support is empty, so the combination is the 1x1 scalar one
-        sl = shift_system(1, 2)
-        half = LocalObservable((), np.array([[0.5 + 0j]]), 2)
-        out = sl.combine([(2.0, pauli_observable([0], "I")), (-3.0, half)])
-        assert out.support == ()
-        assert out.tensor.shape == (1, 1) and out.tensor[0, 0] == 0.5
 
     def test_obs_scale_keeps_support(self):
         sl = shift_system(2, 2)
@@ -641,7 +653,7 @@ class TestCommutatorTable:
         rows = list(map(tuple, points.tolist()))
         expected = []
         for g in rows:
-            tb = reference_translate(fs, b, hom.apply(g))
+            tb = reference_translate(fs, b, scale(m, g))
             expected.append(reference_operator_norm(a @ tb - tb @ a))
         whole = commutator_norm_table(fs, a, b, hom, points)
         assert same_bits(whole, expected)
@@ -665,7 +677,7 @@ class TestCommutatorTable:
             b = random_local_observable(rng, q, d, max_sites=2, span=1)
             got = commutator_norm_table(sl, a, b, hom, points)
             for v, g in zip(got.tolist(), map(tuple, points.tolist())):
-                bs = sl.translate(b, hom.apply(g))
+                bs = sl.translate(b, g)  # hom is the identity
                 window = sorted(set(a.support) | set(bs.support))
                 am, bm = sl.embed(a, window), sl.embed(bs, window)
                 dense = reference_operator_norm(am @ bm - bm @ am)

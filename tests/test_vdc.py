@@ -76,6 +76,12 @@ class TestVectorSequence:
         with pytest.raises(ValueError, match=re.escape("violated at (2,): |f(g)| = nan")):
             f.table(np.arange(-3, 4).reshape(-1, 1))
 
+    @pytest.mark.parametrize("bound", [math.inf, math.nan])
+    def test_bound_must_be_finite(self, bound):
+        # a bound of inf or NaN would pass every value
+        with pytest.raises(ValueError, match="is not finite"):
+            VectorSequence(lambda pts: np.zeros((len(pts), 1), dtype=complex), bound=bound, dim=1)
+
 
 class TestAverageVector:
     def test_constant(self):
