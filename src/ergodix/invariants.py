@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -102,62 +103,58 @@ def check_best_shift_bound(rng, scale=1.0) -> tuple[bool, str]:
 
 # --- operators ---------------------------------------------------------------
 
+def _operator_stacks(rng, count, scale, factors, tracial=False):
+    """``(n, state, stacks)`` for n = 2..5 and each state: the trace state
+    and, unless the law is ``tracial`` or reads no state, a random faithful
+    invariant one.  ``stacks`` holds ``factors`` Ginibre stacks of shape
+    (K, n, n), K the ceiling of each stack's share of the trials."""
+    k = math.ceil(_trials(count, scale) / (4 if tracial else 8))
+    for n in range(2, 6):
+        states = [operators.trace_state(n)]
+        if not tracial:
+            states.append(sampling.unitary_with_invariant_state(rng, n)[1])
+        for st in states:
+            yield n, st, sampling.ginibre(rng, n, factors * k).reshape(factors, k, n, n)
+
+
 def check_cauchy_schwarz(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(_trials(1000, scale)):
-        n = int(rng.integers(2, 6))
-        st = operators.trace_state(n) if rng.integers(0, 2) else \
-            sampling.unitary_with_invariant_state(rng, n)[1]
-        a = sampling.ginibre(rng, n)
-        b = sampling.ginibre(rng, n)
-        lhs = abs(operators.apply_state(st, operators.adjoint(a) @ b))
-        rhs = operators.omega_norm(st, a) * operators.omega_norm(st, b)
-        if lhs > rhs + 1e-10 * (1 + rhs):
+    for n, st, (a, b) in _operator_stacks(rng, 1000, scale, 2):
+        lhs = np.abs(operators.apply_state_table(st, operators.adjoint(a) @ b))
+        rhs = operators.omega_norm_table(st, a) * operators.omega_norm_table(st, b)
+        if (lhs > rhs + 1e-10 * (1 + rhs)).any():
             return False, f"n={n}"
     return True, ""
 
 
 def check_tracial_bound(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(_trials(300, scale)):
-        n = int(rng.integers(2, 6))
-        st = operators.trace_state(n)
-        a, b, c = (sampling.ginibre(rng, n) for _ in range(3))
-        lhs = abs(operators.apply_state(st, a @ b @ c))
-        rhs = (operators.operator_norm(a) * operators.omega_norm(st, b)
-               * operators.operator_norm(c))
-        if lhs > rhs + 1e-10 * (1 + rhs):
+    for n, st, (a, b, c) in _operator_stacks(rng, 300, scale, 3, tracial=True):
+        lhs = np.abs(operators.apply_state_table(st, a @ b @ c))
+        rhs = (operators.operator_norm_table(a) * operators.omega_norm_table(st, b)
+               * operators.operator_norm_table(c))
+        if (lhs > rhs + 1e-10 * (1 + rhs)).any():
             return False, f"n={n}"
     return True, ""
 
 
 def check_seminorm_dominated(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(_trials(300, scale)):
-        n = int(rng.integers(2, 6))
-        st = operators.trace_state(n) if rng.integers(0, 2) else \
-            sampling.unitary_with_invariant_state(rng, n)[1]
-        a = sampling.ginibre(rng, n)
-        if operators.omega_norm(st, a) > operators.operator_norm(a) + 1e-10:
+    for n, st, (a,) in _operator_stacks(rng, 300, scale, 1):
+        if (operators.omega_norm_table(st, a) > operators.operator_norm_table(a) + 1e-10).any():
             return False, f"n={n}"
     return True, ""
 
 
 def check_state_positivity(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(_trials(300, scale)):
-        n = int(rng.integers(2, 6))
-        st = operators.trace_state(n) if rng.integers(0, 2) else \
-            sampling.unitary_with_invariant_state(rng, n)[1]
-        a = sampling.ginibre(rng, n)
-        val = operators.apply_state(st, operators.adjoint(a) @ a)
-        if val.real < -1e-12 or abs(val.imag) > 1e-10:
+    for n, st, (a,) in _operator_stacks(rng, 300, scale, 1):
+        val = operators.apply_state_table(st, operators.adjoint(a) @ a)
+        if ((val.real < -1e-12) | (np.abs(val.imag) > 1e-10)).any():
             return False, f"n={n}"
     return True, ""
 
 
 def check_adjoint_antihomomorphism(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(_trials(100, scale)):
-        n = int(rng.integers(2, 6))
-        a, b = sampling.ginibre(rng, n), sampling.ginibre(rng, n)
-        if np.linalg.norm(operators.adjoint(a @ b)
-                          - operators.adjoint(b) @ operators.adjoint(a)) > 1e-12:
+    for n, _, (a, b) in _operator_stacks(rng, 100, scale, 2, tracial=True):
+        err = operators.adjoint(a @ b) - operators.adjoint(b) @ operators.adjoint(a)
+        if (np.linalg.norm(err, axis=(1, 2)) > 1e-12).any():
             return False, f"n={n}"
     return True, ""
 
@@ -195,39 +192,48 @@ def check_telescope_identity(rng, scale=1.0) -> tuple[bool, str]:
         cs = [sampling.ginibre(rng, n) for _ in range(k)]
         ds = [sampling.ginibre(rng, n) for _ in range(k)]
         lhs = operators.telescope_decompose(cs, ds)
-        prod_c = np.eye(n, dtype=complex)
-        prod_d = np.eye(n, dtype=complex)
-        for c in cs:
-            prod_c = prod_c @ c
-        for d in ds:
-            prod_d = prod_d @ d
-        if np.linalg.norm(lhs - (prod_c - prod_d)) > 1e-10:
+        if np.linalg.norm(lhs - (reduce(np.matmul, cs) - reduce(np.matmul, ds))) > 1e-10:
             return False, f"n={n},k={k}"
     return True, ""
 
 
 # --- systems -----------------------------------------------------------------
 
+def _system_tables(rng, count, scale, q=None, reach=4):
+    """``(fs, a, b, shifts)``: a random finite system, two Ginibre
+    observables and a (5, q) table of shifts in [-reach, reach]^q, one per
+    five of the trials."""
+    for _ in range(math.ceil(_trials(count, scale) / 5)):
+        fs = sampling.random_finite_system(rng, q=q)
+        a, b = sampling.ginibre(rng, fs.dim, 2)
+        yield fs, a, b, rng.integers(-reach, reach + 1, size=(5, fs.q))
+
+
+def _failing_shift(bad: np.ndarray, shifts: np.ndarray) -> str:
+    """``g=<row>`` at the first row of ``shifts`` where ``bad`` holds, else ""."""
+    rows = np.flatnonzero(bad)
+    return f"g={tuple(shifts[rows[0]].tolist())}" if rows.size else ""
+
+
 def check_automorphism_laws(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(_trials(30, scale)):
-        fs = sampling.random_finite_system(rng)
-        a, b = sampling.ginibre(rng, fs.dim), sampling.ginibre(rng, fs.dim)
-        g = tuple(int(x) for x in rng.integers(-4, 5, size=fs.q))
-        h = tuple(int(x) for x in rng.integers(-4, 5, size=fs.q))
-        ta, tb = fs.translate(a, g), fs.translate(b, g)
-        if np.linalg.norm(fs.translate(a @ b, g) - ta @ tb) > 1e-10:
-            return False, "automorphism-product"
-        if np.linalg.norm(fs.translate(a.conj().T, g) - ta.conj().T) > 1e-10:
-            return False, "automorphism-star"
-        gh = tuple(x + y for x, y in zip(g, h))
-        if np.linalg.norm(fs.translate(fs.translate(a, h), g) - fs.translate(a, gh)) > 1e-10:
-            return False, f"group-law: {g},{h}"
-        if abs(operators.operator_norm(ta) - operators.operator_norm(a)) > 1e-10:
-            return False, "norm-invariance"
-        if abs(fs.omega_norm(ta) - fs.omega_norm(a)) > 1e-10:
-            return False, "omega-norm-invariance"
-        if abs(fs.expect(ta) - fs.expect(a)) > 1e-10:
-            return False, "state-invariance"
+    for fs, a, b, g in _system_tables(rng, 30, scale):
+        h = rng.integers(-4, 5, size=(1, fs.q))
+        ta, tb = fs.translate_table(a, g), fs.translate_table(b, g)
+        # each law's error at every shift of the table, a matrix or a number
+        errors = {
+            "automorphism-product": fs.translate_table(a @ b, g) - ta @ tb,
+            "automorphism-star": (fs.translate_table(operators.adjoint(a), g)
+                                  - operators.adjoint(ta)),
+            f"group-law (h={tuple(h[0].tolist())})": (
+                fs.translate_table(fs.translate_table(a, h)[0], g) - fs.translate_table(a, g + h)),
+            "norm-invariance": operators.operator_norm_table(ta) - operators.operator_norm(a),
+            "omega-norm-invariance": (operators.omega_norm_table(fs.state, ta)
+                                      - operators.omega_norm(fs.state, a)),
+            "state-invariance": fs.expect_product_table([(a, g)]) - fs.expect(a),
+        }
+        for law, err in errors.items():
+            if at := _failing_shift(np.linalg.norm(err.reshape(len(g), -1), axis=1) > 1e-10, g):
+                return False, f"{law}: {at}"
     return True, ""
 
 
@@ -248,18 +254,14 @@ def check_window_independence(rng, scale=1.0) -> tuple[bool, str]:
 
 
 def check_product_system_law(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(_trials(100, scale)):
-        fs = sampling.random_finite_system(rng)
+    for fs, a, b, g in _system_tables(rng, 100, scale, reach=3):
         doubled = systems.product_system(fs)
-        a, b = sampling.ginibre(rng, fs.dim), sampling.ginibre(rng, fs.dim)
-        g = tuple(int(x) for x in rng.integers(-3, 4, size=fs.q))
-        lhs = doubled.expect_product([
-            (systems.lift_observable(a), (0,) * fs.q),
-            (systems.lift_observable(b), g),
-        ])
-        rhs = abs(fs.expect_product([(a, (0,) * fs.q), (b, g)])) ** 2
-        if abs(lhs - rhs) > 1e-10:
-            return False, f"g={g}"
+        origin = np.zeros_like(g)
+        lhs = doubled.expect_product_table([(systems.lift_observable(a), origin),
+                                            (systems.lift_observable(b), g)])
+        rhs = np.abs(fs.expect_product_table([(a, origin), (b, g)])) ** 2
+        if at := _failing_shift(np.abs(lhs - rhs) > 1e-10, g):
+            return False, at
     return True, ""
 
 
@@ -267,15 +269,17 @@ def check_rotation_orbit(rng, scale=1.0) -> tuple[bool, str]:
     big_q = int(rng.choice([2, 3, 5, 7]))
     sys5 = systems.rotation_algebra_system(1, big_q)
     v = systems.cyclic_shift_matrix(big_q)
-    orbit = [sys5.translate(v, n) for n in range(big_q)]
-    for i in range(big_q):
-        if abs(sys5.omega_norm(orbit[i]) - 1.0) > 1e-10:
-            return False, f"rotation-orbit-radius: n={i}"
-        for j in range(i + 1, big_q):
-            if sys5.omega_distance(orbit[i], orbit[j]) < 1e-6:
-                return False, f"rotation-orbit-distinct: {i},{j}"
-    again = sys5.translate(v, big_q)
-    if np.linalg.norm(again - v) > 1e-10:
+    # tau_n(v) for n = 0..Q; the last one closes the period
+    orbit = sys5.translate_table(v, np.arange(big_q + 1)[:, None])
+    off = np.flatnonzero(np.abs(operators.omega_norm_table(sys5.state, orbit[:big_q]) - 1.0)
+                         > 1e-10)
+    if off.size:
+        return False, f"rotation-orbit-radius: n={off[0]}"
+    i, j = np.triu_indices(big_q, 1)
+    close = np.flatnonzero(sys5.omega_distance_table(orbit[i], orbit[j]) < 1e-6)
+    if close.size:
+        return False, f"rotation-orbit-distinct: {i[close[0]]},{j[close[0]]}"
+    if np.linalg.norm(orbit[big_q] - v) > 1e-10:
         return False, "rotation-orbit-period"
     return True, ""
 
@@ -285,14 +289,9 @@ def check_rotation_orbit(rng, scale=1.0) -> tuple[bool, str]:
 def check_square_equivalence(rng, scale=1.0) -> tuple[bool, str]:
     hom = folner.Homomorphism.scalar(1, 1)
     wins = folner.box_schedule(1, 1, int(25 * scale) + 10)
-    cases = []
-    sl = systems.shift_system(1, 2)
-    sz = systems.pauli_observable([0], "Z")
-    cases.append((sl, sz, sz))
-    rot = systems.rotation_algebra_system(1, 5)
-    v = systems.cyclic_shift_matrix(5)
-    cases.append((rot, v.conj().T, v))
-    for sys_h, a, b in cases:
+    sl, sz = systems.shift_system(1, 2), systems.pauli_observable([0], "Z")
+    rot, v = systems.rotation_algebra_system(1, 5), systems.cyclic_shift_matrix(5)
+    for sys_h, a, b in ((sl, sz, sz), (rot, v.conj().T, v)):
         w1 = mixing.weak_mixing_defect(sys_h, a, b, hom, wins)
         w2 = mixing.square_defect(sys_h, a, b, hom, wins)
         if w1.verdict != w2.verdict:
@@ -328,37 +327,29 @@ def check_gamma_consistency(rng, scale=1.0) -> tuple[bool, str]:
 
 # --- van der Corput ----------------------------------------------------------
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """The SplitMix64 finalizer of each entry of a uint64 array; array
-    arithmetic wraps mod 2^64 without warnings."""
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+# Every point the vdc checks read: windows reach 8, the double average and
+# the smoothing add two windows' points, and a radius-n box's lags reach 2n.
+_REACH = 16
 
 
-def _uniforms(seed: int, points: np.ndarray, count: int) -> np.ndarray:
-    """``count`` uniforms in (0, 1] for each row of a (T, q) integer table,
-    a pure function of (seed, row): the row's coordinates mod 2^64 are hashed
-    into the seed, and the k-th uniform is the top 53 bits of the k-th
-    SplitMix64 output from that state."""
-    gamma = np.uint64(0x9E3779B97F4A7C15)
-    state = np.full(len(points), seed, dtype=np.uint64)
-    for col in (points.astype(object) % (1 << 64)).astype(np.uint64).T:
-        state = _mix64((state ^ col) + gamma)
-    steps = np.arange(1, count + 1, dtype=np.uint64) * gamma
-    return ((_mix64(state[:, None] + steps) >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
+def _drawn(values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Reads row g + _REACH of ``values``, drawn for the points of Z within
+    +-_REACH, at each point g of a (T, 1) table; any other point raises."""
+
+    def read(points: np.ndarray) -> np.ndarray:
+        if points.shape[1] != 1 or not (np.abs(points) <= _REACH).all():
+            raise ValueError(f"drawn values cover the points of Z within +-{_REACH} only")
+        return values[points[:, 0].astype(np.int64) + _REACH]
+
+    return read
 
 
 def _random_sequence(rng, dim: int) -> vdc.VectorSequence:
-    """Complex normal vectors by Box-Muller on the uniforms of each row; each
+    """Complex normal vectors by Box-Muller on uniforms u in (0, 1]; each
     entry has modulus sqrt(-2 ln u) <= sqrt(106 ln 2) < 8.6, inside the bound."""
-    seed = int(rng.integers(0, 2 ** 32))
-
-    def fn(points):
-        u = _uniforms(seed, points, 2 * dim)
-        return np.sqrt(-2.0 * np.log(u[:, :dim])) * np.exp(2j * np.pi * u[:, dim:])
-
-    return vdc.VectorSequence(fn, bound=20.0 * math.sqrt(dim), dim=dim)
+    u = 1.0 - rng.random((2 * _REACH + 1, 2 * dim))
+    values = np.sqrt(-2.0 * np.log(u[:, :dim])) * np.exp(2j * np.pi * u[:, dim:])
+    return vdc.VectorSequence(_drawn(values), bound=20.0 * math.sqrt(dim), dim=dim)
 
 
 def check_vdc_inequalities(rng, scale=1.0) -> tuple[bool, str]:
@@ -377,9 +368,8 @@ def check_vdc_inequalities(rng, scale=1.0) -> tuple[bool, str]:
 def check_difference_sum(rng, scale=1.0) -> tuple[bool, str]:
     for _ in range(_trials(200, scale)):
         n = int(rng.integers(1, 9))
-        seed = int(rng.integers(0, 2 ** 32))
-        res = vdc.difference_sum_bound(lambda lags: 3.0 * _uniforms(seed, lags, 1)[:, 0],
-                                       folner.box_window(1, n))
+        gamma = _drawn(3.0 * rng.random(2 * _REACH + 1))
+        res = vdc.difference_sum_bound(gamma, folner.box_window(1, n))
         if not res.holds:
             return False, f"n={n}"
     return True, ""
@@ -407,14 +397,10 @@ def check_smoothing_consistency(rng, scale=1.0) -> tuple[bool, str]:
 # --- compactness ---------------------------------------------------------
 
 def check_isometry(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(_trials(30, scale)):
-        fs = sampling.random_finite_system(rng)
-        a, b = sampling.ginibre(rng, fs.dim), sampling.ginibre(rng, fs.dim)
-        g = tuple(int(x) for x in rng.integers(-4, 5, size=fs.q))
-        lhs = fs.omega_distance(fs.translate(a, g), fs.translate(b, g))
-        rhs = fs.omega_distance(a, b)
-        if abs(lhs - rhs) > 1e-10:
-            return False, f"g={g}"
+    for fs, a, b, g in _system_tables(rng, 30, scale):
+        lhs = fs.omega_distance_table(fs.translate_table(a, g), fs.translate_table(b, g))
+        if at := _failing_shift(np.abs(lhs - fs.omega_distance_table(a, b)) > 1e-10, g):
+            return False, at
     return True, ""
 
 
@@ -430,15 +416,15 @@ def check_separated_monotone(rng, scale=1.0) -> tuple[bool, str]:
 
 
 def check_chain_inequality(rng, scale=1.0) -> tuple[bool, str]:
-    for _ in range(_trials(20, scale)):
-        fs = sampling.random_finite_system(rng, q=1)
-        a = sampling.ginibre(rng, fs.dim)
-        g = (int(rng.integers(-4, 5)),)
-        base = fs.omega_distance(fs.translate(a, g), a)
-        for m in range(1, 7):
-            lhs = fs.omega_distance(fs.translate(a, folner.scale(m, g)), a)
-            if lhs > m * base + 1e-9 * (1 + m * base):
-                return False, f"m={m}"
+    ms = np.arange(1, 7)
+    for fs, a, _, g in _system_tables(rng, 20, scale, q=1):
+        # row m - 1 holds ||tau_{m g}(a) - a|| for each shift g of the table
+        dist = fs.omega_distance_table(
+            fs.translate_table(a, (ms[:, None, None] * g).reshape(-1, 1)), a
+        ).reshape(len(ms), len(g))
+        for m, lhs in zip(ms.tolist(), dist):
+            if at := _failing_shift(lhs > m * dist[0] + 1e-9 * (1 + m * dist[0]), g):
+                return False, f"m={m}: {at}"
     return True, ""
 
 
@@ -462,11 +448,8 @@ def check_perturbed_product(rng, scale=1.0) -> tuple[bool, str]:
             gap = operators.omega_norm(st, p - b)
             t = 0.9 if gap == 0 else min(0.9, 0.5 * eps / ((k + 1) * gap))
             cs.append((1 - t) * b + t * p)
-        prod_c = np.eye(n, dtype=complex)
-        for c in cs:
-            prod_c = prod_c @ c
         target = operators.apply_state(st, np.linalg.matrix_power(b, k + 1))
-        got = operators.apply_state(st, prod_c)
+        got = operators.apply_state(st, reduce(np.matmul, cs))
         if abs(got - target) >= eps:
             return False, f"k={k}"
     return True, ""
@@ -502,18 +485,15 @@ def check_eigenoperator_count(rng, scale=1.0) -> tuple[bool, str]:
 def check_factor_invariance(rng, scale=1.0) -> tuple[bool, str]:
     cs = systems.clock_shift_system(3)
     split = spectral.koopman_split(cs)
-    fac = spectral.eigenoperator_factor(cs, split)
-    basis = fac.basis
-    for _ in range(_trials(10, scale)):
-        g = tuple(int(x) for x in rng.integers(-3, 4, size=2))
-        for row in basis:
-            mat = row.reshape(3, 3)
-            moved = cs.translate(mat, g).reshape(-1)
-            coeffs = basis.conj() @ moved
-            residual = np.linalg.norm(moved - basis.T @ coeffs)
-            if residual > 1e-10:
-                return False, f"g={g}"
-    return True, ""
+    basis = spectral.eigenoperator_factor(cs, split).basis
+    gs = rng.integers(-3, 4, size=(_trials(10, scale), 2))
+    bad = np.zeros(len(gs), dtype=bool)
+    for row in basis:
+        moved = cs.translate_table(row.reshape(3, 3), gs).reshape(len(gs), -1)
+        residual = np.linalg.norm(moved - (moved @ basis.conj().T) @ basis, axis=1)
+        bad |= residual > 1e-10
+    at = _failing_shift(bad, gs)
+    return not at, at
 
 
 def check_eigenoperator_orbit(rng, scale=1.0) -> tuple[bool, str]:

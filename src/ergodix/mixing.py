@@ -21,7 +21,7 @@ import numpy as np
 from ._parallel import fmean_complex, table_means, window_points
 from .folner import (FolnerWindow, GroupElement, Homomorphism, _exact_dtype,
                      difference_counts, zero)
-from .systems import SystemHandle, commutator_norm_table, evaluate, evaluate_table
+from .systems import SystemHandle, commutator_norm_table, evaluate_table
 
 VERDICT_DECAYING = "decaying"
 VERDICT_NON_DECAYING = "non-decaying"
@@ -98,14 +98,14 @@ def ergodic_average(
     hom: Homomorphism,
     windows: Sequence[FolnerWindow],
 ) -> ErgodicAverage:
-    target = evaluate(sys, [(a, None, zero(hom.q))]) * evaluate(sys, [(b, None, zero(hom.q))])
+    target = sys.expect(a) * sys.expect(b)
     means = table_means(lambda pts: evaluate_table(sys, [(a, None, pts), (b, hom, pts)]), windows)
     return ErgodicAverage(n=np.array([w.index for w in windows]), values=means,
                           product_value=target)
 
 
 def _correlation_defect_values(sys, a, b, hom, windows, square):
-    target = evaluate(sys, [(a, None, zero(hom.q))]) * evaluate(sys, [(b, None, zero(hom.q))])
+    target = sys.expect(a) * sys.expect(b)
 
     def integrand(pts):
         vals = evaluate_table(sys, [(a, None, pts), (b, hom, pts)]).tolist()
@@ -190,7 +190,7 @@ class HigherOrderSpec:
     def target(self, sys: SystemHandle) -> complex:
         prod = 1.0 + 0j
         for a in self.observables:
-            prod *= evaluate(sys, [(a, None, zero(self.q))])
+            prod *= sys.expect(a)
         return prod
 
 
@@ -273,7 +273,7 @@ def gamma_sequence(
     tail = spec.observables[1:]
     kappa = 1.0 + 0j
     for a in tail:
-        kappa *= evaluate(sys, [(a, None, zero(spec.q))])
+        kappa *= sys.expect(a)
     k2 = abs(kappa) ** 2
     adjoints = [sys.obs_adjoint(a) for a in tail]
 

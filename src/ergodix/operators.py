@@ -25,7 +25,8 @@ def as_matrix(a) -> np.ndarray:
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """The conjugate transpose of a matrix, or of each slice of a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def identity(dim: int) -> np.ndarray:
@@ -84,7 +85,7 @@ def apply_state(state: State, a: np.ndarray) -> complex:
 def omega_norm_table(state: State, stack: np.ndarray) -> np.ndarray:
     """sqrt(omega(a* a)) for each slice a of a (T, N, N) stack, clamped at 0
     against negative round-off."""
-    vals = apply_state_table(state, stack.conj().transpose(0, 2, 1) @ stack).real
+    vals = apply_state_table(state, adjoint(stack) @ stack).real
     # max(v, 0.0) as Python takes it: v unless 0.0 > v, so -0.0 and NaN pass
     return np.sqrt(np.where(0.0 > vals, 0.0, vals))
 

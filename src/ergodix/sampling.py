@@ -20,8 +20,10 @@ from .systems import (
 )
 
 
-def ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+def ginibre(rng: np.random.Generator, n: int, count: Optional[int] = None) -> np.ndarray:
+    """An n x n Ginibre matrix, or a (count, n, n) stack of them in one draw."""
+    shape = (n, n) if count is None else (count, n, n)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2 * n)
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -32,7 +32,6 @@ from .operators import (
     apply_state_table,
     as_matrix,
     identity,
-    omega_norm,
     omega_norm_table,
     operator_norm,
     operator_norm_table,
@@ -141,7 +140,7 @@ class FiniteSystem:
 
     def _translate_rows(self, a: np.ndarray, rows: Sequence[GroupElement]) -> np.ndarray:
         w = self._unitary_stack(rows)
-        return w.conj().transpose(0, 2, 1) @ a @ w
+        return adjoint(w) @ a @ w
 
     def translate(self, a: np.ndarray, g: Union[int, Sequence[int]]) -> np.ndarray:
         return self.translate_table(a, [g])[0]
@@ -176,9 +175,6 @@ class FiniteSystem:
         """Whether omega of the product is exactly the product of the factors'
         omegas by construction; a matrix state promises that for no product."""
         return False
-
-    def omega_norm(self, a: np.ndarray) -> float:
-        return omega_norm(self.state, a)
 
     def omega_distance(self, a: np.ndarray, b: np.ndarray) -> float:
         return float(self.omega_distance_table(as_matrix(a), as_matrix(b))[0])

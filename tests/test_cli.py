@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 import ergodix
-from ergodix import _parallel, folner, mixing, spectral, vdc
+from ergodix import _parallel, folner, invariants, mixing, operators, spectral, systems, vdc
 from ergodix.cli import _STATS, main
-from ergodix.invariants import ALL_CHECKS
+from ergodix.invariants import ALL_CHECKS, _trials, run_all
 from ergodix.operators import as_matrix
 from ergodix.systems import cyclic_shift_matrix
 
@@ -829,6 +829,13 @@ class TestInvariantsCommand:
         # every check runs at least one trial, also at scale 0.05
         (mixing, "fmean_complex", lambda values, size: 1.0 + 0j,
          "mixing/gamma-consistency", "h=(-9,) difference=1.1"),
+        # a stacked operator law reads the seminorm of a whole stack at once
+        (operators, "omega_norm_table",
+         lambda state, stack, table=operators.omega_norm_table: 0.1 * table(state, stack),
+         "operators/cauchy-schwarz", "n="),
+        # a systems law reads a whole shift table at once
+        (systems, "lift_observable", lambda a: np.kron(a, a),
+         "systems/product-system-law", "g="),
     ])
     def test_a_failing_sub_law_keeps_the_listed_name(self, tmp_path, monkeypatch, module,
                                                       attr, broken, name, detail):
@@ -840,6 +847,46 @@ class TestInvariantsCommand:
         assert [r["name"] for r in results] == [n for n, _ in ALL_CHECKS]
         failed = {r["name"]: r["detail"] for r in results if not r["passed"]}
         assert failed[name].startswith(detail)
+
+
+class TestBattery:
+    # The parent trial count of each check that draws its instances from a
+    # draw helper, stacks of operators or shift tables of random systems.
+    DRAWN = {
+        "operators/cauchy-schwarz": 1000,
+        "operators/tracial-bound": 300,
+        "operators/seminorm-dominated": 300,
+        "operators/state-positivity": 300,
+        "operators/adjoint-antihomomorphism": 100,
+        "systems/automorphism-laws": 30,
+        "systems/product-system-law": 100,
+        "compactness/isometry": 30,
+        "compactness/chain-inequality": 20,
+    }
+
+    @pytest.mark.parametrize("scale", [0.01, 0.05, 0.5, 1.0])
+    def test_no_law_loses_trials(self, monkeypatch, scale):
+        instances = {}
+
+        def counting(helper, size):
+            def draw(*args, **kwargs):
+                for instance in helper(*args, **kwargs):
+                    instances[name] = instances.get(name, 0) + size(instance)
+                    yield instance
+            return draw
+
+        monkeypatch.setattr(invariants, "_operator_stacks", counting(
+            invariants._operator_stacks, lambda inst: inst[2].shape[1]))
+        monkeypatch.setattr(invariants, "_system_tables", counting(
+            invariants._system_tables, lambda inst: len(inst[3])))
+        for name, check in ALL_CHECKS:
+            assert check(np.random.default_rng(0), scale)[0], name
+        assert instances.keys() == self.DRAWN.keys()
+        for name, count in self.DRAWN.items():
+            assert instances[name] >= _trials(count, scale), name
+
+    def test_the_whole_battery_passes_at_scale_one(self):
+        assert [(r.name, r.detail) for r in run_all(1, 1.0) if not r.passed] == []
 
 
 class TestDeterminism:
