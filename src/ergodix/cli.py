@@ -298,12 +298,17 @@ def run_compact(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
             eps_rs = eps / (norm ** k_plus_1 * k_plus_1)
             scaled = sys_h.obs_scale(pos, 1.0 / norm)
             rset = compactness.return_set(sys_h, scaled, eps_rs, (0,) + tuple(exponents), scan)
-            bounds = []
-            if rset.members:
-                bounds = list(zip(rset.members, compactness.correlation_lower_bounds(
-                    sys_h, pos, exponents, eps, np.array(rset.members, dtype=object))))
-            failures += [f"correlation lower bound failed at {g}"
-                         for g, cb in bounds if not cb.holds]
+            if sys_h.is_tracial:
+                # the correlation lower bound holds for tracial states only
+                bounds = []
+                if rset.members:
+                    bounds = list(zip(rset.members, compactness.correlation_lower_bounds(
+                        sys_h, pos, exponents, eps, np.array(rset.members, dtype=object))))
+                failures += [f"correlation lower bound failed at {g}"
+                             for g, cb in bounds if not cb.holds]
+                report["correlation_bounds"] = [
+                    {"g": g, "value": cb.value, "bound": cb.bound, "holds": cb.holds}
+                    for g, cb in bounds]
             chain_ok = rset.chain_holds.all()
             if not chain_ok:
                 failures.append("a return-set chain certificate failed")
@@ -315,9 +320,6 @@ def run_compact(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
                 "chain_ok": chain_ok,
                 "note": rset.note,
             }
-            report["correlation_bounds"] = [
-                {"g": g, "value": cb.value, "bound": cb.bound, "holds": cb.holds}
-                for g, cb in bounds]
 
     if "windows" in cfg:
         windows = parse_windows(cfg["windows"], q)

@@ -300,7 +300,7 @@ def szemeredi_driver(
     Finite backend: classify; ergodic finite systems always carry a
     nontrivial compact factor (the full algebra), so the compact-branch
     shifted-window average runs there.  Quasi-local backend: the product
-    state factorizes correlations exactly, so the averages converge to
+    state splits correlations exactly, so the averages converge to
     omega(a)^{k+1} with an explicitly computed deviation constant.
     """
     exps = increasing_exponents(exponents)

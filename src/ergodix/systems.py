@@ -171,18 +171,10 @@ class FiniteSystem:
             raise ValueError("empty factor list")
         return complex(self.expect_product_table([(a, [g]) for a, g in factors])[0])
 
-    def factorizes(self, factors: Sequence[tuple[np.ndarray, GroupElement]]) -> bool:
-        """Whether omega of the product is exactly the product of the factors'
-        omegas by construction; a matrix state promises that for no product."""
-        return False
-
-    def omega_distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float(self.omega_distance_table(as_matrix(a), as_matrix(b))[0])
-
     def omega_distance_table(self, xs, ys) -> np.ndarray:
-        """omega_distance(x, y) for each pair of rows of two stacks of
-        matrices; a single matrix on either side meets every row of the
-        other.  Entry t equals the per-pair distance bit for bit."""
+        """||x - y||_omega for each pair of rows of two stacks of matrices; a
+        single matrix on either side meets every row of the other.  Entry t
+        does not depend on the other rows."""
         diff = np.asarray(xs, dtype=np.complex128) - np.asarray(ys, dtype=np.complex128)
         return omega_norm_table(self.state, diff.reshape(-1, self.dim, self.dim))
 
@@ -407,7 +399,7 @@ def overlap_clusters(supports: Sequence[Sequence[GroupElement]]) -> list[list[in
     Each component lists factor indices in increasing order; components come
     in the order of their smallest index, and empty supports (scalars) belong
     to none.  Factors in different components have disjoint supports, so
-    they commute and the product state factorizes over the components.
+    they commute and the product state splits over the components.
     """
     parent = list(range(len(supports)))
 
@@ -426,11 +418,6 @@ def overlap_clusters(supports: Sequence[Sequence[GroupElement]]) -> list[list[in
         if support:
             clusters.setdefault(root(i), []).append(i)
     return list(clusters.values())
-
-
-def supports_disjoint(supports: Sequence[Sequence[GroupElement]]) -> bool:
-    """True when no two of the supports share a site."""
-    return all(len(c) == 1 for c in overlap_clusters(supports))
 
 
 @dataclass(frozen=True, eq=False)
@@ -502,10 +489,12 @@ class QuasiLocalSystem:
         (T, q) shift tables, as a (T,) complex array.
 
         A row's value is its scalar factors times its clusters' values.  A
-        cluster is keyed by its members and their shifts relative to its
-        first member: a common shift keeps the sorted window's order and the
-        product state is shift-invariant, so equal keys contract to the same
-        bits, and each distinct key is contracted once per call."""
+        cluster is keyed by its members' observables, in factor order, and
+        their shifts relative to its first member: a common shift keeps the
+        sorted window's order and the product state is shift-invariant, so
+        equal keys contract to the same bits, and each distinct key is
+        contracted once per call, also where one observable stands in
+        several factors."""
         if not factors:
             raise ValueError("empty factor list")
         obs = [self._check(a) for a, _ in factors]
@@ -520,7 +509,8 @@ class QuasiLocalSystem:
                     val *= o.tensor[0, 0]
             for cluster in overlap_clusters([o.support for o in shifted]):
                 base = gs[cluster[0]]
-                key = tuple((i, tuple(a - b for a, b in zip(gs[i], base))) for i in cluster)
+                key = tuple((obs[i], tuple(a - b for a, b in zip(gs[i], base)))
+                            for i in cluster)
                 if key not in values:
                     values[key] = self._contract([shifted[i] for i in cluster])
                 val *= values[key]
@@ -535,28 +525,20 @@ class QuasiLocalSystem:
     def expect(self, obs: LocalObservable) -> complex:
         return self.expect_product([(obs, zero(self.q))])
 
-    def factorizes(self, factors: Sequence[tuple[LocalObservable, GroupElement]]) -> bool:
-        """Whether omega of the product is exactly the product of the factors'
-        omegas by construction: true when the shifted supports are pairwise
-        disjoint, since the product state factorizes over disjoint sites."""
-        return supports_disjoint([self.translate(obs, g).support for obs, g in factors])
-
-    def omega_distance(self, a: LocalObservable, b: LocalObservable) -> float:
-        """||a - b||_omega from the difference D of the two embeddings on the
-        m sites of their union support: omega(D* D) = trace(D* D) / d^m."""
-        window = sorted(set(self._check(a).support) | set(self._check(b).support))
-        diff = self.embed(a, window) - self.embed(b, window)
-        val = np.trace(diff.conj().T @ diff) / self.d ** len(window)
-        return float(np.sqrt(max(val.real, 0.0)))
-
     def omega_distance_table(self, xs, ys) -> np.ndarray:
-        """omega_distance(x, y) for each pair of rows of two lists of
-        observables; a single observable on either side meets every row of
-        the other."""
+        """||x - y||_omega for each pair of rows of two lists of observables;
+        a single observable on either side meets every row of the other.
+        Each pair embeds both on the m sites of their union support and
+        takes omega(D* D) = trace(D* D) / d^m of the difference D."""
         xs = [xs] * len(ys) if isinstance(xs, LocalObservable) else xs
         ys = [ys] * len(xs) if isinstance(ys, LocalObservable) else ys
-        return np.array([self.omega_distance(x, y) for x, y in zip(xs, ys, strict=True)],
-                        dtype=np.float64)
+        out = []
+        for x, y in zip(xs, ys, strict=True):
+            window = sorted(set(self._check(x).support) | set(self._check(y).support))
+            diff = self.embed(x, window) - self.embed(y, window)
+            val = np.trace(diff.conj().T @ diff) / self.d ** len(window)
+            out.append(np.sqrt(max(val.real, 0.0)))
+        return np.array(out, dtype=np.float64)
 
     def commutator_norm_table(self, a: LocalObservable, b: LocalObservable,
                               shifts) -> np.ndarray:
@@ -566,7 +548,7 @@ class QuasiLocalSystem:
         a = self._check(a)
 
         def norm(bs: LocalObservable) -> float:
-            if supports_disjoint([a.support, bs.support]):
+            if set(a.support).isdisjoint(bs.support):
                 return 0.0
             window = sorted(set(a.support) | set(bs.support))
             am, bm = self.embed(a, window), self.embed(bs, window)

@@ -783,24 +783,30 @@ class TestCompactCommand:
         for n, v in rep["szemeredi"]["averages"]:
             assert v == (n + 2) / (4 * (2 * n + 1))
 
-    def test_nontracial_system_is_input_error(self, tmp_path, capsys):
+    def test_nontracial_system_keeps_the_return_set(self, tmp_path):
         # a diagonal generator leaves the non-tracial density invariant; the
-        # return set always holds g = 0, so the correlation bound is asked for
+        # correlation lower bound is a tracial theorem, so the report leaves
+        # it out and keeps the separated set and the return set
         gen = np.diag([1.0, -1.0]).astype(complex)
         cfg = write_cfg(tmp_path, "c.json", {
             "system": {"kind": "finite", "generators": [matrix_to_json(gen)],
                        "state": {"kind": "density",
                                  "entries": matrix_to_json(np.diag([0.7, 0.3]))}},
             "observable": {"kind": "matrix",
-                           "entries": matrix_to_json(np.array([[1.0, 0.5], [0.5, 1.0]]))},
-            "epsilon": 0.1,
+                           "entries": matrix_to_json(np.diag([1.0, 0.0]))},
+            "epsilon": 0.3,
             "exponents": [1, 2],
-            "scan": {"shape": "box", "n": 4},
+            "scan": {"shape": "box", "n": 5},
         })
         out = tmp_path / "o"
-        assert main(["compact", "--config", cfg, "--out", str(out)]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: correlation lower bound requires a tracial state"]
+        assert main(["compact", "--config", cfg, "--out", str(out)]) == 0
+        rep = read_json(out / "compact.json")
+        assert "correlation_bounds" not in rep
+        # the projection commutes with the generator: one translate, and
+        # every g of the scan returns
+        assert rep["separated"]["count"] == 1
+        assert rep["return_set"]["members"] == [[g] for g in range(-5, 6)]
+        assert rep["return_set"]["chain_ok"] is True
 
 
 class TestInvariantsCommand:
@@ -836,6 +842,12 @@ class TestInvariantsCommand:
         # a systems law reads a whole shift table at once
         (systems, "lift_observable", lambda a: np.kron(a, a),
          "systems/product-system-law", "g="),
+        # an action off by a row-dependent factor still maps the factor into
+        # itself, but moves each eigenoperator off its character
+        (systems.FiniteSystem, "translate_table",
+         lambda self, a, shifts, table=systems.FiniteSystem.translate_table:
+         table(self, a, shifts) * (1 + 1e-6 * np.arange(len(shifts)))[:, None, None],
+         "spectral/factor-invariance", "g="),
     ])
     def test_a_failing_sub_law_keeps_the_listed_name(self, tmp_path, monkeypatch, module,
                                                       attr, broken, name, detail):

@@ -68,7 +68,7 @@ class TestOrbitStructure:
         cert = orbit_epsilon_structure(sl, sz, 0.5, box_window(1, 3))
         assert cert.count == 7
         # oracle: disjoint-support sign observables sit sqrt(2) apart
-        d = sl.omega_distance(sl.translate(sz, 1), sl.translate(sz, 4))
+        d = sl.omega_distance_table([sl.translate(sz, 1)], [sl.translate(sz, 4)])[0]
         assert d == pytest.approx(math.sqrt(2))
 
     def test_separated_cardinality_monotone_in_epsilon(self):
@@ -133,9 +133,9 @@ class TestReturnSet:
             fs = random_finite_system(rng, q=1)
             a = ginibre(rng, fs.dim)
             g = (int(rng.integers(-4, 5)),)
-            base = fs.omega_distance(fs.translate(a, g), a)
+            base = fs.omega_distance_table(fs.translate(a, g), a)[0]
             for m in range(1, 7):
-                lhs = fs.omega_distance(fs.translate(a, scale(m, g)), a)
+                lhs = fs.omega_distance_table(fs.translate(a, scale(m, g)), a)[0]
                 assert lhs <= m * base + 1e-9 * (1 + m * base)
 
     def test_gap_witness_covers(self):
@@ -162,7 +162,7 @@ class TestReturnSet:
         assert len(rset.members) == 21
         assert len(calls) == 2 * 61
         for g, rhs in zip(rset.members, rset.chain_rhs.tolist()):
-            base = sys_h.omega_distance(original(sys_h, a, [g])[0], a)
+            base = sys_h.omega_distance_table(original(sys_h, a, [g])[0], a)[0]
             assert rhs == [m * base for m in (0, 1, 2)]
 
 
@@ -339,8 +339,8 @@ class TestSzemerediCompact:
             fs = random_finite_system(rng)
             a, b = ginibre(rng, fs.dim), ginibre(rng, fs.dim)
             g = tuple(int(x) for x in rng.integers(-3, 4, size=fs.q))
-            assert fs.omega_distance(fs.translate(a, g), fs.translate(b, g)) == \
-                pytest.approx(fs.omega_distance(a, b), abs=1e-10)
+            assert fs.omega_distance_table(fs.translate(a, g), fs.translate(b, g))[0] == \
+                pytest.approx(fs.omega_distance_table(a, b)[0], abs=1e-10)
 
 
 class TestSharedBudget:

@@ -257,15 +257,6 @@ class TestHigherOrder:
         assert expected > 0
         assert collision_bound(sys_h, spec, scan) == expected
 
-    def test_backends_say_when_the_state_factorizes(self):
-        sl = shift2()
-        assert sl.factorizes([(SZ, (0,)), (SZ, (1,)), (SZ, (2,))])
-        assert not sl.factorizes([(SZ, (0,)), (SZ, (1,)), (SZ, (0,))])
-        sys_h = rotation_algebra_system(1, 5)
-        v = cyclic_shift_matrix(5)
-        assert not sys_h.factorizes([(v, (0,))])
-        assert not sys_h.factorizes([(v, (0,)), (v, (1,))])
-
 
 class TestGammaSequence:
     def test_all_units_gives_zero(self):

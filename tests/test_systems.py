@@ -99,7 +99,7 @@ class TestRotationAlgebra:
         for i, x in enumerate(orbit):
             assert omega_norm(sys_h.state, x) == pytest.approx(1.0)
             for y in orbit[i + 1:]:
-                assert sys_h.omega_distance(x, y) > 1.1
+                assert sys_h.omega_distance_table(x, y)[0] > 1.1
 
 
 class TestUnitaryPowers:
@@ -339,14 +339,14 @@ class TestShiftSystem:
             a = LocalObservable(((0,), (1,)), b + np.kron(np.eye(d), c), d)
             b = LocalObservable(((0,), (1,)), b, d)
             exact = np.sqrt(np.trace(c.conj().T @ c).real / d)
-            assert sl.omega_distance(a, b) == pytest.approx(exact, rel=1e-15)
+            assert sl.omega_distance_table([a], [b])[0] == pytest.approx(exact, rel=1e-15)
 
     def test_omega_distance_of_scalars(self):
         # both supports are empty, so the difference is the 1x1 scalar one
         sl = shift_system(1, 2)
         half = LocalObservable((), np.array([[0.5 + 0j]]), 2)
-        assert sl.omega_distance(pauli_observable([0], "I"), half) == 0.5
-        assert sl.omega_distance(half, half) == 0.0
+        assert sl.omega_distance_table([pauli_observable([0], "I"), half], half).tolist() == \
+            [0.5, 0.0]
 
     def test_translate_moves_support(self):
         sl = shift_system(2, 2)
@@ -766,6 +766,26 @@ class TestChainTable:
         assert len(embeds) == 2
         assert np.all(vals == vals[0])
         assert vals[0] == per_row_expect_product(sl, [(a, (0,)), (unit, (0,)), (b, (1,))])
+
+    def test_one_observable_in_three_factors_contracts_once(self, monkeypatch):
+        # the three singletons of a row are keyed by the observable, not by
+        # the factor that holds it, so they share one contraction
+        sl = shift_system(1, 2)
+        embeds = []
+        embed = QuasiLocalSystem.embed
+
+        def counting(self, obs, window):
+            embeds.append(obs)
+            return embed(self, obs, window)
+
+        monkeypatch.setattr(QuasiLocalSystem, "embed", counting)
+        a = pauli_observable([0, 1], "ZX")
+        shifts = np.arange(-20, 20).reshape(-1, 1)
+        vals = sl.expect_product_table([(a, shifts), (a, shifts + 5), (a, 2 * shifts + 50)])
+        assert len(embeds) == 1
+        assert vals.tolist() == [
+            per_row_expect_product(sl, [(a, (g,)), (a, (g + 5,)), (a, (2 * g + 50,))])
+            for g in shifts[:, 0].tolist()]
 
     def test_rejects_empty_and_misaligned_tables(self):
         sl = shift_system(1, 2)
