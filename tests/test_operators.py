@@ -178,6 +178,46 @@ class TestTelescope:
             telescope_decompose([], [])
 
 
+class TestStateInequalities:
+    def test_cauchy_schwarz_thousand_pairs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(1000):
+            n = int(rng.integers(2, 5))
+            st = trace_state(n)
+            a, b = ginibre(rng, n), ginibre(rng, n)
+            lhs = abs(apply_state(st, adjoint(a) @ b))
+            rhs = omega_norm(st, a) * omega_norm(st, b)
+            assert lhs <= rhs + 1e-10 * (1 + rhs)
+
+    def test_tracial_three_factor_bound(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            n = int(rng.integers(2, 5))
+            st = trace_state(n)
+            a, b, c = ginibre(rng, n), ginibre(rng, n), ginibre(rng, n)
+            lhs = abs(apply_state(st, a @ b @ c))
+            rhs = operator_norm(a) * omega_norm(st, b) * operator_norm(c)
+            assert lhs <= rhs + 1e-10 * (1 + rhs)
+
+    def test_seminorm_below_norm(self):
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            n = int(rng.integers(2, 6))
+            st = trace_state(n) if rng.integers(0, 2) else \
+                unitary_with_invariant_state(rng, n)[1]
+            a = ginibre(rng, n)
+            assert omega_norm(st, a) <= operator_norm(a) + 1e-10
+
+    def test_positivity(self):
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            n = int(rng.integers(2, 6))
+            st = trace_state(n) if rng.integers(0, 2) else \
+                unitary_with_invariant_state(rng, n)[1]
+            a = ginibre(rng, n)
+            assert apply_state(st, adjoint(a) @ a).real >= -1e-12
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         a = ginibre(RNG, 4)
