@@ -44,11 +44,8 @@ class EpsilonNetCertificate:
     scanned orbit points and a 2-epsilon net for anything epsilon-close to
     them."""
 
-    epsilon: float
     shifts: tuple[GroupElement, ...]
     points: tuple
-    kind: str
-    scan_window: FolnerWindow
     note: str = SCAN_SCOPE_NOTE
 
     @property
@@ -76,13 +73,7 @@ def orbit_epsilon_structure(
                 # observables on the quasi-local backend), so no view into
                 # a chunk's translates outlives its loop
                 picked = np.array([*picked, x])
-    return EpsilonNetCertificate(
-        epsilon=epsilon,
-        shifts=tuple(picked_shifts),
-        points=tuple(picked),
-        kind="separated-maximal",
-        scan_window=scan_window,
-    )
+    return EpsilonNetCertificate(shifts=tuple(picked_shifts), points=tuple(picked))
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +88,6 @@ class ReturnSet:
     relatively dense on the scan, when one exists.
     """
 
-    epsilon: float
     exponents: tuple[int, ...]
     members: tuple[GroupElement, ...]
     chain_lhs: np.ndarray  # float64 ||tau_{m g}(a) - a||
@@ -143,7 +133,6 @@ def return_set(
     lhs, rhs = dists[hits], ms * bases[:, None]
     members = [tuple(g) for g in gs[hits].tolist()]
     return ReturnSet(
-        epsilon=epsilon,
         exponents=exps,
         members=tuple(members),
         chain_lhs=lhs,
@@ -334,7 +323,8 @@ def szemeredi_average_compact(
         raise ValueError(
             "return set empty on the scan window; enlarge the window schedule")
     member_set = FiniteSet(frozenset(members))
-    witness = relative_density_witness(member_set, _core_scan(scan, cands), cands)
+    # the core keeps every g + candidate inside the scanned region
+    witness = relative_density_witness(member_set, box_window(q, max(1, max_coord)), cands)
 
     shifts, ratios = zip(*(best_shift_for_density(w, member_set, cands) for w in windows))
     shifted = [shift_window(w, shift) for w, shift in zip(windows, shifts)]
@@ -351,11 +341,3 @@ def szemeredi_average_compact(
         tail_min=min(_tail(averages)),
         witness_accepted=witness.accepted,
     )
-
-
-def _core_scan(scan: FolnerWindow, cands: Sequence[GroupElement]) -> FolnerWindow:
-    """Shrink the scan so every g + candidate stays inside the scanned region,
-    keeping the witness check honest at the boundary."""
-    max_cand = max(max(abs(x) for x in c) for c in cands)
-    n = max(1, scan.index - max_cand)
-    return box_window(scan.q, n)

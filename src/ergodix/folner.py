@@ -220,9 +220,9 @@ def box_window(q: int, n: int, center: Union[int, Sequence[int], None] = None) -
     return FolnerWindow(q=q, shape="box", index=n, center=c)
 
 
-def custom_window(q: int, elements: Iterable[Union[int, Sequence[int]]], index: int = 1) -> FolnerWindow:
+def custom_window(q: int, elements: Iterable[Union[int, Sequence[int]]]) -> FolnerWindow:
     pts = frozenset(as_element(e, q) for e in elements)
-    return FolnerWindow(q=q, shape="custom", index=index, center=zero(q), points=pts)
+    return FolnerWindow(q=q, shape="custom", index=1, center=zero(q), points=pts)
 
 
 def box_schedule(q: int, n_min: int, n_max: int, stride: int = 1) -> list[FolnerWindow]:
@@ -469,7 +469,6 @@ def lower_density(pred: SetPredicate, windows: Sequence[FolnerWindow]) -> Densit
 @dataclass(frozen=True)
 class RelativeDensityResult:
     accepted: bool
-    candidates: tuple[GroupElement, ...]
     failing_point: Optional[GroupElement] = None
 
 
@@ -512,9 +511,9 @@ def relative_density_witness(
     cands = tuple(as_element(c, scan.q) for c in candidates)
     covered = _covered(pred, scan, cands)
     if covered.all():
-        return RelativeDensityResult(True, cands)
+        return RelativeDensityResult(True)
     failing = tuple(scan.element_array()[int(np.argmin(covered))].tolist())
-    return RelativeDensityResult(False, cands, failing_point=failing)
+    return RelativeDensityResult(False, failing_point=failing)
 
 
 def best_shift_for_density(

@@ -103,15 +103,15 @@ def check_best_shift_bound(rng, scale=1.0) -> tuple[bool, str]:
 
 # --- operators ---------------------------------------------------------------
 
-def _operator_stacks(rng, count, scale, factors, tracial=False):
+def _operator_stacks(rng, count, scale, factors, trace_only=False):
     """``(n, state, stacks)`` for n = 2..5 and each state: the trace state
-    and, unless the law is ``tracial`` or reads no state, a random faithful
-    invariant one.  ``stacks`` holds ``factors`` Ginibre stacks of shape
+    and, unless ``trace_only`` (the law is tracial or reads no state), a
+    random faithful invariant one.  ``stacks`` holds ``factors`` Ginibre stacks of shape
     (K, n, n), K the ceiling of each stack's share of the trials."""
-    k = math.ceil(_trials(count, scale) / (4 if tracial else 8))
+    k = math.ceil(_trials(count, scale) / (4 if trace_only else 8))
     for n in range(2, 6):
         states = [operators.trace_state(n)]
-        if not tracial:
+        if not trace_only:
             states.append(sampling.unitary_with_invariant_state(rng, n)[1])
         for st in states:
             yield n, st, sampling.ginibre(rng, n, factors * k).reshape(factors, k, n, n)
@@ -127,7 +127,7 @@ def check_cauchy_schwarz(rng, scale=1.0) -> tuple[bool, str]:
 
 
 def check_tracial_bound(rng, scale=1.0) -> tuple[bool, str]:
-    for n, st, (a, b, c) in _operator_stacks(rng, 300, scale, 3, tracial=True):
+    for n, st, (a, b, c) in _operator_stacks(rng, 300, scale, 3, trace_only=True):
         lhs = np.abs(operators.apply_state_table(st, a @ b @ c))
         rhs = (operators.operator_norm_table(a) * operators.omega_norm_table(st, b)
                * operators.operator_norm_table(c))
@@ -152,7 +152,7 @@ def check_state_positivity(rng, scale=1.0) -> tuple[bool, str]:
 
 
 def check_adjoint_antihomomorphism(rng, scale=1.0) -> tuple[bool, str]:
-    for n, _, (a, b) in _operator_stacks(rng, 100, scale, 2, tracial=True):
+    for n, _, (a, b) in _operator_stacks(rng, 100, scale, 2, trace_only=True):
         err = operators.adjoint(a @ b) - operators.adjoint(b) @ operators.adjoint(a)
         if (np.linalg.norm(err, axis=(1, 2)) > 1e-12).any():
             return False, f"n={n}"

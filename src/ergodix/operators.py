@@ -38,13 +38,10 @@ class State:
     """A positive normalized linear functional in density-matrix form.
 
     omega(a) = trace(density @ a).  Construction verifies hermiticity, unit
-    trace and positive semidefiniteness; a ``tracial`` flag additionally
-    requires the density to be the normalized identity (the only density that
-    commutes with the full matrix algebra).
+    trace and positive semidefiniteness.
     """
 
     density: np.ndarray
-    tracial: bool = False
 
     def __post_init__(self) -> None:
         rho = as_matrix(self.density)
@@ -55,18 +52,20 @@ class State:
             raise ValueError("density matrix must have unit trace")
         if np.linalg.eigvalsh(rho).min() < -PSD_TOL:
             raise ValueError("density matrix must be positive semidefinite")
-        if self.tracial:
-            n = rho.shape[0]
-            if np.linalg.norm(rho - np.eye(n) / n) > HERMITIAN_TOL:
-                raise ValueError("tracial flag requires the normalized-trace density")
 
     @property
     def dim(self) -> int:
         return self.density.shape[0]
 
+    @property
+    def tracial(self) -> bool:
+        """Whether omega(ab) = omega(ba) for all a, b: on M_n, exactly when
+        the density is the normalized identity."""
+        return bool(np.linalg.norm(self.density - np.eye(self.dim) / self.dim) <= HERMITIAN_TOL)
+
 
 def trace_state(dim: int) -> State:
-    return State(np.eye(dim, dtype=np.complex128) / dim, tracial=True)
+    return State(np.eye(dim, dtype=np.complex128) / dim)
 
 
 def apply_state_table(state: State, stack: np.ndarray) -> np.ndarray:
@@ -118,7 +117,7 @@ def conjugate_lift(a: np.ndarray) -> np.ndarray:
 def product_state(state: State) -> State:
     """omega tensor omega-bar, as a density on the doubled algebra."""
     rho = state.density
-    return State(np.kron(rho, rho.conj()), tracial=state.tracial)
+    return State(np.kron(rho, rho.conj()))
 
 
 def telescope_decompose(cs: Sequence[np.ndarray], ds: Sequence[np.ndarray]) -> np.ndarray:

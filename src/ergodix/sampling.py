@@ -51,7 +51,7 @@ def unitary_with_invariant_state(
     rho = (w * weights) @ w.conj().T
     rho = (rho + rho.conj().T) / 2
     rho = rho / np.trace(rho).real
-    return u, State(rho, tracial=False)
+    return u, State(rho)
 
 
 def random_finite_system(

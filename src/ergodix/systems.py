@@ -530,7 +530,8 @@ class QuasiLocalSystem:
         a single observable on either side meets every row of the other.
         Each pair embeds both on the m sites of their union support and
         takes omega(D* D) = trace(D* D) / d^m of the difference D."""
-        xs = [xs] * len(ys) if isinstance(xs, LocalObservable) else xs
+        if isinstance(xs, LocalObservable):
+            xs = [xs] * (1 if isinstance(ys, LocalObservable) else len(ys))
         ys = [ys] * len(xs) if isinstance(ys, LocalObservable) else ys
         out = []
         for x, y in zip(xs, ys, strict=True):

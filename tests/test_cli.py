@@ -74,6 +74,21 @@ COMPACT_CFG = {
 }
 
 
+def run_with_both_trace_states(tmp_path, command, cfg):
+    """Run ``command`` on the clock/shift pair of M_2 as a finite system,
+    once with the state {"kind": "trace"} and once with the same state
+    written as its density I/2; the two output directories, keyed by kind."""
+    gens = [matrix_to_json(np.diag([1.0, -1.0])), matrix_to_json([[0.0, 1.0], [1.0, 0.0]])]
+    outs = {}
+    for kind, state in (("trace", {"kind": "trace"}),
+                        ("density", {"kind": "density", "entries": matrix_to_json(np.eye(2) / 2)})):
+        path = write_cfg(tmp_path, f"{kind}.json", {
+            **cfg, "system": {"kind": "finite", "generators": gens, "state": state}})
+        outs[kind] = tmp_path / kind
+        assert main([command, "--config", path, "--out", str(outs[kind])]) == 0
+    return outs
+
+
 class TestExitCodes:
     def test_unknown_top_level_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", {"system": {"kind": "shift", "q": 1, "d": 2},
@@ -497,6 +512,23 @@ class TestFolnerCommand:
         assert rep["tempelman_max"] == 7 / 3 and rep["tempelman_bound"] == 2
         assert not (out / "failures.json").exists()
 
+    def test_progression_density_is_one_third_at_n_one(self, tmp_path):
+        # the even numbers in {-n..n}: 1 of 3 points at n = 1, then more
+        cfg = write_cfg(tmp_path, "c.json", {
+            "group": {"q": 1}, "windows": {"shape": "box", "n_min": 1, "n_max": 6},
+            "set": {"kind": "progression", "start": [0], "step": [2]}})
+        out = tmp_path / "o"
+        assert main(["folner", "--config", cfg, "--out", str(out)]) == 0
+        assert read_json(out / "folner.json")["density"]["lower_density"] == 1 / 3
+
+    def test_the_whole_group_has_density_one(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.json", {
+            "group": {"q": 2}, "windows": {"shape": "box", "n_min": 1, "n_max": 4},
+            "set": {"kind": "all"}})
+        out = tmp_path / "o"
+        assert main(["folner", "--config", cfg, "--out", str(out)]) == 0
+        assert [r for _, r in read_json(out / "folner.json")["density"]["per_n"]] == [1.0] * 4
+
 
 class TestMixCommand:
     def test_exact_defect_column(self, tmp_path):
@@ -528,6 +560,23 @@ class TestMixCommand:
         for line in lines:
             assert abs(float(line.split(",")[2]) - 1.0) < 1e-5
 
+    def test_finite_abelianness_of_commuting_observables(self, tmp_path):
+        # V* and every translate of V commute, so the statistic is exactly 0
+        # and only round-off is left
+        cfg = write_cfg(tmp_path, "c.json", {
+            "system": {"kind": "rotation", "p": 3, "Q": 16},
+            "windows": {"shape": "box", "n_min": 1, "n_max": 30},
+            "observables": {"a": {"kind": "named", "name": "V*"},
+                            "b": {"kind": "named", "name": "V"}},
+            "hom": {"kind": "scalar", "m": 1},
+            "statistics": ["abelianness"],
+        })
+        out = tmp_path / "o"
+        assert main(["mix", "--config", cfg, "--out", str(out)]) == 0
+        stat = read_json(out / "mix.json")["statistics"]["abelianness"]
+        assert stat["last"] < 1e-12
+        assert stat["verdict"] == "decaying"
+
 
 class TestVdcCommand:
     def test_weyl_report(self, tmp_path):
@@ -558,6 +607,20 @@ class TestVdcCommand:
         assert time.perf_counter() - start < 1.0
         gamma = read_json(out / "vdc.json")["gamma"]
         assert [h for h, _, _ in gamma] == [[h] for h in range(-20, 21)]
+
+    def test_constant_sequence_statistic(self, tmp_path):
+        # gamma_h = 1 at every lag of a unit constant, so the statistic is
+        # |W^-1 W| / |W| = (4n+1)/(2n+1) and every average has norm 1
+        cfg = write_cfg(tmp_path, "c.json", {
+            "sequence": {"kind": "constant"},
+            "windows": {"shape": "box", "n_min": 1, "n_max": 20}})
+        out = tmp_path / "o"
+        assert main(["vdc", "--config", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "vdc.csv").read_text().splitlines()[1:]]
+        assert [int(n) for n, _, _, _ in rows] == list(range(1, 21))
+        for n, _, statistic, average_norm in rows:
+            assert float(average_norm) == 1.0
+            assert abs(float(statistic) - (4 * int(n) + 1) / (2 * int(n) + 1)) < 1e-12
 
     @pytest.mark.parametrize("sequence,windows,at", [
         ({"kind": "linear-phase", "alpha": 1e308},
@@ -729,6 +792,19 @@ class TestSzemerediCommand:
         assert main(["szemeredi", "--config", self.q2_config(tmp_path),
                      "--out", str(tmp_path / "o")]) == 1
 
+    def test_a_density_of_i_over_n_is_tracial(self, tmp_path):
+        # the compact branch needs a tracial state, and I/2 written as a
+        # density is the trace state
+        outs = run_with_both_trace_states(tmp_path, "szemeredi", {
+            "observable": {"kind": "matrix",
+                           "entries": matrix_to_json([[0.75, 0.25], [0.25, 0.75]])},
+            "exponents": [1, 2],
+            "windows": {"shape": "box", "n_min": 1, "n_max": 4},
+        })
+        assert read_json(outs["density"] / "szemeredi.json")["branch"] == "compact"
+        for name in ("szemeredi.json", "szemeredi.csv"):
+            assert (outs["density"] / name).read_bytes() == (outs["trace"] / name).read_bytes()
+
 
 class TestCompactCommand:
     def test_rotation_certificates(self, tmp_path):
@@ -808,6 +884,22 @@ class TestCompactCommand:
         assert rep["return_set"]["members"] == [[g] for g in range(-5, 6)]
         assert rep["return_set"]["chain_ok"] is True
 
+    def test_a_density_of_i_over_n_takes_the_correlation_bounds(self, tmp_path):
+        a = np.array([[0.75, 0.25], [0.25, 0.75]])
+        outs = run_with_both_trace_states(tmp_path, "compact", {
+            "observable": {"kind": "matrix", "entries": matrix_to_json(a)},
+            "epsilon": 0.05,
+            "exponents": [1, 2],
+            "scan": {"shape": "box", "n": 3},
+        })
+        assert (outs["density"] / "compact.json").read_bytes() == \
+            (outs["trace"] / "compact.json").read_bytes()
+        # the members are the g of even clock power, which fix a = 3/4 + X/4
+        # exactly, so each correlation is omega(a^2) = 0.625 against 0.625 - 0.05
+        bounds = read_json(outs["density"] / "compact.json")["correlation_bounds"]
+        assert bounds
+        assert [(b["value"], b["bound"]) for b in bounds] == [(0.625, 0.575)] * len(bounds)
+
 
 class TestInvariantsCommand:
     def test_passes_and_reports(self, tmp_path):
@@ -824,6 +916,47 @@ class TestInvariantsCommand:
         assert main(["invariants", "--config", cfg, "--out", str(out),
                      "--seed", "3"]) == 0
         assert read_json(out / "invariants.json")["seed"] == 3
+
+    def test_every_record_at_seed_one_is_pinned(self, tmp_path):
+        # the battery's draws at seed 1 and scale 0.05, record by record; a
+        # change that moves the draws updates this pin and says so
+        cfg = write_cfg(tmp_path, "c.json", {"seed": 1, "scale": 0.05})
+        out = tmp_path / "o"
+        assert main(["invariants", "--config", cfg, "--out", str(out)]) == 0
+        results = read_json(out / "invariants.json")["results"]
+        assert [(r["name"], r["passed"], r["detail"]) for r in results] == [
+            ("folner/box-defect-law", True, ""),
+            ("folner/tempelman-bound", True, ""),
+            ("folner/shift-invariance", True, ""),
+            ("folner/density-complement", True, ""),
+            ("folner/best-shift-bound", True, ""),
+            ("operators/cauchy-schwarz", True, ""),
+            ("operators/tracial-bound", True, ""),
+            ("operators/seminorm-dominated", True, ""),
+            ("operators/state-positivity", True, ""),
+            ("operators/adjoint-antihomomorphism", True, ""),
+            ("operators/tensor-norm-multiplicative", True, ""),
+            ("operators/conjugate-doubling", True, ""),
+            ("operators/telescope-identity", True, ""),
+            ("systems/automorphism-laws", True, ""),
+            ("systems/window-independence", True, ""),
+            ("systems/product-system-law", True, ""),
+            ("systems/rotation-orbit", True, ""),
+            ("mixing/square-equivalence", True, ""),
+            ("mixing/folner-independence", True, "inconclusive vs inconclusive"),
+            ("mixing/gamma-consistency", True, ""),
+            ("vdc/inequalities", True, ""),
+            ("vdc/difference-sum-bound", True, ""),
+            ("vdc/smoothing-consistency", True, ""),
+            ("compactness/isometry", True, ""),
+            ("compactness/separated-monotone", True, "[5, 5, 2, 2]"),
+            ("compactness/chain-inequality", True, ""),
+            ("compactness/perturbed-product", True, ""),
+            ("spectral/koopman-unitarity", True, ""),
+            ("spectral/eigenoperator-count", True, ""),
+            ("spectral/factor-invariance", True, ""),
+            ("spectral/eigenoperator-orbit", True, ""),
+        ]
 
     @pytest.mark.parametrize("module, attr, broken, name, detail", [
         (folner, "shift_window", lambda w, h: folner.box_window(w.q, w.index + 1),

@@ -43,9 +43,10 @@ class TestState:
         with pytest.raises(ValueError):
             State(np.diag([1.5, -0.5]))
 
-    def test_tracial_flag_checked(self):
-        with pytest.raises(ValueError):
-            State(np.diag([0.9, 0.1]), tracial=True)
+    def test_tracial_read_from_the_density(self):
+        assert State(np.eye(3) / 3).tracial
+        assert trace_state(4).tracial
+        assert not State(np.diag([0.9, 0.1])).tracial
 
     def test_tracial_random_pairs(self):
         st = trace_state(3)

@@ -341,6 +341,12 @@ class TestShiftSystem:
             exact = np.sqrt(np.trace(c.conj().T @ c).real / d)
             assert sl.omega_distance_table([a], [b])[0] == pytest.approx(exact, rel=1e-15)
 
+    def test_omega_distance_of_two_single_observables(self):
+        # one observable on each side is one row, as [a], [b] is
+        sl = shift_system(1, 2)
+        a, b = pauli_observable([0, 1], "ZX"), pauli_observable([1], "Y")
+        assert sl.omega_distance_table(a, b).tolist() == sl.omega_distance_table([a], [b]).tolist()
+
     def test_omega_distance_of_scalars(self):
         # both supports are empty, so the difference is the 1x1 scalar one
         sl = shift_system(1, 2)
@@ -578,6 +584,7 @@ class TestStackedCounterparts:
         back = fs.omega_distance_table(b, xs)
         for x, d in zip(xs, back.tolist()):
             assert same_bits(d, reference_omega_norm(fs, b - x))
+        assert same_bits(fs.omega_distance_table(xs[0], b), fs.omega_distance_table(xs[:1], [b]))
         other = shifts[::-1]
         vals = fs.expect_product_table([(a, shifts), (b, other), (a, shifts)])
         for v, g, h in zip(vals.tolist(), rows, map(tuple, other.tolist())):
@@ -824,3 +831,26 @@ class TestChainTable:
         got = ring.expect_product_table([(m, t - 1) for m, t in zip(mats, tables)])
         want = sl.expect_product_table(list(zip(obs, tables)))
         assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_finite_ring_commutators_match_the_chain_below_its_length(self):
+        # the ring agrees with the chain on the rows where a and the shifted
+        # b fit in fewer than 8 consecutive sites; where their supports are
+        # disjoint the chain reads exactly 0 and the ring only up to round-off
+        ring, sl = ring_system(), shift_system(1, 2)
+        rng = np.random.default_rng(71)
+        sites = [(s,) for s in range(8)]
+        shifts = np.arange(-7, 8).reshape(-1, 1)
+        for _ in range(2):
+            a, b = (random_local_observable(rng, 1, 2, max_sites=2, span=1) for _ in range(2))
+            sa = {s for (s,) in a.support}
+            moved = [{s + g for (s,) in b.support} for g in shifts[:, 0].tolist()]
+            keep = np.array([max(sa | sb) - min(sa | sb) < 8 for sb in moved])
+            disjoint = np.array([sa.isdisjoint(sb) for sb in moved])
+            assert keep[disjoint].any() and keep[~disjoint].any()
+            want = sl.commutator_norm_table(a, b, shifts)
+            assert np.all(want[disjoint] == 0.0)
+            # both observables lie in [-1, 1], so each is lifted onto the
+            # ring one site to the right
+            am, bm = (sl.embed(sl.translate(o, 1), sites) for o in (a, b))
+            got = ring.commutator_norm_table(am, bm, shifts[keep])
+            assert np.max(np.abs(got - want[keep])) < 1e-12
