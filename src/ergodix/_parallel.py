@@ -1,17 +1,19 @@
 """Point tables and correctly rounded reductions.
 
-Every window statistic (mixing defects, multi-correlation averages, van der
-Corput averages and lag tables, and the densities of windows that are not
-boxes) finds the distinct lattice points of its whole schedule with
-:func:`point_table` and hands them to its integrand once, as the rows of a
-(T, q) integer table in first-seen order.  The integrand returns their T
-values, so a backend, a predicate or a sequence decides all the points at
-once.  Each window is reduced over that table with correctly rounded sums,
-so every result is independent of evaluation order; :func:`table_means` is
-the one window reduction.  Its array of per-window means is a curve, which
-a report carries as an array next to the int64 window indices ``n``.
-Box-window densities, best shifts and witnesses count on one predicate mask
-over a bounding box in :mod:`ergodix.folner`.
+Every window statistic (mixing defects, multi-correlation averages, the van
+der Corput averages and lag tables of windows that are not boxes, and the
+densities of windows that are not boxes) finds the distinct lattice points
+of its whole schedule with :func:`point_table` and hands them to its
+integrand once, as the rows of a (T, q) integer table in first-seen order.
+The integrand returns their T values, so a backend, a predicate or a
+sequence decides all the points at once.  Each window is reduced over that
+table with correctly rounded sums, so every result is independent of
+evaluation order; :func:`table_means` is the one window reduction.  Its
+array of per-window means is a curve, which a report carries as an array
+next to the int64 window indices ``n``.  Box-window densities, best shifts
+and witnesses count on one predicate mask over a bounding box in
+:mod:`ergodix.folner`, and box van der Corput schedules read f on one
+support box in :mod:`ergodix.vdc`.
 """
 
 from __future__ import annotations
@@ -143,18 +145,21 @@ def point_table(
 
 
 def window_points(
-    windows: Sequence, lead: Optional[np.ndarray] = None
+    windows: Sequence, lead: Optional[tuple[np.ndarray, np.ndarray]] = None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """:func:`point_table` over the elements of each window in turn, after
-    the rows of ``lead`` when given."""
+    """:func:`point_table` over the elements of each window in turn.  With
+    ``lead = (base, shifts)`` the table first reads the translates
+    ``base + s``, one block per row s of ``shifts`` in order, each drawn only
+    when the table reaches it, so the translates never exist whole."""
     corners = [w.bounds() for w in windows]
-    if lead is not None:
-        corners.append((lead.min(axis=0).tolist(), lead.max(axis=0).tolist()))
-    lo = [min(c) for c in zip(*(a for a, _ in corners))]
-    hi = [max(c) for c in zip(*(b for _, b in corners))]
     blocks = (w.element_array() for w in windows)
     if lead is not None:
-        blocks = itertools.chain([lead], blocks)
+        base, shifts = lead
+        corners.append(((base.min(axis=0) + shifts.min(axis=0)).tolist(),
+                        (base.max(axis=0) + shifts.max(axis=0)).tolist()))
+        blocks = itertools.chain((base + s for s in shifts), blocks)
+    lo = [min(c) for c in zip(*(a for a, _ in corners))]
+    hi = [max(c) for c in zip(*(b for _, b in corners))]
     return point_table(blocks, lo, hi)
 
 

@@ -269,6 +269,9 @@ def run_compact(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
     scan = parse_scan(cfg["scan"], q)
     _needs(cfg, "windows", "candidates")
     _needs(cfg, "candidates", "windows")
+    if "windows" in cfg and not sys_h.is_tracial:
+        # the compact Szemeredi average is a tracial theorem
+        raise ConfigError("windows: the compact Szemeredi average requires a tracial state")
 
     cert = compactness.orbit_epsilon_structure(sys_h, a, eps, scan)
     report: dict = {

@@ -277,8 +277,8 @@ def gamma_sequence(
     gs = largest.element_array()
     offsets = np.concatenate([np.zeros((1, spec.q), dtype=lags.dtype), lags])
     # x on the window (block 0) and on each lag translate of it (block 1 + j)
-    sums = (offsets[:, None, :] + gs[None, :, :]).reshape(-1, spec.q)
-    points, (rows,) = window_points([], lead=sums)
+    points, blocks = window_points([], lead=(gs, offsets))
+    rows = np.concatenate(blocks)
     x_vals = evaluate_table(sys, [(a, h, points) for a, h in zip(tail, spec.homs)]).tolist()
     # <x(g), x(g + h)> at every lag h and every g of the window, lag-major
     here, there = np.tile(rows[:len(gs)], len(lags)), rows[len(gs):]

@@ -20,12 +20,13 @@ _BLOCK = 1 << 10
 
 
 class Table:
-    """Named columns of equal length.  A column is a numpy array or a list of
-    ints, floats or strings; a (k, q) integer column holds one group element
-    per row."""
+    """Named columns of equal length.  A column is a numpy array, kept as it
+    comes, or a list of ints, floats or strings; a (k, q) integer column
+    holds one group element per row.  The writers turn a column into Python
+    values one _BLOCK of rows at a time."""
 
     def __init__(self, **columns):
-        self.columns = {name: column.tolist() if isinstance(column, np.ndarray) else list(column)
+        self.columns = {name: column if isinstance(column, np.ndarray) else list(column)
                         for name, column in columns.items()}
         lengths = set(map(len, self.columns.values()))
         if len(lengths) > 1:
@@ -33,17 +34,27 @@ class Table:
         self.length = max(lengths, default=0)
 
 
+def _blocks(table: Table) -> Iterator[list[list]]:
+    """The columns of a Table as lists, _BLOCK rows at a time."""
+    for start in range(0, table.length, _BLOCK):
+        yield [column[start:start + _BLOCK].tolist() if isinstance(column, np.ndarray)
+               else column[start:start + _BLOCK] for column in table.columns.values()]
+
+
 def write_csv(path: Path, table: Table) -> None:
-    rows = zip(*([format(x, ".17g") if isinstance(x, float) else str(x) for x in column]
-                 for column in table.columns.values()))
-    path.write_text("\n".join(map(",".join, [table.columns, *rows])) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as fp:
+        fp.write(",".join(table.columns) + "\n")
+        for block in _blocks(table):
+            cells = ([format(x, ".17g") if isinstance(x, float) else str(x) for x in column]
+                     for column in block)
+            fp.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _plain(value):
     """json ``default``: a Table as its rows, complex numbers as ``[re, im]``,
     numpy scalars as Python ones."""
     if isinstance(value, Table):
-        return [list(row) for row in zip(*value.columns.values())]
+        return [list(row) for block in _blocks(value) for row in zip(*block)]
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, np.generic):
@@ -83,9 +94,8 @@ def _chunks(obj, depth: int) -> Iterator[str]:
             yield from _chunks(obj[key], depth + 1)
         yield close + "}"
     elif isinstance(obj, Table) and obj.length:
-        for start in range(0, obj.length, _BLOCK):
-            block = [column[start:start + _BLOCK] for column in obj.columns.values()]
-            yield ("," if start else "[") + inner + ("," + inner).join(_rows(block, depth + 1))
+        for i, block in enumerate(_blocks(obj)):
+            yield ("," if i else "[") + inner + ("," + inner).join(_rows(block, depth + 1))
         yield close + "]"
     else:
         # JSON strings never hold a raw newline, so this only indents lines

@@ -19,6 +19,7 @@ import numpy as np
 from ._parallel import fsum_complex, lex_keys, ordered_map, window_points
 from .folner import (
     FolnerWindow,
+    _box_rows,
     _exact_dtype,
     _reach,
     box_window,
@@ -78,7 +79,8 @@ def _phases(alpha: float, form: np.ndarray, v: np.ndarray) -> np.ndarray:
     point.  A phase too large for float64 comes out NaN, and the declared
     bound check rejects it."""
     with np.errstate(invalid="ignore", over="ignore"):
-        return np.exp((2j * np.pi * alpha) * form.astype(np.float64))[:, None] * v
+        z = (2j * np.pi * alpha) * form.astype(np.float64)
+        return np.exp(z, out=z)[:, None] * v
 
 
 def _norm(v: np.ndarray) -> float:
@@ -154,9 +156,8 @@ def check_double_average_bound(
     """
     gs, hs = outer.element_array(), inner.element_array()
     # f at every g + h, outer-major, read from one table of the distinct sums
-    sums = (gs[:, None, :] + hs[None, :, :]).reshape(-1, outer.q)
-    points, (rows,) = window_points([], lead=sums)
-    vals = f.table(points)[rows].reshape(len(gs), len(hs), f.dim)
+    points, rows = window_points([], lead=(hs, gs))
+    vals = f.table(points)[np.concatenate(rows)].reshape(len(gs), len(hs), f.dim)
     lhs = float(np.linalg.norm(vals.reshape(-1, f.dim).sum(axis=0)) ** 2)
 
     # column j stacks f(g + h_j) over g; the Gram sum is the triple sum
@@ -203,12 +204,12 @@ class VdcReport:
     threshold: float
 
 
-def _gamma_empirical(vals: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+def _gamma_empirical(vals: np.ndarray, rows: Sequence[np.ndarray], size: int) -> np.ndarray:
     """gamma_h = (1/|W|) sum_{g in W} <f(g), f(g+h)>, one ``np.vdot`` per lag:
-    ``rows[i, j]`` is the row of g_i + h_j in the stacked table ``vals`` of f,
-    and the lags are symmetric and sorted, so the middle column is h = 0."""
-    a = vals[rows[:, rows.shape[1] // 2]]
-    return np.array(ordered_map(lambda r: complex(np.vdot(a, vals[r])) / size, rows.T), complex)
+    ``rows[j]`` holds the rows of W + h_j in the table ``vals`` of f, in the
+    order of W, and the lags are symmetric and sorted, so h = 0 is the middle."""
+    a = vals[rows[len(rows) // 2]]
+    return np.array(ordered_map(lambda r: complex(np.vdot(a, vals[r])) / size, rows), complex)
 
 
 def _gamma_box(vals: np.ndarray, window: FolnerWindow, radius: int) -> np.ndarray:
@@ -246,52 +247,67 @@ def vdc_verdict(
     """
     if not windows:
         raise ValueError("need at least one window")
+    if h_max is not None and h_max < 0:
+        raise ValueError(f"h_max must be >= 0, got {h_max}")
     windows = sorted(windows, key=lambda w: w.size)
-    largest = windows[-1]
-    table = difference_counts(largest)
-    lags = table[0]
-    if h_max is not None:
-        lags = lags[np.abs(lags).max(axis=1) <= h_max]
-    # f is tabulated once on the lag support of the largest window and on
-    # every window; the lag estimates and the averages read the same table
-    box = largest.shape == "box"
-    if box:
-        # the box grown by the largest lag on every axis, in C order
-        radius = int(lags.max())
-        support = box_window(largest.q, largest.index + radius, largest.center).element_array()
+    largest, q = windows[-1], windows[-1].q
+    if largest.shape == "box":
+        # the lags of W^-1 W within h_max: the box of radius R = min(2n, h_max)
+        radius = 2 * largest.index if h_max is None else min(2 * largest.index, h_max)
+        lags = _box_rows((-radius,) * q, (radius,) * q)
+        # f once on W grown by R on every axis, in C order; a box inside it
+        # reads its values as a slice, any other window is tabulated alone
+        support = box_window(q, largest.index + radius, largest.center)
+        vals = f.table(support.element_array())
+        gamma = _gamma_box(vals, largest, radius)
+        grid = vals.reshape((2 * support.index + 1,) * q + (f.dim,))
+        (lo, hi), shape = support.bounds(), (2 * radius + 1,) * q
+
+        def values(w: FolnerWindow) -> np.ndarray:
+            a, b = w.bounds()
+            if w.shape != "box" or not all(x <= y <= z <= u for x, y, z, u in zip(lo, a, b, hi)):
+                return f.table(w.element_array())
+            at = tuple(slice(y - x, z - x + 1) for x, y, z in zip(lo, a, b))
+            return grid[at].reshape(-1, f.dim)
+
+        def terms(w: FolnerWindow) -> tuple[np.ndarray, np.ndarray]:
+            # the window's lags within R, read in the lag box by position
+            window_lags, counts = difference_counts(w)
+            hit = np.abs(window_lags).max(axis=1) <= radius
+            at = (window_lags[hit] + radius).astype(np.int64).T
+            return np.ravel_multi_index(tuple(at), shape), counts[hit]
+
+        window_values = map(values, windows)
     else:
-        gs = largest.element_array()
-        # every g + h, g-major; W itself is among them, at h = 0
-        support = (gs[:, None, :] + lags[None, :, :]).reshape(-1, largest.q)
-    # the support leads the table: a box keeps its rows' indices, and in the
-    # custom-window path rows[i, j] is the row of g_i + h_j
-    points, window_rows = window_points(windows, lead=support)
-    vals = f.table(points)
-    if box:
-        gamma = _gamma_box(vals[:len(support)], largest, radius)
-    else:
-        rows = window_rows[0].reshape(len(gs), len(lags))
-        gamma = _gamma_empirical(vals, rows, largest.size)
+        table = difference_counts(largest)
+        lags = table[0]
+        if h_max is not None:
+            lags = lags[np.abs(lags).max(axis=1) <= h_max]
+        # f once on each lag translate W + h, lag-major, then on each window
+        points, rows = window_points(windows, lead=(largest.element_array(), lags))
+        vals = f.table(points)
+        gamma = _gamma_empirical(vals, rows[:len(lags)], largest.size)
+
+        def terms(w: FolnerWindow) -> tuple[np.ndarray, np.ndarray]:
+            # the window's lags looked up among the estimated ones by key
+            window_lags, counts = table if w is largest else difference_counts(w)
+            gamma_keys, keys = lex_keys(lags, window_lags)
+            at = np.minimum(np.searchsorted(gamma_keys, keys), len(gamma_keys) - 1)
+            hit = gamma_keys[at] == keys
+            return at[hit], counts[hit]
+
+        window_values = (vals[r] for r in rows[len(lags):])
 
     # np.hypot, not np.abs: np.abs of complex128 can differ from abs(complex)
     # in the last bit, hypot does not
     abs_gamma = np.hypot(gamma.real, gamma.imag)
-    # each window's lags, looked up among the estimated ones by key; the
-    # overlap |W intersect (W+h)| is the lag's multiplicity in the table
-    statistic = []
-    double_avg = []
-    for w in windows:
-        window_lags, counts = table if w is largest else difference_counts(w)
-        gamma_keys, keys = lex_keys(lags, window_lags)
-        at = np.minimum(np.searchsorted(gamma_keys, keys), len(gamma_keys) - 1)
-        hit = gamma_keys[at] == keys
-        idx = at[hit]
-        weighted = counts[hit] * gamma[idx]
+    # the overlap |W intersect (W+h)| is the lag's multiplicity in W^-1 W
+    statistic, double_avg, averages = [], [], []
+    for w, v in zip(windows, window_values):
+        idx, counts = terms(w)
         statistic.append(math.fsum(abs_gamma[idx].tolist()) / w.size)
-        double_avg.append(fsum_complex(weighted) / (w.size ** 2))
-
-    averages = [float(np.linalg.norm(_mean_vector(vals[r], w.size)))
-                for w, r in zip(windows, window_rows[1:])]
+        double_avg.append(fsum_complex(counts * gamma[idx]) / (w.size ** 2))
+        averages.append(float(np.linalg.norm(_mean_vector(v, w.size))))
 
     hyp = statistic[-1] < threshold
     concl = averages[-1] < threshold

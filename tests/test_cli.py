@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import ergodix
-from ergodix import _parallel, folner, invariants, mixing, operators, spectral, systems, vdc
+from ergodix import (
+    _parallel, compactness, folner, invariants, mixing, operators, spectral, systems, vdc)
 from ergodix.cli import _STATS, main
 from ergodix.invariants import ALL_CHECKS, _trials, run_all
 from ergodix.operators import as_matrix
@@ -883,6 +884,33 @@ class TestCompactCommand:
         assert rep["separated"]["count"] == 1
         assert rep["return_set"]["members"] == [[g] for g in range(-5, 6)]
         assert rep["return_set"]["chain_ok"] is True
+
+    def test_nontracial_windows_rejected_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # the compact Szemeredi average needs a tracial state, so windows on
+        # a non-tracial one are an input error before the epsilon-net is built
+        calls = []
+        real = compactness.orbit_epsilon_structure
+        monkeypatch.setattr(compactness, "orbit_epsilon_structure",
+                            lambda *args: calls.append(args) or real(*args))
+        cfg = write_cfg(tmp_path, "c.json", {
+            "system": {"kind": "finite",
+                       "generators": [matrix_to_json(np.diag([1.0, -1.0]))],
+                       "state": {"kind": "density",
+                                 "entries": matrix_to_json(np.diag([0.7, 0.3]))}},
+            "observable": {"kind": "matrix",
+                           "entries": matrix_to_json(np.diag([1.0, 0.0]))},
+            "epsilon": 0.3,
+            "exponents": [1, 2],
+            "scan": {"shape": "box", "n": 5},
+            "windows": {"shape": "box", "n_min": 1, "n_max": 4},
+            "candidates": [[0], [1]],
+        })
+        out = tmp_path / "o"
+        assert main(["compact", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: windows: the compact Szemeredi average requires a tracial state\n")
+        assert calls == []
+        assert not out.exists()
 
     def test_a_density_of_i_over_n_takes_the_correlation_bounds(self, tmp_path):
         a = np.array([[0.75, 0.25], [0.25, 0.75]])

@@ -160,6 +160,22 @@ class TestDifferenceCounts:
         assert set(inverse_product(w).iter_elements()) == set(hs)
 
 
+class TestDifferenceTable:
+    @pytest.mark.parametrize("q, pts", [
+        (1, [-9, -4, 0, 1, 3, 11, 12, 30]),
+        (2, [(0, 0), (1, 3), (-2, 5), (4, -1), (7, 7), (-6, -1), (1, 1)]),
+        (1, [0, 7, 2 ** 62, 5 - 2 ** 62]),
+    ])
+    def test_blocks_of_every_batch_size_count_the_same(self, monkeypatch, q, pts):
+        # the blocks W - a cross batch edges at every batch size
+        w = custom_window(q, pts)
+        brute = sorted(brute_inverse_product(list(w.iter_elements())))
+        for _ in batch_sizes(monkeypatch):
+            lags, counts = difference_counts(w)
+            assert lag_tuples(lags) == brute
+            assert counts.tolist() == [w.overlap_with_translate(h) for h in brute]
+
+
 class TestTempelmanRatio:
     def test_q1_n1_enumeration_oracle(self):
         w = box_window(1, 1)

@@ -16,9 +16,11 @@ from test_cli import FOLNER_CFG, HIGHER_CFG, MIX_CFG, matrix_to_json
 
 
 def plain(obj):
-    """``obj`` with every Table replaced by the list of its rows."""
+    """``obj`` with every Table replaced by the list of its rows, each array
+    column listed whole."""
     if isinstance(obj, Table):
-        return [list(row) for row in zip(*obj.columns.values())]
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in obj.columns.values()]
+        return [list(row) for row in zip(*columns)]
     if isinstance(obj, dict):
         return {key: plain(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -107,7 +109,7 @@ class TestWriteJson:
         assert "".join(report._chunks(obj, 0)) + "\n" == stdlib(obj)
 
     @pytest.mark.parametrize("rows", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
-    def test_tables_across_block_edges(self, rows):
+    def test_tables_across_block_edges(self, tmp_path, rows):
         k = np.arange(rows)
         ratio = (k / 7).tolist()
         table = Table(h=np.stack([k, -k], axis=1), ratio=ratio, n=-k)
@@ -116,6 +118,14 @@ class TestWriteJson:
         ratio[-1] = math.nan
         table = Table(h=np.stack([k, -k], axis=1), ratio=ratio, n=-k)
         assert written({"t": table}) == stdlib({"schema": SCHEMA, "t": table})
+        # array columns, listed a block at a time, write the bytes of lists
+        arrays = Table(h=np.stack([k, -k], axis=1), ratio=np.array(ratio), n=-k)
+        lists = Table(h=np.stack([k, -k], axis=1).tolist(), ratio=ratio, n=(-k).tolist())
+        assert written({"t": arrays}) == written({"t": lists})
+        assert json.dumps([arrays], default=_plain) == json.dumps([lists], default=_plain)
+        write_csv(tmp_path / "arrays.csv", arrays)
+        write_csv(tmp_path / "lists.csv", lists)
+        assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "lists.csv").read_bytes()
 
     def test_unencodable_value_raises(self):
         with pytest.raises(TypeError, match="ndarray"):

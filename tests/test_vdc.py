@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ergodix
+from ergodix import _parallel
 from ergodix._parallel import fsum_complex
 from ergodix.invariants import _random_sequence
 from ergodix.folner import (
@@ -19,6 +20,7 @@ from ergodix.folner import (
 from ergodix.vdc import (
     VectorSequence,
     _gamma_box,
+    _phases,
     average_vector,
     check_double_average_bound,
     check_window_cauchy_schwarz,
@@ -369,7 +371,7 @@ class TestVdcVerdict:
         v = np.array([1.0 + 0j])
 
         # the table reaches -3 first: the box support is in tuple order, and
-        # the custom window's g + h sums run g-major from g = -5
+        # the custom window's translates W + h run from h = -10
         with pytest.raises(ValueError, match=re.escape(
                 "declared bound 1.0 violated at (-3,): |f(g)| = 2.0")):
             vdc_verdict(per_point(lambda g: 2 * v if g[0] in (7, -3) else v), [window])
@@ -454,10 +456,11 @@ class TestGenericLagPath:
 
     def test_custom_window_stays_small(self):
         # the lattice benchmark's window: sorted whole, its support block of
-        # 401 * 801 = 321,201 rows of g + h peaked at 17.5 MB
+        # 401 * 801 = 321,201 rows of g + h peaked at 17.5 MB, and built
+        # whole, with all 160,801 pairwise differences, at 8.8 MB
         f = linear_phase_sequence(ALPHA, np.array([1.0]))
         window = custom_window(1, range(-200, 201))
-        assert traced_peak(lambda: vdc_verdict(f, [window])) < 12e6
+        assert traced_peak(lambda: vdc_verdict(f, [window])) < 7.5e6
 
 
 def vdot_box_reference(f, windows, h_max):
@@ -584,6 +587,43 @@ class TestBoxLagPath:
             assert g1 == pytest.approx(g2, abs=1e-12)
         assert rep_box.statistic[0] == pytest.approx(rep_custom.statistic[0],
                                                         abs=1e-12)
+
+
+class TestTablesInPlace:
+    """The box path reads f on its one support box in place, and the custom
+    path streams its lag translates."""
+
+    def test_lattice_schedule_stays_small(self):
+        # the lattice benchmark's vdc inputs; keying the 48,001 support rows
+        # and the 72,008 window rows through a point table peaked at 8.8 MB
+        f = weyl_quadratic_sequence(ALPHA, np.array([0.6, 0.8j]))
+        assert traced_peak(lambda: vdc_verdict(f, box_schedule(1, 1000, 8000, 1000))) < 7e6
+
+    @pytest.mark.parametrize("windows, h_max", [
+        (box_schedule(1, 1, 9, 4), None),
+        ([box_window(2, n) for n in (1, 3)], 2),
+        # windows off the support box are tabulated on their own
+        ([box_window(1, 2, center=900), box_window(1, 30, center=123)], 0),
+        ([box_window(2, 1, center=(60, -7)), box_window(2, 4, center=(3, 5))], 3),
+    ])
+    def test_box_schedule_builds_no_point_table(self, monkeypatch, windows, h_max):
+        calls = []
+        real = _parallel.point_table
+        monkeypatch.setattr(_parallel, "point_table",
+                            lambda *args: calls.append(args) or real(*args))
+        vdc_verdict(random_sequence(3, dim=2), windows, h_max=h_max)
+        assert calls == []
+
+    def test_in_place_phases_equal_the_expression(self):
+        # 2 pi alpha n overflows float64 at the last two n, which come out NaN
+        v = np.array([0.6, 0.8j, -1.0])
+        for form in (np.array([0, 1, -7, 12345, 2 ** 53 + 1, -(2 ** 62)], dtype=np.int64),
+                     np.array([0, 5, 2 ** 70, 10 ** 300, 10 ** 308, -(10 ** 308)], dtype=object)):
+            with np.errstate(invalid="ignore", over="ignore"):
+                expected = np.exp((2j * np.pi * ALPHA) * form.astype(np.float64))[:, None] * v
+            got = _phases(ALPHA, form, v)
+            assert got.tobytes() == expected.tobytes()
+        assert np.isnan(got[-2:]).all() and not np.isnan(got[:-2]).any()
 
 
 class TestInvariantSequence:
