@@ -230,10 +230,16 @@ def _build_sequence(obj: dict) -> vdc.VectorSequence:
     return vdc.weyl_quadratic_sequence(alpha, vec)
 
 
-def run_vdc(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
+def _vdc_inputs(cfg: dict) -> tuple[vdc.VectorSequence, list, int | None]:
+    """The sequence, the windows and h_max of a vdc config."""
     f = _build_sequence(cfg["sequence"])
     windows = parse_windows(cfg["windows"], 1)
     h_max = _int(cfg["h_max"], "h_max", 0) if "h_max" in cfg else None
+    return f, windows, h_max
+
+
+def run_vdc(cfg: dict, out: Path, seed) -> tuple[dict, list[str]]:
+    f, windows, h_max = _vdc_inputs(cfg)
     threshold = _num(cfg.get("threshold", 0.05), "threshold")
 
     rep = vdc.vdc_verdict(f, windows, h_max=h_max, threshold=threshold)

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from ._parallel import lex_keys, point_table, table_means, window_points
+from ._parallel import lex_keys, point_table, row_keys, table_means
 
 GroupElement = tuple[int, ...]
 
@@ -247,20 +247,22 @@ def difference_counts(window: FolnerWindow) -> tuple[np.ndarray, np.ndarray]:
     tuple order, and |W intersect (W+h)| for each lag h.
 
     The overlap at h is the number of pairs (a, b) in W^2 with b - a = h, so
-    it is the multiplicity of h among the pairwise differences: a point
-    table over the blocks W - a, one at a time, and the count of each of its
-    rows.  A box of radius n has the radius-2n box as lags and the closed
-    form prod_i (2n+1-|h_i|) as counts.
+    it is the multiplicity of h among the pairwise differences, keyed one
+    block W - a at a time and counted by one ``np.unique``.  A box of radius
+    n has the radius-2n box as lags and the closed form prod_i (2n+1-|h_i|)
+    as counts.
     """
     if window.shape == "box":
         n = window.index
         lags = box_window(window.q, 2 * n).element_array()
         return lags, np.prod(2 * n + 1 - np.abs(lags), axis=1)
     pts = window.element_array()
-    diffs, rows = window_points([], lead=(pts, -pts))
-    counts = np.bincount(np.concatenate(rows), minlength=len(diffs))
-    order = np.argsort(lex_keys(diffs)[0])
-    return diffs[order], counts[order]
+    span = pts.max(axis=0) - pts.min(axis=0)
+    key = row_keys((-span).tolist(), span.tolist())
+    # difference i * |W| + j is pts[j] - pts[i]; its rows never exist whole
+    keys = np.concatenate([key(pts - a) for a in pts])
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    return pts[first % len(pts)] - pts[first // len(pts)], counts
 
 
 def tempelman_ratio(window: FolnerWindow) -> float:

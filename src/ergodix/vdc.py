@@ -251,6 +251,7 @@ def vdc_verdict(
         raise ValueError(f"h_max must be >= 0, got {h_max}")
     windows = sorted(windows, key=lambda w: w.size)
     largest, q = windows[-1], windows[-1].q
+    table = None  # the largest window's lags and overlaps, if already built
     if largest.shape == "box":
         # the lags of W^-1 W within h_max: the box of radius R = min(2n, h_max)
         radius = 2 * largest.index if h_max is None else min(2 * largest.index, h_max)
@@ -261,7 +262,7 @@ def vdc_verdict(
         vals = f.table(support.element_array())
         gamma = _gamma_box(vals, largest, radius)
         grid = vals.reshape((2 * support.index + 1,) * q + (f.dim,))
-        (lo, hi), shape = support.bounds(), (2 * radius + 1,) * q
+        lo, hi = support.bounds()
 
         def values(w: FolnerWindow) -> np.ndarray:
             a, b = w.bounds()
@@ -269,13 +270,6 @@ def vdc_verdict(
                 return f.table(w.element_array())
             at = tuple(slice(y - x, z - x + 1) for x, y, z in zip(lo, a, b))
             return grid[at].reshape(-1, f.dim)
-
-        def terms(w: FolnerWindow) -> tuple[np.ndarray, np.ndarray]:
-            # the window's lags within R, read in the lag box by position
-            window_lags, counts = difference_counts(w)
-            hit = np.abs(window_lags).max(axis=1) <= radius
-            at = (window_lags[hit] + radius).astype(np.int64).T
-            return np.ravel_multi_index(tuple(at), shape), counts[hit]
 
         window_values = map(values, windows)
     else:
@@ -287,26 +281,22 @@ def vdc_verdict(
         points, rows = window_points(windows, lead=(largest.element_array(), lags))
         vals = f.table(points)
         gamma = _gamma_empirical(vals, rows[:len(lags)], largest.size)
-
-        def terms(w: FolnerWindow) -> tuple[np.ndarray, np.ndarray]:
-            # the window's lags looked up among the estimated ones by key
-            window_lags, counts = table if w is largest else difference_counts(w)
-            gamma_keys, keys = lex_keys(lags, window_lags)
-            at = np.minimum(np.searchsorted(gamma_keys, keys), len(gamma_keys) - 1)
-            hit = gamma_keys[at] == keys
-            return at[hit], counts[hit]
-
         window_values = (vals[r] for r in rows[len(lags):])
 
     # np.hypot, not np.abs: np.abs of complex128 can differ from abs(complex)
     # in the last bit, hypot does not
     abs_gamma = np.hypot(gamma.real, gamma.imag)
-    # the overlap |W intersect (W+h)| is the lag's multiplicity in W^-1 W
+    # each window's lags, looked up among the estimated ones by key; the
+    # overlap |W intersect (W+h)| is the lag's multiplicity in the table
     statistic, double_avg, averages = [], [], []
     for w, v in zip(windows, window_values):
-        idx, counts = terms(w)
+        window_lags, counts = table if table is not None and w is largest else difference_counts(w)
+        gamma_keys, keys = lex_keys(lags, window_lags)
+        at = np.minimum(np.searchsorted(gamma_keys, keys), len(gamma_keys) - 1)
+        hit = gamma_keys[at] == keys
+        idx = at[hit]
         statistic.append(math.fsum(abs_gamma[idx].tolist()) / w.size)
-        double_avg.append(fsum_complex(counts * gamma[idx]) / (w.size ** 2))
+        double_avg.append(fsum_complex(counts[hit] * gamma[idx]) / (w.size ** 2))
         averages.append(float(np.linalg.norm(_mean_vector(v, w.size))))
 
     hyp = statistic[-1] < threshold

@@ -166,14 +166,13 @@ class TestDifferenceTable:
         (2, [(0, 0), (1, 3), (-2, 5), (4, -1), (7, 7), (-6, -1), (1, 1)]),
         (1, [0, 7, 2 ** 62, 5 - 2 ** 62]),
     ])
-    def test_blocks_of_every_batch_size_count_the_same(self, monkeypatch, q, pts):
-        # the blocks W - a cross batch edges at every batch size
+    def test_blocks_count_the_overlaps(self, q, pts):
+        # keyed one block W - a at a time, at coordinates near 2^62 too
         w = custom_window(q, pts)
         brute = sorted(brute_inverse_product(list(w.iter_elements())))
-        for _ in batch_sizes(monkeypatch):
-            lags, counts = difference_counts(w)
-            assert lag_tuples(lags) == brute
-            assert counts.tolist() == [w.overlap_with_translate(h) for h in brute]
+        lags, counts = difference_counts(w)
+        assert lag_tuples(lags) == brute
+        assert counts.tolist() == [w.overlap_with_translate(h) for h in brute]
 
 
 class TestTempelmanRatio:
