@@ -160,21 +160,6 @@ class TestDifferenceCounts:
         assert set(inverse_product(w).iter_elements()) == set(hs)
 
 
-class TestDifferenceTable:
-    @pytest.mark.parametrize("q, pts", [
-        (1, [-9, -4, 0, 1, 3, 11, 12, 30]),
-        (2, [(0, 0), (1, 3), (-2, 5), (4, -1), (7, 7), (-6, -1), (1, 1)]),
-        (1, [0, 7, 2 ** 62, 5 - 2 ** 62]),
-    ])
-    def test_blocks_count_the_overlaps(self, q, pts):
-        # keyed one block W - a at a time, at coordinates near 2^62 too
-        w = custom_window(q, pts)
-        brute = sorted(brute_inverse_product(list(w.iter_elements())))
-        lags, counts = difference_counts(w)
-        assert lag_tuples(lags) == brute
-        assert counts.tolist() == [w.overlap_with_translate(h) for h in brute]
-
-
 class TestTempelmanRatio:
     def test_q1_n1_enumeration_oracle(self):
         w = box_window(1, 1)
